@@ -1,7 +1,10 @@
-"""Graph decomposition toolkit: balanced separators with small cores, boosted
-separators, layered separator pipelines, extended strip decomposition
-validation, tree decompositions with bounded bag independence number, and an
-exact MWIS solver, all at desk scale with verification built in."""
+"""Exact toolkit for tree independence number work on small graphs: bitmask
+graphs and exact stability number, induced-pattern search (S_{t,t,t},
+K_{t,t}, K_gamma^2, line graphs of subdivided walls), tree-decomposition
+validation, exact tree independence number, assembly of a decomposition from
+a balanced-separator oracle, and maximum weight stable sets by brute force
+or by dynamic programming over a decomposition. Answers are exact or an
+explicit refusal."""
 
 __version__ = "0.1.0"
 

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import os
 
+from .errors import FormatError
+
 DEFAULT_CAPS = {
     "alpha": 40,
     "pattern": 12,
-    "mincore_budget": 5_000_000,
-    "treewidth": 20,
-    "constricted": 14,
     "tree_alpha": 10,
     "mwis_brute": 24,
     "mwis_states": 5_000_000,
-    "path_states": 2_000_000,
 }
 
 _ENV_VAR = "TREEALPHA_CAP_OVERRIDE"
@@ -33,5 +31,5 @@ def cap(name: str, override: int | None = None) -> int:
         try:
             return int(env)
         except ValueError:
-            pass
+            raise FormatError(f"{_ENV_VAR}={env!r} is not an integer") from None
     return DEFAULT_CAPS[name]

@@ -41,10 +41,6 @@ class OracleContractError(TreealphaError):
         self.instance = instance
 
 
-class ExhaustionError(TreealphaError):
-    """A verified search ran out of budget without finding a witness."""
-
-
 class InvariantViolationError(TreealphaError):
     """A runtime assertion derived from a proved bound failed.
 

@@ -106,9 +106,6 @@ class Graph:
         ]
         return Graph(len(order), edges), host_to_sub, tuple(order)
 
-    def complement_mask(self, mask: int) -> int:
-        return ((1 << self.n) - 1) & ~mask
-
 
 def set_to_mask(vs: Iterable[int]) -> int:
     m = 0
@@ -147,9 +144,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def ends(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
     def verify(self, g: Graph, induced: bool = False) -> bool:
         vs = self.vertices
         if len(set(vs)) != len(vs) or not vs:
@@ -163,10 +157,6 @@ class Path:
                     if g.has_edge(a, b):
                         return False
         return True
-
-
-def is_induced_path(g: Graph, vs: Iterable[int]) -> bool:
-    return Path(tuple(vs)).verify(g, induced=True)
 
 
 # -- weight functions ---------------------------------------------------------
@@ -224,18 +214,8 @@ class WeightFn:
     def total(self) -> Fraction:
         return sum(self._w.values(), Fraction(0))
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._w)
-
     def is_normal(self) -> bool:
         return abs(self.total - 1) <= self.tol
-
-    def normalized(self) -> "WeightFn":
-        t = self.total
-        if t == 0:
-            raise ValueError("cannot normalize an all-zero weight function")
-        return WeightFn({v: x / t for v, x in self._w.items()}, self.float_mode)
 
     def restrict(self, vs: Iterable[int]) -> "WeightFn":
         """Restriction without renormalization; thresholds stay absolute."""
@@ -273,7 +253,10 @@ class WeightFn:
             raise FormatError(f"bad weight JSON: {e}") from e
         if not isinstance(raw, dict):
             raise FormatError("weight JSON must be an object")
-        return cls({int(k): v for k, v in raw.items()})
+        try:
+            return cls({int(k): v for k, v in raw.items()})
+        except (ValueError, OverflowError, ZeroDivisionError) as e:
+            raise FormatError(f"bad weight JSON: {e}") from e
 
     def to_json(self) -> str:
         out = {}
@@ -328,67 +311,53 @@ def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     return out
 
 
-def components_masks(g: Graph, removed_mask: int = 0) -> list[int]:
-    """Component bitmasks of g minus the masked vertices, by least vertex."""
-    alive = g.complement_mask(removed_mask)
-    out = []
-    while alive:
-        low = alive & -alive
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                v = b.bit_length() - 1
-                nxt |= g.adj_mask(v)
-                m ^= b
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        out.append(comp)
-        alive &= ~comp
+# -- maximum weight stable set (exact) ----------------------------------------
+
+
+def _remap(mask: int, to: list[int]) -> int:
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << to[b.bit_length() - 1]
+        mask ^= b
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
+    """A maximum-weight stable subset of ``mask``, by branch and bound.
 
+    ``masks[v]`` is v's adjacency mask and ``weights[v] >= 0`` its weight.
+    Vertices are relabelled by non-increasing weight (a stable sort, so unit
+    weights keep their labels); then the lowest vertex of each greedy clique
+    is its heaviest, and the clique cover bound adds up those vertices'
+    weights. Branching takes a vertex of maximum degree, first in, then out.
+    """
+    order = sorted(range(len(masks)), key=weights.__getitem__, reverse=True)
+    if any(v != i for i, v in enumerate(order)):
+        to = [0] * len(order)
+        for i, v in enumerate(order):
+            to[v] = i
+        found = _max_weight_stable(tuple(_remap(masks[v], to) for v in order),
+                                   _remap(mask, to), [weights[v] for v in order])
+        return _remap(found, order)
+    best, best_val = 0, 0
 
-# -- maximum stable set (exact) -----------------------------------------------
-
-
-def _clique_cover_bound(masks: tuple[int, ...], mask: int) -> int:
-    # greedy partition into cliques; the number of cliques bounds alpha
-    count = 0
-    rem = mask
-    while rem:
-        b = rem & -rem
-        v = b.bit_length() - 1
-        cand = rem & masks[v] & ~b
-        rem ^= b
-        while cand:
-            cb = cand & -cand
-            u = cb.bit_length() - 1
-            rem &= ~cb
-            cand = cand & masks[u] & ~cb
-        count += 1
-    return count
-
-
-def _max_stable_mask(masks: tuple[int, ...], mask: int) -> int:
-    best = 0
-    best_size = -1
-
-    def rec(m: int, cur: int, cur_size: int):
-        nonlocal best, best_size
-        if m == 0:
-            if cur_size > best_size:
-                best, best_size = cur, cur_size
+    def rec(m: int, cur: int, cur_val) -> None:
+        nonlocal best, best_val
+        bound = 0
+        rem = m
+        while rem:
+            b = rem & -rem
+            v = b.bit_length() - 1
+            rem ^= b
+            cand = rem & masks[v]
+            while cand:
+                cb = cand & -cand
+                rem ^= cb
+                cand &= masks[cb.bit_length() - 1]
+            bound += weights[v]
+        if cur_val + bound <= best_val:
             return
-        if cur_size + _clique_cover_bound(masks, m) <= best_size:
-            return
-        # branch on a vertex of maximum degree inside m
         pick, pick_deg = -1, -1
         mm = m
         while mm:
@@ -398,15 +367,13 @@ def _max_stable_mask(masks: tuple[int, ...], mask: int) -> int:
             if d > pick_deg:
                 pick, pick_deg = v, d
             mm ^= b
-        bit = 1 << pick
-        if pick_deg == 0:
-            # m is edgeless; take it all
-            total = cur_size + m.bit_count()
-            if total > best_size:
-                best, best_size = cur | m, total
+        if pick_deg <= 0:
+            # m is edgeless or empty, and the bound is its weight: take it all
+            best, best_val = cur | m, cur_val + bound
             return
-        rec(m & ~(masks[pick] | bit), cur | bit, cur_size + 1)
-        rec(m & ~bit, cur, cur_size)
+        bit = 1 << pick
+        rec(m & ~(masks[pick] | bit), cur | bit, cur_val + weights[pick])
+        rec(m & ~bit, cur, cur_val)
 
     rec(mask, 0, 0)
     return best
@@ -422,19 +389,13 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     limit = cap("alpha", cap_override)
     if len(xs) > limit:
         raise CapExceededError("alpha_exact", len(xs), limit)
-    mask = set_to_mask(xs)
-    return mask_to_set(_max_stable_mask(g._masks, mask))
+    return mask_to_set(_max_weight_stable(g._masks, set_to_mask(xs), [1] * g.n))
 
 
 def alpha_exact(g: Graph, x: Iterable[int] | None = None,
                 cap_override: int | None = None) -> int:
     """Exact stability number of G[x]."""
     return len(max_stable_set(g, x, cap_override))
-
-
-def is_stable_set(g: Graph, vs: Iterable[int]) -> bool:
-    vs = list(vs)
-    return all(not g.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
 
 
 def is_anticomplete(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:

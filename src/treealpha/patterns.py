@@ -9,10 +9,9 @@ subdivisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .caps import cap
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .graphs import Graph, generate, line_graph, max_stable_set, mask_to_set, subdivide
 
 
@@ -21,9 +20,6 @@ class Embedding:
     """Injective map from pattern vertices to host vertices, induced."""
 
     mapping: dict[int, int]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping.values())
 
     def verify(self, pattern: Graph, host: Graph) -> bool:
         m = self.mapping
@@ -47,6 +43,19 @@ class PatternSpec:
     gamma: int = 0
     graph: Graph | None = None
 
+    def __post_init__(self):
+        if self.kind in ("s_ttt", "k_tt"):
+            if self.t < 1:
+                raise PreconditionError(f"{self.kind} needs t >= 1, got t={self.t}")
+        elif self.kind == "k_gamma_2":
+            if self.gamma < 1:
+                raise PreconditionError(f"k_gamma_2 needs gamma >= 1, got gamma={self.gamma}")
+        elif self.kind == "explicit":
+            if self.graph is None:
+                raise PreconditionError("explicit pattern spec needs a graph")
+        else:
+            raise PreconditionError(f"unknown pattern kind {self.kind!r}")
+
     def realize(self) -> Graph:
         if self.kind == "s_ttt":
             return generate("s_ttt", t=self.t)
@@ -54,11 +63,7 @@ class PatternSpec:
             return generate("complete_bipartite", a=self.t, b=self.t)
         if self.kind == "k_gamma_2":
             return generate("k_gamma_2", gamma=self.gamma)
-        if self.kind == "explicit":
-            if self.graph is None:
-                raise ValueError("explicit pattern spec needs a graph")
-            return self.graph
-        raise ValueError(f"unknown pattern kind {self.kind!r}")
+        return self.graph
 
 
 def _backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
@@ -125,8 +130,14 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
     limit = cap("pattern", cap_override)
     if h.n > limit:
         raise CapExceededError("contains_induced pattern size", h.n, limit)
-    emb = _backtrack_induced(g, h)
-    assert emb is None or emb.verify(h, g)
+    return _certified(_backtrack_induced(g, h), h, g)
+
+
+def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
+    """emb, once checked to be an induced embedding of h into g."""
+    if emb is not None and not emb.verify(h, g):
+        raise InvariantViolationError("search returned an embedding that is not induced",
+                                      trace=emb.mapping)
     return emb
 
 
@@ -229,14 +240,14 @@ def _find_k_tt(g: Graph, t: int) -> Embedding | None:
 
 def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     """Specialized pattern search; agrees with contains_induced where both run."""
+    pattern = spec.realize()
     if spec.kind == "s_ttt":
         emb = _find_s_ttt(g, spec.t)
     elif spec.kind == "k_tt":
         emb = _find_k_tt(g, spec.t)
     else:
-        emb = _backtrack_induced(g, spec.realize())
-    assert emb is None or emb.verify(spec.realize(), g)
-    return emb
+        emb = _backtrack_induced(g, pattern)
+    return _certified(emb, pattern, g)
 
 
 # -- wall line-graph freeness (bounded) -----------------------------------------

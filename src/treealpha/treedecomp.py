@@ -5,13 +5,15 @@ MWIS both brute-force and by dynamic programming over a decomposition."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .caps import cap
 from .errors import (
     CapExceededError,
+    FormatError,
     InvariantViolationError,
     OracleContractError,
     PreconditionError,
@@ -19,11 +21,11 @@ from .errors import (
 from .graphs import (
     Graph,
     WeightFn,
+    _max_weight_stable,
     alpha_exact,
     check_vertex_set,
     components,
     mask_to_set,
-    max_stable_set,
     set_to_mask,
 )
 
@@ -50,10 +52,14 @@ class TreeDecomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "TreeDecomposition":
-        raw = json.loads(text)
-        nodes = raw["nodes"]
-        tree = Graph(len(nodes), [tuple(e) for e in raw["edges"]])
-        bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
+        try:
+            raw = json.loads(text)
+            tree = Graph(len(raw["nodes"]), [tuple(e) for e in raw["edges"]])
+            bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
+            if not all(isinstance(v, int) for b in bags.values() for v in b):
+                raise TypeError("bag members must be integers")
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise FormatError(f"bad tree decomposition JSON: {e!r}") from e
         return cls(tree, bags)
 
     @classmethod
@@ -78,32 +84,31 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
         violations.append(("tree", "decomposition tree is not a tree"))
         return TDReport(False, violations)
 
-    covered: set[int] = set()
-    for b in td.bags.values():
-        covered |= b
+    # holders[v]: the tree nodes whose bag holds v, as a mask
+    holders = [0] * g.n
+    for tn, bag in td.bags.items():
+        for v in bag:
+            if v in g.vertices:
+                holders[v] |= 1 << tn
     for v in g.vertices:
-        if v not in covered:
+        if not holders[v]:
             violations.append(("vertex-coverage", v))
-
     for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags.values()):
+        if not holders[u] & holders[v]:
             violations.append(("edge-coverage", (u, v)))
-
-    for v in g.vertices:
-        holders = [tn for tn in t.vertices if v in td.bags[tn]]
-        if not holders:
-            continue
-        seen = {holders[0]}
-        stack = [holders[0]]
-        hold = set(holders)
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors(x):
-                if y in hold and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+    tree_masks = t._masks
+    for v, hold in enumerate(holders):
+        seen = frontier = hold & -hold
+        while frontier:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= tree_masks[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & hold & ~seen
+            seen |= frontier
         if seen != hold:
-            violations.append(("subtree-connectivity", (v, sorted(hold))))
+            violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
 
     return TDReport(not violations, violations)
 
@@ -122,42 +127,40 @@ def td_stats(g: Graph, td: TreeDecomposition,
 # -- chordality and minimal triangulations -----------------------------------
 
 
-def _is_chordal_masks(n: int, adj: list[int]) -> bool:
-    # maximum cardinality search, then verify the elimination order is perfect
+def _mcs_cliques(n: int, adj: list[int]) -> list[int] | None:
+    """Maximum cardinality search. Returns, for each vertex in visiting
+    order, the mask of it and its earlier-visited neighbours, or None as
+    soon as one of those is not a clique: the reverse visiting order is a
+    perfect elimination ordering exactly when the graph is chordal, and the
+    masks then include every maximal clique."""
     weight = [0] * n
-    order: list[int] = []
-    placed = 0
+    cliques = []
     numbered = 0
-    while placed < n:
+    for _ in range(n):
         best, bw = -1, -1
         for v in range(n):
             if not (numbered >> v) & 1 and weight[v] > bw:
                 best, bw = v, weight[v]
-        order.append(best)
-        numbered |= 1 << best
-        placed += 1
-        m = adj[best]
+        bit = 1 << best
+        earlier = adj[best] & numbered
+        m = earlier
         while m:
             b = m & -m
-            u = b.bit_length() - 1
-            if not (numbered >> u) & 1:
-                weight[u] += 1
+            if (earlier ^ b) & ~adj[b.bit_length() - 1]:
+                return None
             m ^= b
-    order.reverse()  # order is a candidate perfect elimination ordering
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [u for u in mask_to_set(adj[v]) if pos[u] > i]
-        if not later:
-            continue
-        w = min(later, key=lambda u: pos[u])
-        for u in later:
-            if u != w and not (adj[w] >> u) & 1:
-                return False
-    return True
+        cliques.append(earlier | bit)
+        numbered |= bit
+        m = adj[best] & ~numbered
+        while m:
+            b = m & -m
+            weight[b.bit_length() - 1] += 1
+            m ^= b
+    return cliques
 
 
 def is_chordal(g: Graph) -> bool:
-    return _is_chordal_masks(g.n, list(g._masks))
+    return _mcs_cliques(g.n, list(g._masks)) is not None
 
 
 def minimal_triangulations(g: Graph) -> set[frozenset]:
@@ -214,7 +217,7 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
     minimal: set[frozenset] = set()
     for fill in fills:
         if all(
-            not _is_chordal_masks(n, with_fill(fill - {e}))
+            _mcs_cliques(n, with_fill(fill - {e})) is None
             for e in fill
         ):
             minimal.add(fill)
@@ -222,35 +225,9 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
 
 
 def _maximal_cliques_chordal(n: int, adj: list[int]) -> list[frozenset[int]]:
-    # perfect elimination order by MCS, then bag(v) = {v} + later neighbors
-    weight = [0] * n
-    numbered = 0
-    order: list[int] = []
-    for _ in range(n):
-        best, bw = -1, -1
-        for v in range(n):
-            if not (numbered >> v) & 1 and weight[v] > bw:
-                best, bw = v, weight[v]
-        order.append(best)
-        numbered |= 1 << best
-        mm = adj[best]
-        while mm:
-            b = mm & -mm
-            u = b.bit_length() - 1
-            if not (numbered >> u) & 1:
-                weight[u] += 1
-            mm ^= b
-    order.reverse()
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    for i, v in enumerate(order):
-        later = frozenset(u for u in mask_to_set(adj[v]) if pos[u] > i) | {v}
-        bags.append(later)
-    out = []
-    for b in bags:
-        if not any(b < other for other in bags):
-            out.append(b)
-    return list(dict.fromkeys(out))
+    cliques = _mcs_cliques(n, adj)
+    return [mask_to_set(c) for c in dict.fromkeys(cliques)
+            if not any(c & o == c and c != o for o in cliques)]
 
 
 def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
@@ -397,8 +374,8 @@ class MWISInstance:
     def __post_init__(self):
         check_vertex_set(self.graph, self.weights.keys())
         for v, x in self.weights.items():
-            if x < 0:
-                raise ValueError(f"negative weight {x} at vertex {v}")
+            if not 0 <= x < math.inf:
+                raise ValueError(f"weight {x} at vertex {v} is negative or not finite")
 
     def w(self, v: int):
         return self.weights.get(v, 0)
@@ -412,82 +389,36 @@ def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[frozenset
     limit = cap("mwis_brute", cap_override)
     if g.n > limit:
         raise CapExceededError("mwis brute force", g.n, limit)
-    masks = g._masks
-    best_set, best_val = 0, 0
-
-    def bound(mask: int):
-        # clique cover: one best-weight pick per clique
-        total = 0
-        rem = mask
-        while rem:
-            b = rem & -rem
-            v = b.bit_length() - 1
-            clique = [v]
-            cand = rem & masks[v] & ~b
-            rem ^= b
-            while cand:
-                cb = cand & -cand
-                u = cb.bit_length() - 1
-                clique.append(u)
-                rem &= ~cb
-                cand &= masks[u] & ~cb
-            total += max(inst.w(u) for u in clique)
-        return total
-
-    def rec(mask: int, cur: int, cur_val):
-        nonlocal best_set, best_val
-        if mask == 0:
-            if cur_val > best_val:
-                best_set, best_val = cur, cur_val
-            return
-        if cur_val + bound(mask) <= best_val:
-            return
-        pick, score = -1, None
-        mm = mask
-        while mm:
-            b = mm & -mm
-            v = b.bit_length() - 1
-            s = (inst.w(v), (masks[v] & mask).bit_count())
-            if score is None or s > score:
-                pick, score = v, s
-            mm ^= b
-        bit = 1 << pick
-        rec(mask & ~(masks[pick] | bit), cur | bit, cur_val + inst.w(pick))
-        rec(mask & ~bit, cur, cur_val)
-
-    rec((1 << g.n) - 1, 0, 0)
-    return mask_to_set(best_set), best_val
+    weights = [inst.w(v) for v in g.vertices]
+    wit = mask_to_set(_max_weight_stable(g._masks, (1 << g.n) - 1, weights))
+    return wit, inst.total(wit)
 
 
-def _independent_subsets(g: Graph, bag: frozenset[int]) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    items = sorted(bag)
-
-    def rec(i: int, chosen: list[int]):
-        if i == len(items):
-            out.append(frozenset(chosen))
-            return
-        v = items[i]
-        rec(i + 1, chosen)
-        if all(not g.has_edge(v, u) for u in chosen):
-            chosen.append(v)
-            rec(i + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
+def _stable_subsets(masks: tuple[int, ...], bag: int, w) -> dict[int, object]:
+    """Every stable subset of the bag, as a mask, with its weight."""
+    out = {0: 0}
+    while bag:
+        b = bag & -bag
+        v = b.bit_length() - 1
+        bag ^= b
+        wv = w(v)
+        out.update([(s | b, val + wv) for s, val in out.items() if not s & masks[v]])
     return out
 
 
 def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
-             state_cap: int | None) -> tuple[frozenset[int], object]:
+             state_cap: int | None) -> tuple[int, object]:
     g = inst.graph
     report = validate_td(g, td)
     if not report.ok:
         raise PreconditionError(f"invalid tree decomposition: {report.violations}")
+    if not td.bags:
+        return 0, 0
 
-    per_bag = {t: _independent_subsets(g, b) for t, b in td.bags.items()}
+    bags = {t: set_to_mask(b) for t, b in td.bags.items()}
+    own = {t: _stable_subsets(g._masks, b, inst.w) for t, b in bags.items()}
     limit = cap("mwis_states", state_cap)
-    total_states = sum(len(v) for v in per_bag.values())
+    total_states = sum(len(v) for v in own.values())
     if total_states > limit:
         raise CapExceededError("mwis td state count", total_states, limit)
 
@@ -501,58 +432,40 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
                 parent[u] = t
                 order.append(u)
 
-    # nice-decomposition semantics, derived internally: each child table is
-    # forgotten down to the shared intersection and re-introduced into the
-    # parent bag; joins add values and subtract the shared weight once.
-    tables: dict[int, dict[frozenset, tuple[object, frozenset]]] = {}
-
-    def introduce_forget(table, from_bag, to_bag):
-        cur_bag = set(from_bag)
-        cur = table
-        for v in sorted(from_bag - to_bag):  # forget
-            cur_bag.discard(v)
-            nxt: dict[frozenset, tuple[object, frozenset]] = {}
-            for s, (val, wit) in cur.items():
-                key = s - {v}
-                if key not in nxt or val > nxt[key][0]:
-                    nxt[key] = (val, wit)
-            cur = nxt
-        for v in sorted(to_bag - from_bag):  # introduce
-            nxt = {}
-            for s, (val, wit) in cur.items():
-                if s not in nxt or val > nxt[s][0]:
-                    nxt[s] = (val, wit)
-                if all(not g.has_edge(v, u) for u in s):
-                    key = s | {v}
-                    cand = (val + inst.w(v), wit | {v})
-                    if key not in nxt or cand[0] > nxt[key][0]:
-                        nxt[key] = cand
-            cur_bag.add(v)
-            cur = nxt
-        return cur
-
+    # value[t][s]: the best weight in the subtree of t among stable sets that
+    # meet bag t in s. A child's table is forgotten down to the part of its
+    # bag it shares with the parent, keeping the best child state per
+    # projection; each parent state joins the child state its own projection
+    # selects, counting the shared weight once.
+    value: dict[int, dict[int, object]] = {}
+    pick: dict[int, dict[int, tuple[object, int]]] = {}
     for t in reversed(order):
-        bag = td.bags[t]
-        table = {
-            s: (inst.total(s), frozenset(s)) for s in per_bag[t]
-        }
+        own_t = own.pop(t)
+        table = dict(own_t)
         for u in tree.neighbors(t):
-            if parent.get(u) != t:
+            if parent[u] != t:
                 continue
-            lifted = introduce_forget(tables[u], td.bags[u], bag)
-            joined = {}
-            for s, (val, wit) in table.items():
-                if s in lifted:
-                    lv, lw = lifted[s]
-                    joined[s] = (val + lv - inst.total(s), wit | lw)
-            table = joined
-        tables[t] = table
+            shared = bags[t] & bags[u]
+            best: dict[int, tuple[object, int]] = {}
+            for s, val in value.pop(u).items():
+                key = s & shared
+                if key not in best or val > best[key][0]:
+                    best[key] = (val, s)
+            for s in table:
+                key = s & shared
+                table[s] += best[key][0] - own_t[key]
+            pick[u] = best
+        value[t] = table
 
-    best_val, best_wit = None, frozenset()
-    for s, (val, wit) in tables[root].items():
-        if best_val is None or val > best_val:
-            best_val, best_wit = val, wit
-    return best_wit, best_val if best_val is not None else 0
+    top = value[root]
+    chosen = {root: max(top, key=top.__getitem__)}
+    for t in order[1:]:
+        shared = bags[t] & bags[parent[t]]
+        chosen[t] = pick[t][chosen[parent[t]] & shared][1]
+    wit = 0
+    for s in chosen.values():
+        wit |= s
+    return wit, top[chosen[root]]
 
 
 def mwis(instance: MWISInstance, method: str = "brute",
@@ -564,11 +477,9 @@ def mwis(instance: MWISInstance, method: str = "brute",
     if method == "td":
         if td is None:
             raise PreconditionError("td method needs a decomposition")
-        result = _mwis_td(instance, td, cap_override)
-        wit, val = result
-        if not all(
-            not instance.graph.has_edge(a, b) for a in wit for b in wit if a < b
-        ):
+        wit, val = _mwis_td(instance, td, cap_override)
+        masks = instance.graph._masks
+        if any(masks[v] & wit for v in mask_to_set(wit)):
             raise InvariantViolationError("td DP produced a non-stable witness")
-        return result
+        return mask_to_set(wit), val
     raise ValueError(f"unknown mwis method {method!r}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from treealpha.graphs import Graph
+from treealpha.graphs import Graph, components
 
 
 def naive_alpha(g: Graph, verts=None) -> int:
@@ -185,3 +185,42 @@ def minimal_triangulations_by_branching(g: Graph) -> set[frozenset]:
 
     rec(base)
     return results
+
+
+def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
+    """Violations of the three tree-decomposition conditions, found by
+    scanning every bag for every vertex and every edge (quadratic)."""
+    violations: list[tuple[str, object]] = []
+    t = td.tree
+    if set(td.bags) != set(t.vertices):
+        return [("tree", "bag keys do not match tree nodes")]
+    if t.n > 0 and (t.edge_count() != t.n - 1 or len(components(t)) != 1):
+        return [("tree", "decomposition tree is not a tree")]
+
+    covered: set[int] = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in g.vertices:
+        if v not in covered:
+            violations.append(("vertex-coverage", v))
+
+    for u, v in g.edges():
+        if not any(u in b and v in b for b in td.bags.values()):
+            violations.append(("edge-coverage", (u, v)))
+
+    for v in g.vertices:
+        holders = [tn for tn in t.vertices if v in td.bags[tn]]
+        if not holders:
+            continue
+        seen = {holders[0]}
+        stack = [holders[0]]
+        hold = set(holders)
+        while stack:
+            x = stack.pop()
+            for y in t.neighbors(x):
+                if y in hold and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != hold:
+            violations.append(("subtree-connectivity", (v, sorted(hold))))
+    return violations

@@ -332,6 +332,11 @@ class TestAlphaExact:
         with pytest.raises(CapExceededError):
             alpha_exact(g, cap_override=5)
 
+    def test_non_integer_cap_override_rejected(self, monkeypatch):
+        monkeypatch.setenv("TREEALPHA_CAP_OVERRIDE", "abc")
+        with pytest.raises(FormatError, match="TREEALPHA_CAP_OVERRIDE"):
+            alpha_exact(Graph(3))
+
     def test_matches_naive_on_200_random(self):
         rng = random.Random(424242)
         for _ in range(200):
@@ -356,6 +361,11 @@ class TestWeightFn:
         assert again.of(0) == Fraction(1, 3)
         assert again.of(1) == 0
         assert again.of(2) == Fraction(1, 6)
+
+    def test_json_bad_entries_are_format_errors(self):
+        for text in ('{"a": 0.5}', '{"0": "x"}', '{"0": "1/0"}', '{"0": NaN}'):
+            with pytest.raises(FormatError):
+                WeightFn.from_json(text)
 
     def test_json_floats(self):
         w = WeightFn.from_json(json.dumps({"0": 0.25, "1": 0.75}))

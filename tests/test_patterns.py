@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from treealpha.errors import CapExceededError
+from treealpha import patterns
+from treealpha.errors import CapExceededError, InvariantViolationError, PreconditionError
 from treealpha.graphs import Graph, generate, line_graph
 from treealpha.patterns import (
     Embedding,
@@ -102,6 +103,24 @@ class TestFindPattern:
         h = generate("path", k=3)
         assert not Embedding({0: 0, 1: 1, 2: 2, 3: 3}).verify(h, g)  # wrong domain
         assert not Embedding({0: 0, 1: 0, 2: 1}).verify(h, g)  # not injective
+
+    def test_bad_spec_rejected(self):
+        for kind, t, gamma in (("s_ttt", 0, 3), ("k_tt", 0, 3), ("k_gamma_2", 3, 0)):
+            with pytest.raises(PreconditionError):
+                find_pattern(generate("complete", k=4), PatternSpec(kind, t=t, gamma=gamma))
+
+    def test_wrong_embedding_is_refused(self, monkeypatch):
+        # P3 mapped onto a triangle: injective, but the image is not induced
+        host, p3 = generate("complete", k=3), generate("path", k=3)
+        wrong = Embedding({0: 0, 1: 1, 2: 2})
+        monkeypatch.setattr(patterns, "_backtrack_induced", lambda g, h: wrong)
+        with pytest.raises(InvariantViolationError):
+            contains_induced(host, p3)
+        with pytest.raises(InvariantViolationError):
+            find_pattern(host, PatternSpec("explicit", graph=p3))
+        monkeypatch.setattr(patterns, "_find_s_ttt", lambda g, t: Embedding({0: 0, 1: 1, 2: 2, 3: 0}))
+        with pytest.raises(InvariantViolationError):
+            find_pattern(host, PatternSpec("s_ttt", t=1))
 
 
 class TestLtFree:

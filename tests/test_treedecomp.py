@@ -8,7 +8,12 @@ from itertools import combinations
 
 import pytest
 
-from treealpha.errors import CapExceededError, OracleContractError, PreconditionError
+from treealpha.errors import (
+    CapExceededError,
+    FormatError,
+    OracleContractError,
+    PreconditionError,
+)
 from treealpha.graphs import Graph, WeightFn, alpha_exact, components, generate
 from treealpha.treedecomp import (
     MWISInstance,
@@ -26,6 +31,7 @@ from .oracles import (
     minimal_triangulations_by_branching,
     naive_is_chordal,
     naive_mwis,
+    naive_validate_td,
 )
 
 
@@ -40,7 +46,82 @@ def brute_balanced_separator(g: Graph, w: WeightFn, c=Fraction(1, 2)):
     return frozenset(verts)
 
 
+def elimination_td(g: Graph, order: list[int]) -> TreeDecomposition:
+    """Decomposition from eliminating g's vertices in order: node i holds the
+    i-th vertex with its neighbours eliminated later (fill edges added) and
+    hangs below the node of the first of those; roots are chained."""
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(g.neighbors(v)) for v in g.vertices]
+    bags, edges, roots = {}, [], []
+    for i, v in enumerate(order):
+        later = {u for u in adj[v] if pos[u] > i}
+        for a, b in combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        bags[i] = frozenset(later | {v})
+        if later:
+            edges.append((i, min(pos[u] for u in later)))
+        else:
+            roots.append(i)
+    edges += list(zip(roots, roots[1:]))
+    return TreeDecomposition(Graph(g.n, edges), bags)
+
+
+def corrupted(td: TreeDecomposition, rng: random.Random):
+    """A bag dropped, a bag emptied, a vertex removed from a bag, a tree edge
+    moved."""
+    nodes = list(td.bags)
+    if not nodes:
+        return
+    k = rng.choice(nodes)
+    yield TreeDecomposition(td.tree, {t: b for t, b in td.bags.items() if t != k})
+    yield TreeDecomposition(td.tree, {**td.bags, k: frozenset()})
+    full = [t for t in nodes if td.bags[t]]
+    k = rng.choice(full)
+    v = rng.choice(sorted(td.bags[k]))
+    yield TreeDecomposition(td.tree, {**td.bags, k: td.bags[k] - {v}})
+    edges = td.tree.edges()
+    if edges and td.tree.n >= 3:
+        edges.remove(rng.choice(edges))
+        free = [(a, b) for a, b in combinations(nodes, 2) if (a, b) not in edges]
+        edges.append(rng.choice(free))
+        yield TreeDecomposition(Graph(td.tree.n, edges), td.bags)
+
+
 class TestValidate:
+    def test_indexed_matches_quadratic_oracle(self):
+        rng = random.Random(43)
+        kinds = set()
+        for _ in range(150):
+            n = rng.randint(0, 9)
+            g = generate("gnp", n=n, p=rng.choice([0.2, 0.4, 0.7]),
+                         seed=rng.randrange(10**6)) if n else Graph(0)
+            order = list(g.vertices)
+            rng.shuffle(order)
+            td = elimination_td(g, order)
+            assert validate_td(g, td).ok
+            assert naive_validate_td(g, td) == []
+            for bad in corrupted(td, rng):
+                got = validate_td(g, bad).violations
+                assert got == naive_validate_td(g, bad)
+                kinds.update(kind for kind, _ in got)
+        assert kinds == {"tree", "vertex-coverage", "edge-coverage", "subtree-connectivity"}
+
+    def test_json_roundtrip(self):
+        g = generate("gnp", n=8, p=0.4, seed=3)
+        td = elimination_td(g, list(g.vertices))
+        again = TreeDecomposition.from_json(td.to_json())
+        assert again.tree == td.tree and again.bags == td.bags
+
+    def test_bad_json_is_format_error(self):
+        for text in ("not json", "[]", '{"nodes": [0]}', '{"nodes": 3, "edges": [], "bags": {}}',
+                     '{"nodes": [0, 1], "edges": [[0, 5]], "bags": {}}',
+                     '{"nodes": [0, 1], "edges": [[0]], "bags": {}}',
+                     '{"nodes": [0], "edges": [], "bags": {"x": [0]}}',
+                     '{"nodes": [0], "edges": [], "bags": {"0": ["a"]}}'):
+            with pytest.raises(FormatError):
+                TreeDecomposition.from_json(text)
+
     def test_single_bag_always_ok(self):
         g = generate("gnp", n=8, p=0.5, seed=0)
         assert validate_td(g, TreeDecomposition.single_bag(g)).ok
@@ -257,3 +338,50 @@ class TestMWIS:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             MWISInstance(Graph(2), {0: -1})
+
+    def test_non_finite_weight_rejected(self):
+        for x in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MWISInstance(Graph(2), {0: x})
+
+    def test_empty_instance_td(self):
+        inst = MWISInstance(Graph(0), {})
+        assert mwis(inst, "td", td=TreeDecomposition(Graph(0), {})) == (frozenset(), 0)
+
+    def test_brute_matches_naive_with_zero_and_fraction_weights(self):
+        rng = random.Random(47)
+        for _ in range(120):
+            n = rng.randint(0, 12)
+            g = generate("gnp", n=n, p=rng.choice([0.2, 0.4, 0.7]),
+                         seed=rng.randrange(10**6)) if n else Graph(0)
+            weights = {v: rng.choice([0, 0, 1, 3, Fraction(1, 3), Fraction(7, 2),
+                                      rng.randint(0, 20)]) for v in g.vertices}
+            inst = MWISInstance(g, weights)
+            wit, val = mwis(inst, "brute")
+            assert val == naive_mwis(g, weights)
+            assert inst.total(wit) == val
+            assert not any(g.has_edge(a, b) for a, b in combinations(wit, 2))
+
+    def test_td_matches_brute_on_path_decompositions(self):
+        # sliding windows i..i+k: each child bag both loses and gains a
+        # vertex against its parent, and the root lands anywhere on the path
+        rng = random.Random(53)
+        for _ in range(40):
+            k = rng.randint(1, 3)
+            n = rng.randint(k + 2, 11)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(u + k + 1, n))
+                          if rng.random() < 0.6])
+            nodes = n - k
+            label = list(range(nodes))
+            rng.shuffle(label)
+            td = TreeDecomposition(
+                Graph(nodes, [(label[i], label[i + 1]) for i in range(nodes - 1)]),
+                {label[i]: frozenset(range(i, i + k + 1)) for i in range(nodes)},
+            )
+            weights = {v: rng.choice([0, 2, Fraction(5, 3), rng.randint(0, 30)])
+                       for v in g.vertices}
+            inst = MWISInstance(g, weights)
+            wit, val = mwis(inst, "td", td=td)
+            assert val == mwis(inst, "brute")[1] == naive_mwis(g, weights)
+            assert inst.total(wit) == val
+            assert not any(g.has_edge(a, b) for a, b in combinations(wit, 2))
