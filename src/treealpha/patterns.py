@@ -9,10 +9,11 @@ subdivisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .caps import cap
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
-from .graphs import Graph, generate, line_graph, max_stable_set, mask_to_set, subdivide
+from .graphs import Graph, generate, line_graph, subdivide
 
 
 @dataclass
@@ -66,62 +67,115 @@ class PatternSpec:
         return self.graph
 
 
-def _backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
+def _host_profile(g: Graph) -> tuple[tuple[int, ...], list[int], int]:
+    """What the matcher needs of a host, built once per host: its adjacency
+    masks, the mask of vertices of degree >= d for each d (the list ends
+    with an empty mask past the maximum degree), and the mask of vertices
+    that lie in a triangle."""
+    adj = g._masks
+    degrees = [m.bit_count() for m in adj]
+    deg_ge = [0] * (max(degrees, default=0) + 2)
+    for v, d in enumerate(degrees):
+        deg_ge[d] |= 1 << v
+    for d in range(len(deg_ge) - 2, -1, -1):
+        deg_ge[d] |= deg_ge[d + 1]
+    return adj, deg_ge, _triangle_mask(adj)
+
+
+def _triangle_mask(adj: tuple[int, ...]) -> int:
+    """The vertices that lie in a triangle, as a mask."""
+    out = 0
+    for v, m in enumerate(adj):
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if adj[b.bit_length() - 1] & m:
+                out |= 1 << v
+                break
+    return out
+
+
+def _pattern_profile(adj: tuple[int, ...]) -> tuple:
+    """What the matcher needs of a pattern with adjacency masks adj: each
+    vertex's degree, the mask of vertices that lie in a triangle, and for
+    each vertex u its later neighbours and later non-neighbours (the ids
+    above u, each an int tuple)."""
+    k = len(adj)
+    nbrs = tuple(tuple(p for p in range(u + 1, k) if m >> p & 1) for u, m in enumerate(adj))
+    non = tuple(tuple(p for p in range(u + 1, k) if not m >> p & 1) for u, m in enumerate(adj))
+    return tuple(m.bit_count() for m in adj), _triangle_mask(adj), nbrs, non
+
+
+def _backtrack_induced(g: Graph, h: Graph | tuple,
+                       host: tuple | None = None) -> Embedding | None:
     """Exact induced-subgraph search with forward-checked domains.
 
-    Pattern vertices are assigned in id order and host candidates tried in
-    ascending order, so the returned embedding is deterministic and a
-    self-match yields the identity.
-    """
-    if h.n == 0:
-        return Embedding({})
-    if h.n > g.n:
-        return None
-    full = (1 << g.n) - 1
-    domains = []
-    for u in h.vertices:
-        du = h.degree(u)
-        m = 0
-        for v in g.vertices:
-            if g.degree(v) >= du:
-                m |= 1 << v
-        if not m:
-            return None
-        domains.append(m)
+    h is the pattern, as a Graph or as its ``_pattern_profile``; host is
+    ``_host_profile(g)``, built here when not given. Pattern vertices are
+    assigned in id order and host candidates tried in ascending order, so
+    the returned embedding is deterministic and a self-match yields the
+    identity. Assigning u to v intersects the domain of each later
+    neighbour of u with v's neighbourhood, then that of each later
+    non-neighbour with v's other non-neighbours, and drops v as soon as a
+    domain empties.
 
-    assign: dict[int, int] = {}
+    Before the search, a pattern vertex of degree d keeps only host vertices
+    of degree >= d, and one that lies in a triangle only host vertices that
+    lie in a triangle. An induced embedding maps a vertex's neighbours and
+    triangles onto neighbours and triangles of its image, so these filters
+    remove only candidates that occur in no embedding: the search visits
+    the same live branches in the same order and returns the first
+    embedding it would return without them.
+    """
+    degrees, in_tri, later_nbrs, later_non = (
+        _pattern_profile(h._masks) if isinstance(h, Graph) else h)
+    k = len(degrees)
+    if k == 0:
+        return Embedding({})
+    if k > g.n:
+        return None
+    adj, deg_ge, tri = host if host is not None else _host_profile(g)
+    doms = []
+    for u, d in enumerate(degrees):
+        dom = deg_ge[d] if d < len(deg_ge) else 0
+        if in_tri >> u & 1:
+            dom &= tri
+        if not dom:
+            return None
+        doms.append(dom)
+    full = (1 << g.n) - 1
+    assign = [0] * k
 
     def rec(u: int, doms: list[int]) -> bool:
-        if u == h.n:
+        if u == k:
             return True
         m = doms[u]
+        nbrs, non_nbrs = later_nbrs[u], later_non[u]
         while m:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            nbr = g.adj_mask(v)
-            new_doms = list(doms)
-            ok = True
-            for p in range(u + 1, h.n):
-                if h.has_edge(p, u):
-                    nd = new_doms[p] & nbr
-                else:
-                    nd = new_doms[p] & ~nbr & full
-                nd &= ~b
-                if not nd:
-                    ok = False
+            nbr = adj[v]
+            new_doms = doms[:]
+            for p in nbrs:
+                new_doms[p] &= nbr
+                if not new_doms[p]:
                     break
-                new_doms[p] = nd
-            if not ok:
-                continue
-            assign[u] = v
-            if rec(u + 1, new_doms):
-                return True
-            del assign[u]
+            else:
+                non = full & ~nbr & ~b
+                for p in non_nbrs:
+                    new_doms[p] &= non
+                    if not new_doms[p]:
+                        break
+                else:
+                    assign[u] = v
+                    if rec(u + 1, new_doms):
+                        return True
         return False
 
-    if rec(0, domains):
-        return Embedding(dict(assign))
+    if rec(0, doms):
+        return Embedding(dict(enumerate(assign)))
     return None
 
 
@@ -205,19 +259,30 @@ def _find_s_ttt(g: Graph, t: int) -> Embedding | None:
     return None
 
 
+def _stable_subset(masks: tuple[int, ...], cand: int, size: int) -> list[int] | None:
+    """The lexicographically first stable subset of cand with size vertices."""
+    if size == 0:
+        return []
+    while cand.bit_count() >= size:
+        b = cand & -cand
+        cand ^= b
+        v = b.bit_length() - 1
+        rest = _stable_subset(masks, cand & ~masks[v], size - 1)
+        if rest is not None:
+            return [v] + rest
+    return None
+
+
 def _find_k_tt(g: Graph, t: int) -> Embedding | None:
     """Induced biclique with stable sides of size t, complete across."""
     found: list[tuple[list[int], list[int]]] = []
 
     def rec(a_list: list[int], common: int, start: int) -> bool:
         if len(a_list) == t:
-            candidates = mask_to_set(common)
-            if len(candidates) < t:
+            b_side = _stable_subset(g._masks, common, t)
+            if b_side is None:
                 return False
-            stable = max_stable_set(g, candidates, cap_override=len(candidates))
-            if len(stable) < t:
-                return False
-            found.append((a_list, sorted(stable)[:t]))
+            found.append((a_list, b_side))
             return True
         need = t - len(a_list)
         for v in range(start, g.n - need + 1):
@@ -285,26 +350,45 @@ def _distributions(total: int, bins: int):
             yield (first,) + rest
 
 
+# Member profiles kept, keyed by (t, distribution): room for every member of
+# the 2-wall with at most three subdivisions (1540), at about 4 kB each.
+_MEMBER_CACHE = 2048
+
+
+def _member(t: int, dist: tuple[int, ...]) -> Graph:
+    """L(the t-wall with dist[i] subdivisions on its i-th edge)."""
+    wall = generate("wall", t=t)
+    member, _ = line_graph(subdivide(wall, dict(zip(wall.edges(), dist))))
+    return member
+
+
+@lru_cache(maxsize=_MEMBER_CACHE)
+def _member_profile(t: int, dist: tuple[int, ...]) -> tuple:
+    """The ``_pattern_profile`` of ``_member(t, dist)``, built once."""
+    return _pattern_profile(_member(t, dist)._masks)
+
+
 def lt_free_upto(g: Graph, t: int, size_cap: int,
                  member_budget: int = 200_000) -> LtVerdict:
     """Test g against line graphs of wall subdivisions up to size_cap vertices.
 
     A subdivision with V + s vertices (s extra) has a line graph on E + s
     vertices, so only s <= |V(g)| - E can possibly embed; verdicts are
-    certified exactly when the cap covers every such s.
+    certified exactly when the cap covers every such s. A witness is
+    checked against the member it embeds.
     """
     if t < 1:
-        raise ValueError("t must be at least 1")
+        raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
     wall = generate("wall", t=t)
     v_wall, e_wall = wall.n, wall.edge_count()
-    edges = wall.edges()
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
+    host = _host_profile(g)
 
     tested = 0
     s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for dist in _distributions(s, len(edges)):
+        for dist in _distributions(s, e_wall):
             if tested >= member_budget:
                 return LtVerdict(
                     status="inconclusive",
@@ -312,15 +396,13 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                     members_tested=tested,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
-            counts = {e: c for e, c in zip(edges, dist)}
-            member, _ = line_graph(subdivide(wall, counts))
             tested += 1
-            emb = _backtrack_induced(g, member)
+            emb = _backtrack_induced(g, _member_profile(t, dist), host)
             if emb is not None:
                 return LtVerdict(
                     status="witness",
                     certified_cap=e_wall + max(s_enum, 0),
-                    witness=emb,
+                    witness=_certified(emb, _member(t, dist), g),
                     members_tested=tested,
                 )
         s_complete = s

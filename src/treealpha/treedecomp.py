@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .caps import cap
 from .errors import (
@@ -258,6 +258,8 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
 # -- assembly from a balanced-separator oracle --------------------------------
 
 
+# collections.abc, not typing: typing caches subscriptions, and its cache would
+# keep Graph, and through it every function of a re-imported graphs module, alive
 SepOracle = Callable[[Graph, WeightFn], Iterable[int]]
 
 
@@ -394,10 +396,12 @@ def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[frozenset
     return wit, inst.total(wit)
 
 
-def _stable_subsets(masks: tuple[int, ...], bag: int, w) -> dict[int, object]:
-    """Every stable subset of the bag, as a mask, with its weight."""
+def _stable_subsets(masks: tuple[int, ...], bag: int, w, room: int) -> dict[int, object]:
+    """Every stable subset of the bag, as a mask, with its weight; stops
+    adding vertices once there are more than room subsets, so a bag past
+    the room is built to at most twice it."""
     out = {0: 0}
-    while bag:
+    while bag and len(out) <= room:
         b = bag & -bag
         v = b.bit_length() - 1
         bag ^= b
@@ -416,11 +420,14 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         return 0, 0
 
     bags = {t: set_to_mask(b) for t, b in td.bags.items()}
-    own = {t: _stable_subsets(g._masks, b, inst.w) for t, b in bags.items()}
     limit = cap("mwis_states", state_cap)
-    total_states = sum(len(v) for v in own.values())
-    if total_states > limit:
-        raise CapExceededError("mwis td state count", total_states, limit)
+    own = {}
+    counted = 0
+    for t, b in bags.items():
+        own[t] = _stable_subsets(g._masks, b, inst.w, limit - counted)
+        counted += len(own[t])
+        if counted > limit:
+            raise CapExceededError("mwis td state count", counted, limit)
 
     tree = td.tree
     root = 0

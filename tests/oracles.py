@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from treealpha.graphs import Graph, components
+from treealpha.graphs import Graph, components, generate, line_graph, subdivide
+from treealpha.patterns import Embedding, LtVerdict
 
 
 def naive_alpha(g: Graph, verts=None) -> int:
@@ -224,3 +225,111 @@ def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
         if seen != hold:
             violations.append(("subtree-connectivity", (v, sorted(hold))))
     return violations
+
+
+def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
+    """The induced matcher the package used before its mask-driven one:
+    pattern vertices in id order, host candidates ascending, a degree filter
+    and forward checking through ``Graph.has_edge``. Returns the same first
+    embedding, so the two are compared mapping for mapping."""
+    if h.n == 0:
+        return Embedding({})
+    if h.n > g.n:
+        return None
+    full = (1 << g.n) - 1
+    domains = []
+    for u in h.vertices:
+        du = h.degree(u)
+        m = 0
+        for v in g.vertices:
+            if g.degree(v) >= du:
+                m |= 1 << v
+        if not m:
+            return None
+        domains.append(m)
+
+    assign: dict[int, int] = {}
+
+    def rec(u: int, doms: list[int]) -> bool:
+        if u == h.n:
+            return True
+        m = doms[u]
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            nbr = g.adj_mask(v)
+            new_doms = list(doms)
+            ok = True
+            for p in range(u + 1, h.n):
+                if h.has_edge(p, u):
+                    nd = new_doms[p] & nbr
+                else:
+                    nd = new_doms[p] & ~nbr & full
+                nd &= ~b
+                if not nd:
+                    ok = False
+                    break
+                new_doms[p] = nd
+            if not ok:
+                continue
+            assign[u] = v
+            if rec(u + 1, new_doms):
+                return True
+            del assign[u]
+        return False
+
+    if rec(0, domains):
+        return Embedding(dict(assign))
+    return None
+
+
+def _distributions(total: int, bins: int):
+    if bins == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _distributions(total - first, bins - 1):
+            yield (first,) + rest
+
+
+def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
+                           member_budget: int = 200_000) -> LtVerdict:
+    """The wall line-graph test as the package ran it before members were
+    cached: every member rebuilt with ``line_graph``/``subdivide`` and
+    matched by ``reference_backtrack_induced``, in the same order."""
+    wall = generate("wall", t=t)
+    v_wall, e_wall = wall.n, wall.edge_count()
+    edges = wall.edges()
+    s_enum = size_cap - v_wall
+    s_fit = g.n - e_wall
+
+    tested = 0
+    s_complete = -1
+    for s in range(0, min(s_fit, s_enum) + 1):
+        for dist in _distributions(s, len(edges)):
+            if tested >= member_budget:
+                return LtVerdict(
+                    status="inconclusive",
+                    certified_cap=e_wall + s_complete,
+                    members_tested=tested,
+                    notes=[f"member budget {member_budget} exhausted at s={s}"],
+                )
+            member, _ = line_graph(subdivide(wall, dict(zip(edges, dist))))
+            tested += 1
+            emb = reference_backtrack_induced(g, member)
+            if emb is not None:
+                return LtVerdict(
+                    status="witness",
+                    certified_cap=e_wall + max(s_enum, 0),
+                    witness=emb,
+                    members_tested=tested,
+                )
+        s_complete = s
+
+    certified_cap = e_wall + s_enum
+    if s_fit < 0 or s_complete >= s_fit:
+        return LtVerdict(status="free", certified_cap=max(certified_cap, g.n),
+                         members_tested=tested)
+    return LtVerdict(status="inconclusive", certified_cap=certified_cap,
+                     members_tested=tested)

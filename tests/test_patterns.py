@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treealpha import patterns
+import treealpha
+from treealpha import graphs, patterns
 from treealpha.errors import CapExceededError, InvariantViolationError, PreconditionError
-from treealpha.graphs import Graph, generate, line_graph
+from treealpha.graphs import Graph, generate, line_graph, subdivide
 from treealpha.patterns import (
     Embedding,
     PatternSpec,
@@ -17,7 +22,57 @@ from treealpha.patterns import (
     lt_free_upto,
 )
 
-from .oracles import naive_contains_induced
+from .oracles import (
+    naive_contains_induced,
+    reference_backtrack_induced,
+    reference_lt_free_upto,
+)
+
+
+def _random_bipartite(rng: random.Random, n: int, p: float) -> Graph:
+    """A triangle-free random graph: edges only across a random split."""
+    side = [rng.random() < 0.5 for _ in range(n)]
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if side[u] != side[v] and rng.random() < p])
+
+
+def _random_pair(rng: random.Random) -> tuple[Graph, Graph]:
+    """A host on up to 11 vertices and a pattern on up to 6, each either
+    G(n, p) or triangle-free; half the patterns are induced subgraphs of
+    the host, so that embeddings are frequent."""
+    def draw(n):
+        if rng.random() < 0.3:
+            return _random_bipartite(rng, n, rng.choice([0.4, 0.7]))
+        return generate("gnp", n=n, p=rng.choice([0.2, 0.4, 0.6, 0.8]),
+                        seed=rng.randrange(10**6))
+
+    g = draw(rng.randint(1, 11))
+    if rng.random() < 0.5:
+        h = draw(rng.randint(1, 6))
+    else:
+        verts = rng.sample(range(g.n), rng.randint(1, min(6, g.n)))
+        h, _, _ = g.induced(verts)
+    return g, h
+
+
+def _lt_key(v):
+    return (v.status, v.certified_cap, v.members_tested, v.notes,
+            None if v.witness is None else v.witness.mapping)
+
+
+def _planted(t: int, s: int, pendants: int, rng: random.Random) -> Graph:
+    """L(t-wall with s random subdivisions) plus pendant vertices, relabelled."""
+    wall = generate("wall", t=t)
+    counts: dict = {}
+    for _ in range(s):
+        e = rng.choice(wall.edges())
+        counts[e] = counts.get(e, 0) + 1
+    member, _ = line_graph(subdivide(wall, counts))
+    n = member.n
+    edges = member.edges() + [(rng.randrange(n), n + j) for j in range(pendants)]
+    perm = list(range(n + pendants))
+    rng.shuffle(perm)
+    return Graph(n + pendants, [(perm[u], perm[v]) for u, v in edges])
 
 
 class TestContainsInduced:
@@ -37,6 +92,23 @@ class TestContainsInduced:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             contains_induced(Graph(15), Graph(13), cap_override=12)
+
+    def test_matches_reference_matcher(self):
+        # the same first embedding (or None) as the forward-checking matcher
+        # the mask-driven one replaced, on hosts and patterns with and
+        # without triangles
+        rng = random.Random(2024)
+        found = triangle_free = 0
+        for _ in range(1200):
+            g, h = _random_pair(rng)
+            want = reference_backtrack_induced(g, h)
+            got = patterns._backtrack_induced(g, h)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.mapping == want.mapping
+                found += 1
+            triangle_free += patterns._triangle_mask(g._masks) == 0
+        assert found > 300 and triangle_free > 300
 
     def test_agrees_with_naive(self):
         rng = random.Random(77)
@@ -104,6 +176,18 @@ class TestFindPattern:
         assert not Embedding({0: 0, 1: 1, 2: 2, 3: 3}).verify(h, g)  # wrong domain
         assert not Embedding({0: 0, 1: 0, 2: 1}).verify(h, g)  # not injective
 
+    def test_k_tt_needs_no_alpha_search(self, monkeypatch):
+        # a stable pair among 50 common neighbours, with the alpha search
+        # (cap 40) made unusable: the B side is the first stable t-subset
+        def no_alpha(*args):
+            raise AssertionError("k_tt ran the alpha search")
+
+        monkeypatch.setattr(graphs, "_max_weight_stable", no_alpha)
+        g = generate("complete_bipartite", a=2, b=50)
+        emb = find_pattern(g, PatternSpec("k_tt", t=2))
+        assert emb is not None and emb.verify(generate("complete_bipartite", a=2, b=2), g)
+        assert emb.mapping == {0: 0, 1: 1, 2: 2, 3: 3}
+
     def test_bad_spec_rejected(self):
         for kind, t, gamma in (("s_ttt", 0, 3), ("k_tt", 0, 3), ("k_gamma_2", 3, 0)):
             with pytest.raises(PreconditionError):
@@ -150,3 +234,72 @@ class TestLtFree:
         verdict = lt_free_upto(host, 1, 6)  # only the unsubdivided C6 enumerated
         assert verdict.status == "inconclusive"
         assert verdict.certified_cap == 6
+
+    def test_t_below_one_is_precondition_error(self):
+        for t in (0, -1):
+            with pytest.raises(PreconditionError):
+                lt_free_upto(generate("cycle", k=7), t, 7)
+
+    def test_wrong_witness_is_refused(self, monkeypatch):
+        wrong = Embedding({0: 0, 1: 1, 2: 2})
+        monkeypatch.setattr(patterns, "_backtrack_induced", lambda g, h, host=None: wrong)
+        with pytest.raises(InvariantViolationError):
+            lt_free_upto(generate("cycle", k=7), 1, 7)
+
+    def test_matches_reference_t1(self):
+        rng = random.Random(5)
+        hosts = [generate("cycle", k=k) for k in (5, 6, 7, 9)]
+        hosts += [generate("gnp", n=rng.randint(6, 11), p=rng.choice([0.2, 0.3, 0.5]),
+                           seed=rng.randrange(10**6)) for _ in range(20)]
+        hosts += [_planted(1, s, 2, rng) for s in (0, 1, 2, 3)]
+        for g in hosts:
+            for size_cap, budget in ((g.n, 200_000), (8, 200_000), (g.n, 3)):
+                assert _lt_key(lt_free_upto(g, 1, size_cap, budget)) == _lt_key(
+                    reference_lt_free_upto(g, 1, size_cap, budget))
+
+    def test_matches_reference_t2(self):
+        rng = random.Random(6)
+        hosts = [_planted(2, s, 4, rng) for s in (0, 1, 1, 2)]
+        hosts += [generate("gnp", n=20, p=0.15, seed=rng.randrange(10**6)) for _ in range(3)]
+        statuses = []
+        for g in hosts:
+            got = lt_free_upto(g, 2, g.n)
+            assert _lt_key(got) == _lt_key(reference_lt_free_upto(g, 2, g.n))
+            statuses.append(got.status)
+        assert statuses == ["witness"] * 4 + ["free"] * 3
+        for _ in range(3):  # over budget: inconclusive after exactly 20 members
+            g = generate("gnp", n=28, p=0.12, seed=rng.randrange(10**6))
+            got = lt_free_upto(g, 2, g.n, member_budget=20)
+            assert got.status == "inconclusive" and got.members_tested == 20
+            assert _lt_key(got) == _lt_key(reference_lt_free_upto(g, 2, g.n, 20))
+
+
+def test_certificate_checks_survive_optimize():
+    # under python -O (asserts stripped) a matcher that returns a
+    # non-induced embedding is still refused by every public search
+    script = """
+from treealpha import patterns
+from treealpha.errors import InvariantViolationError
+from treealpha.graphs import generate
+from treealpha.patterns import Embedding, PatternSpec
+
+assert False, "asserts must be stripped in this run"
+wrong = Embedding({0: 0, 1: 1, 2: 2})
+patterns._backtrack_induced = lambda *args: wrong
+host, p3 = generate("complete", k=3), generate("path", k=3)
+calls = (lambda: patterns.contains_induced(host, p3),
+         lambda: patterns.find_pattern(host, PatternSpec("explicit", graph=p3)),
+         lambda: patterns.lt_free_upto(generate("cycle", k=7), 1, 7))
+for call in calls:
+    try:
+        call()
+    except InvariantViolationError:
+        continue
+    raise SystemExit("a wrong embedding was accepted")
+print("refused")
+"""
+    src = str(Path(treealpha.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"

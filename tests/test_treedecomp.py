@@ -329,6 +329,24 @@ class TestMWIS:
         with pytest.raises(CapExceededError):
             mwis(MWISInstance(g, {}), "brute")
 
+    def test_td_state_cap_refuses_while_enumerating(self):
+        # an edgeless 20-vertex bag has 2^20 stable subsets; the refusal
+        # comes within twice the cap, before the table is built
+        g = Graph(20)
+        with pytest.raises(CapExceededError) as err:
+            mwis(MWISInstance(g, {}), "td", td=TreeDecomposition.single_bag(g),
+                 cap_override=1000)
+        assert 1000 < err.value.size <= 2000
+
+    def test_td_state_cap_counts_every_bag(self):
+        # three stable subsets of bag 0 and four of bag 1, the empty set in both
+        g = Graph(3, [(0, 1)])
+        td = TreeDecomposition(Graph(2, [(0, 1)]), {0: frozenset({0, 1}), 1: frozenset({1, 2})})
+        inst = MWISInstance(g, {0: 1, 1: 2, 2: 3})
+        assert mwis(inst, "td", td=td, cap_override=7) == (frozenset({1, 2}), 5)
+        with pytest.raises(CapExceededError):
+            mwis(inst, "td", td=td, cap_override=6)
+
     def test_td_requires_valid(self):
         g = generate("path", k=3)
         bad = TreeDecomposition(Graph(1), {0: frozenset({0})})
