@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .caps import cap
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, PreconditionError
 
 Vertex = int
 Edge = tuple[int, int]
@@ -35,13 +35,13 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+            raise PreconditionError(f"vertex count must be nonnegative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise PreconditionError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
@@ -128,7 +128,7 @@ def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     s = frozenset(vs)
     for v in s:
         if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside universe 0..{g.n - 1}")
+            raise PreconditionError(f"vertex {v} outside universe 0..{g.n - 1}")
     return s
 
 
@@ -192,13 +192,13 @@ class WeightFn:
                 saw_float = True
             fx = _to_fraction(x)
             if fx < 0 or fx > 1:
-                raise ValueError(f"weight of {v} is {fx}, outside [0,1]")
+                raise PreconditionError(f"weight of {v} is {fx}, outside [0,1]")
             if fx:
                 w[int(v)] = fx
         self._w = w
         self.float_mode = saw_float
         if self.total > 1 + self.tol:
-            raise ValueError(f"total weight {self.total} exceeds 1")
+            raise PreconditionError(f"total weight {self.total} exceeds 1")
 
     @property
     def tol(self) -> Fraction:
@@ -236,7 +236,7 @@ class WeightFn:
     def uniform(cls, vs: Iterable[int]) -> "WeightFn":
         vs = list(vs)
         if not vs:
-            raise ValueError("uniform weight function needs a nonempty set")
+            raise PreconditionError("uniform weight function needs a nonempty set")
         share = Fraction(1, len(vs))
         return cls({v: share for v in vs})
 
@@ -255,7 +255,7 @@ class WeightFn:
             raise FormatError("weight JSON must be an object")
         try:
             return cls({int(k): v for k, v in raw.items()})
-        except (ValueError, OverflowError, ZeroDivisionError) as e:
+        except (ValueError, OverflowError, ZeroDivisionError, PreconditionError) as e:
             raise FormatError(f"bad weight JSON: {e}") from e
 
     def to_json(self) -> str:
@@ -563,7 +563,7 @@ def _gen_path(k: int) -> Graph:
 
 def _gen_cycle(k: int) -> Graph:
     if k < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {k}")
+        raise PreconditionError(f"cycle needs at least 3 vertices, got {k}")
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -626,7 +626,7 @@ def _gen_wall(t: int) -> Graph:
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
     if not (0 <= p <= 1):
-        raise ValueError(f"edge probability {p} outside [0,1]")
+        raise PreconditionError(f"edge probability {p} outside [0,1]")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
@@ -637,7 +637,7 @@ def generate(kind: str, seed: int | None = None, **params) -> Graph:
     checked = {k: v for k, v in params.items()}
     for key in ("k", "t", "a", "b", "gamma", "n"):
         if key in checked and checked[key] is not None and checked[key] <= 0:
-            raise ValueError(f"parameter {key}={checked[key]} must be positive")
+            raise PreconditionError(f"parameter {key}={checked[key]} must be positive")
     if kind == "path":
         return _gen_path(params["k"])
     if kind == "cycle":
@@ -654,7 +654,7 @@ def generate(kind: str, seed: int | None = None, **params) -> Graph:
         return _gen_wall(params["t"])
     if kind == "gnp":
         return _gen_gnp(params["n"], params["p"], seed if seed is not None else 0)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    raise PreconditionError(f"unknown graph kind {kind!r}")
 
 
 def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
@@ -683,9 +683,9 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
     for e, c in counts.items():
         ne = norm_edge(*e)
         if ne not in known:
-            raise ValueError(f"unknown edge key {e}")
+            raise PreconditionError(f"unknown edge key {e}")
         if c < 0:
-            raise ValueError(f"negative subdivision count for {e}")
+            raise PreconditionError(f"negative subdivision count for {e}")
         norm_counts[ne] = c
     edges = []
     nxt = g.n

@@ -1,9 +1,10 @@
 """Induced-subgraph pattern detection.
 
-A generic exact backtracking matcher (capped), specialized searches for the
-three-legged subdivided claw and for bicliques that scale past the generic
-cap, and a bounded semi-decision for freeness from line graphs of wall
-subdivisions.
+One exact backtracking matcher, ``_backtrack_induced``, finds every
+pattern: explicit graphs through ``contains_induced`` (capped), the named
+forbidden structures S_{t,t,t}, K_{t,t} and K_gamma^2 through
+``find_pattern``, and the members of a bounded semi-decision for freeness
+from line graphs of wall subdivisions through ``lt_free_upto``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ class Embedding:
     def verify(self, pattern: Graph, host: Graph) -> bool:
         m = self.mapping
         if set(m) != set(pattern.vertices):
+            return False
+        if not all(isinstance(v, int) and 0 <= v < host.n for v in m.values()):
             return False
         if len(set(m.values())) != len(m):
             return False
@@ -98,38 +101,55 @@ def _triangle_mask(adj: tuple[int, ...]) -> int:
 
 def _pattern_profile(adj: tuple[int, ...]) -> tuple:
     """What the matcher needs of a pattern with adjacency masks adj: each
-    vertex's degree, the mask of vertices that lie in a triangle, and for
-    each vertex u its later neighbours and later non-neighbours (the ids
-    above u, each an int tuple)."""
+    vertex's degree, the mask of vertices that lie in a triangle, and per
+    vertex u a step ``(later neighbours, later non-neighbours, twin, runs)``:
+    the ids above u adjacent and not adjacent to u, u's latest earlier twin
+    (or -1), and ``(head, size)`` for each twin class of two or more whose
+    first vertex, its head, lies above u. Pattern vertices p < u are twins
+    when N(p) minus u equals N(u) minus p; twinship is an equivalence."""
     k = len(adj)
-    nbrs = tuple(tuple(p for p in range(u + 1, k) if m >> p & 1) for u, m in enumerate(adj))
-    non = tuple(tuple(p for p in range(u + 1, k) if not m >> p & 1) for u, m in enumerate(adj))
-    return tuple(m.bit_count() for m in adj), _triangle_mask(adj), nbrs, non
+    twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
+    for u, m in enumerate(adj):
+        # twins have equal open (non-adjacent) or closed (adjacent)
+        # neighbourhoods, and no open one equals a closed one
+        closed = m | 1 << u
+        p = max(last.get(m, -1), last.get(closed, -1))
+        if p >= 0:
+            twin[u], head[u] = p, head[p]
+        size[head[u]] += 1
+        last[m] = last[closed] = u
+    runs = [(h, c) for h, c in enumerate(size) if c > 1]
+    steps = tuple((tuple(p for p in range(u + 1, k) if adj[u] >> p & 1),
+                   tuple(p for p in range(u + 1, k) if not adj[u] >> p & 1),
+                   twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                  for u in range(k))
+    return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
 
 
 def _backtrack_induced(g: Graph, h: Graph | tuple,
                        host: tuple | None = None) -> Embedding | None:
-    """Exact induced-subgraph search with forward-checked domains.
+    """The lexicographically first induced embedding of h into g, or None.
 
     h is the pattern, as a Graph or as its ``_pattern_profile``; host is
     ``_host_profile(g)``, built here when not given. Pattern vertices are
-    assigned in id order and host candidates tried in ascending order, so
-    the returned embedding is deterministic and a self-match yields the
-    identity. Assigning u to v intersects the domain of each later
-    neighbour of u with v's neighbourhood, then that of each later
-    non-neighbour with v's other non-neighbours, and drops v as soon as a
-    domain empties.
+    assigned in id order and host candidates tried in ascending order, so a
+    self-match yields the identity. Assigning u to v intersects the domain
+    of each later neighbour of u with v's neighbourhood, then that of each
+    later non-neighbour with v's other non-neighbours, and drops v as soon
+    as a domain empties.
 
-    Before the search, a pattern vertex of degree d keeps only host vertices
-    of degree >= d, and one that lies in a triangle only host vertices that
-    lie in a triangle. An induced embedding maps a vertex's neighbours and
-    triangles onto neighbours and triangles of its image, so these filters
-    remove only candidates that occur in no embedding: the search visits
-    the same live branches in the same order and returns the first
-    embedding it would return without them.
+    Every other rule prunes only branches that hold no embedding or only
+    later ones, so the answer is the one the plain search would return:
+    - A pattern vertex of degree d keeps only host vertices of degree >= d,
+      and one in a triangle only host vertices in a triangle.
+    - A vertex with an earlier twin maps only above that twin's image.
+      Swapping two twins' images gives another embedding, so the first
+      embedding maps each twin class in ascending order.
+    - After forward checking, each later twin-class head's domain must
+      hold a host vertex per class member: none is assigned yet, so all
+      share that domain and need distinct images in it.
     """
-    degrees, in_tri, later_nbrs, later_non = (
-        _pattern_profile(h._masks) if isinstance(h, Graph) else h)
+    degrees, in_tri, steps = _pattern_profile(h._masks) if isinstance(h, Graph) else h
     k = len(degrees)
     if k == 0:
         return Embedding({})
@@ -151,7 +171,9 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
         if u == k:
             return True
         m = doms[u]
-        nbrs, non_nbrs = later_nbrs[u], later_non[u]
+        nbrs, non_nbrs, twin, runs = steps[u]
+        if twin >= 0:
+            m &= -2 << assign[twin]
         while m:
             b = m & -m
             m ^= b
@@ -169,6 +191,8 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
                     if not new_doms[p]:
                         break
                 else:
+                    if runs and any(new_doms[p].bit_count() < c for p, c in runs):
+                        continue
                     assign[u] = v
                     if rec(u + 1, new_doms):
                         return True
@@ -195,124 +219,14 @@ def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
     return emb
 
 
-# -- specialized searches -------------------------------------------------------
-
-
-def _find_s_ttt(g: Graph, t: int) -> Embedding | None:
-    """Center plus three induced legs of t vertices, pairwise anticomplete."""
-    pattern_ids = lambda leg, pos: 1 + leg * t + pos  # noqa: E731
-
-    for center in g.vertices:
-        if g.degree(center) < 3:
-            continue
-        cmask = g.adj_mask(center)
-        legs: list[list[int]] = []
-        used = 1 << center
-
-        def leg_ok(x: int, leg: list[int]) -> bool:
-            xm = g.adj_mask(x)
-            # attached only to its predecessor (or the center at position 0)
-            if leg:
-                if not (xm >> leg[-1]) & 1:
-                    return False
-                if (xm >> center) & 1:
-                    return False
-                for p in leg[:-1]:
-                    if (xm >> p) & 1:
-                        return False
-            else:
-                if not (xm >> center) & 1:
-                    return False
-            for other in legs:
-                for p in other:
-                    if (xm >> p) & 1:
-                        return False
-            return True
-
-        def grow(leg: list[int]) -> bool:
-            nonlocal used
-            if len(leg) == t:
-                legs.append(list(leg))
-                if len(legs) == 3:
-                    return True
-                if grow([]):
-                    return True
-                legs.pop()
-                return False
-            for x in g.vertices:
-                if (used >> x) & 1 or not leg_ok(x, leg):
-                    continue
-                leg.append(x)
-                used |= 1 << x
-                if grow(leg):
-                    return True
-                used &= ~(1 << x)
-                leg.pop()
-            return False
-
-        if cmask.bit_count() >= 3 and grow([]):
-            mapping = {0: center}
-            for j, leg in enumerate(legs):
-                for i, v in enumerate(leg):
-                    mapping[pattern_ids(j, i)] = v
-            return Embedding(mapping)
-    return None
-
-
-def _stable_subset(masks: tuple[int, ...], cand: int, size: int) -> list[int] | None:
-    """The lexicographically first stable subset of cand with size vertices."""
-    if size == 0:
-        return []
-    while cand.bit_count() >= size:
-        b = cand & -cand
-        cand ^= b
-        v = b.bit_length() - 1
-        rest = _stable_subset(masks, cand & ~masks[v], size - 1)
-        if rest is not None:
-            return [v] + rest
-    return None
-
-
-def _find_k_tt(g: Graph, t: int) -> Embedding | None:
-    """Induced biclique with stable sides of size t, complete across."""
-    found: list[tuple[list[int], list[int]]] = []
-
-    def rec(a_list: list[int], common: int, start: int) -> bool:
-        if len(a_list) == t:
-            b_side = _stable_subset(g._masks, common, t)
-            if b_side is None:
-                return False
-            found.append((a_list, b_side))
-            return True
-        need = t - len(a_list)
-        for v in range(start, g.n - need + 1):
-            if any(g.has_edge(v, a) for a in a_list):
-                continue
-            new_common = common & g.adj_mask(v) if a_list else g.adj_mask(v)
-            if new_common.bit_count() < t:
-                continue
-            if rec(a_list + [v], new_common, v + 1):
-                return True
-        return False
-
-    if not rec([], 0, 0):
-        return None
-    a_side, b_side = found[0]
-    mapping = {i: v for i, v in enumerate(a_side)}
-    mapping.update({t + i: v for i, v in enumerate(b_side)})
-    return Embedding(mapping)
-
-
 def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
-    """Specialized pattern search; agrees with contains_induced where both run."""
+    """The first induced embedding of spec's pattern into g, or None: the
+    matcher and answer of ``contains_induced``, without its ``pattern`` cap,
+    as a named pattern's size is fixed by t or gamma. The twin rules keep
+    the sides of K_{t,t} and the claw's leaves from being tried in every
+    order."""
     pattern = spec.realize()
-    if spec.kind == "s_ttt":
-        emb = _find_s_ttt(g, spec.t)
-    elif spec.kind == "k_tt":
-        emb = _find_k_tt(g, spec.t)
-    else:
-        emb = _backtrack_induced(g, pattern)
-    return _certified(emb, pattern, g)
+    return _certified(_backtrack_induced(g, pattern), pattern, g)
 
 
 # -- wall line-graph freeness (bounded) -----------------------------------------

@@ -58,7 +58,7 @@ class TreeDecomposition:
             bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
             if not all(isinstance(v, int) for b in bags.values() for v in b):
                 raise TypeError("bag members must be integers")
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, PreconditionError) as e:
             raise FormatError(f"bad tree decomposition JSON: {e!r}") from e
         return cls(tree, bags)
 
@@ -377,7 +377,7 @@ class MWISInstance:
         check_vertex_set(self.graph, self.weights.keys())
         for v, x in self.weights.items():
             if not 0 <= x < math.inf:
-                raise ValueError(f"weight {x} at vertex {v} is negative or not finite")
+                raise PreconditionError(f"weight {x} at vertex {v} is negative or not finite")
 
     def w(self, v: int):
         return self.weights.get(v, 0)
@@ -489,4 +489,4 @@ def mwis(instance: MWISInstance, method: str = "brute",
         if any(masks[v] & wit for v in mask_to_set(wit)):
             raise InvariantViolationError("td DP produced a non-stable witness")
         return mask_to_set(wit), val
-    raise ValueError(f"unknown mwis method {method!r}")
+    raise PreconditionError(f"unknown mwis method {method!r}")

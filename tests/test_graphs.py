@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treealpha.errors import CapExceededError, FormatError
+from treealpha.errors import CapExceededError, FormatError, PreconditionError
 from treealpha.graphs import (
     Graph,
     Path,
     WeightFn,
     alpha_exact,
+    check_vertex_set,
     closed_nbhd,
     components,
     emit_graph,
@@ -54,12 +55,17 @@ small_graphs = st.integers(0, 9).flatmap(
 
 class TestGraphBasics:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             Graph(2, [(0, 0)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             Graph(2, [(0, 5)])
+        with pytest.raises(PreconditionError):
+            Graph(-1)
+        for bad in (2, -1):
+            with pytest.raises(PreconditionError):
+                check_vertex_set(Graph(2), [0, bad])
 
     def test_multi_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -180,10 +186,14 @@ class TestGenerators:
         assert a != c
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             generate("path", k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             generate("gnp", n=5, p=1.5, seed=0)
+        with pytest.raises(PreconditionError):
+            generate("cycle", k=2)
+        with pytest.raises(PreconditionError):
+            generate("kite")
 
 
 def _girth(g: Graph) -> int:
@@ -244,8 +254,10 @@ class TestLineGraphSubdivide:
         assert subdivide(g, {e: 0 for e in g.edges()}) == g
 
     def test_subdivide_unknown_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             subdivide(Graph(3, [(0, 1)]), {(1, 2): 1})
+        with pytest.raises(PreconditionError):
+            subdivide(Graph(3, [(0, 1)]), {(0, 1): -1})
 
     def test_subdivide_vertex_count(self):
         g = generate("cycle", k=5)
@@ -347,8 +359,12 @@ class TestAlphaExact:
 
 class TestWeightFn:
     def test_total_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             WeightFn({0: Fraction(3, 4), 1: Fraction(1, 2)})
+        with pytest.raises(PreconditionError):
+            WeightFn({0: Fraction(-1, 4)})
+        with pytest.raises(PreconditionError):
+            WeightFn.uniform([])
 
     def test_normal_flag(self):
         w = WeightFn.uniform(range(5))
@@ -363,7 +379,8 @@ class TestWeightFn:
         assert again.of(2) == Fraction(1, 6)
 
     def test_json_bad_entries_are_format_errors(self):
-        for text in ('{"a": 0.5}', '{"0": "x"}', '{"0": "1/0"}', '{"0": NaN}'):
+        for text in ('{"a": 0.5}', '{"0": "x"}', '{"0": "1/0"}', '{"0": NaN}', '{"0": 2}',
+                     '{"0": 0.75, "1": 0.5}'):
             with pytest.raises(FormatError):
                 WeightFn.from_json(text)
 
@@ -380,7 +397,7 @@ class TestWeightFn:
     def test_scale(self):
         w = WeightFn({0: Fraction(1, 4)})
         assert w.scale(2).of(0) == Fraction(1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             w.scale(8)
 
 

@@ -1,4 +1,6 @@
-"""Pattern detection: generic matcher, specialized searches, wall freeness."""
+"""Pattern detection: the one induced matcher behind contains_induced,
+find_pattern and lt_free_upto, its twin symmetry breaking, and wall
+freeness, each cross-checked against the search it replaced."""
 
 from __future__ import annotations
 
@@ -6,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,8 @@ from treealpha.patterns import (
 from .oracles import (
     naive_contains_induced,
     reference_backtrack_induced,
+    reference_find_k_tt,
+    reference_find_s_ttt,
     reference_lt_free_upto,
 )
 
@@ -53,6 +58,21 @@ def _random_pair(rng: random.Random) -> tuple[Graph, Graph]:
         verts = rng.sample(range(g.n), rng.randint(1, min(6, g.n)))
         h, _, _ = g.induced(verts)
     return g, h
+
+
+def _random_host(rng: random.Random, h: Graph, max_n: int) -> Graph:
+    """A G(n, p) host on up to max_n vertices, or, half the time, a copy of
+    h plus random vertices and edges under a random relabelling, so that
+    both hits and misses occur."""
+    n = rng.randint(max(1, h.n - 2), max_n)
+    p = rng.choice([0.2, 0.35, 0.5, 0.7])
+    if rng.random() < 0.5 or n < h.n:
+        return generate("gnp", n=n, p=p, seed=rng.randrange(10**6))
+    edges = set(h.edges())
+    edges |= {(u, v) for u in range(n) for v in range(max(u + 1, h.n), n) if rng.random() < p}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def _lt_key(v):
@@ -161,20 +181,34 @@ class TestFindPattern:
         emb = find_pattern(g, PatternSpec("k_gamma_2", gamma=3))
         assert emb is not None and emb.verify(g, g)
 
-    def test_specialized_agrees_with_generic(self):
+    def test_matches_deleted_searches(self):
+        # the same mapping (or None) as the leg grower and the biclique
+        # search find_pattern ran for s_ttt and k_tt before the one matcher
         rng = random.Random(41)
-        for _ in range(80):
-            g = generate("gnp", n=10, p=rng.choice([0.25, 0.45]), seed=rng.randrange(10**6))
-            for spec in (PatternSpec("s_ttt", t=2), PatternSpec("k_tt", t=2)):
-                fast = find_pattern(g, spec)
-                slow = contains_induced(g, spec.realize())
-                assert (fast is None) == (slow is None)
+        outcomes = set()
+        for _ in range(240):
+            kind, t = rng.choice(("s_ttt", "k_tt")), rng.choice((1, 2, 3))
+            spec = PatternSpec(kind, t=t)
+            g = _random_host(rng, spec.realize(), 14)
+            want = (reference_find_s_ttt if kind == "s_ttt" else reference_find_k_tt)(g, t)
+            got = find_pattern(g, spec)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.mapping == want.mapping
+            outcomes.add((kind, t, got is not None))
+        assert len(outcomes) == 12  # hits and misses for every kind and t
 
     def test_embedding_verify_rejects_bad(self):
         g = generate("cycle", k=4)
         h = generate("path", k=3)
         assert not Embedding({0: 0, 1: 1, 2: 2, 3: 3}).verify(h, g)  # wrong domain
         assert not Embedding({0: 0, 1: 0, 2: 1}).verify(h, g)  # not injective
+
+    def test_embedding_verify_rejects_non_host_images(self):
+        p2, p3 = generate("path", k=2), generate("path", k=3)
+        assert not Embedding({0: -1, 1: 1}).verify(p2, p3)  # -1 would index vertex 2
+        assert not Embedding({0: 0, 1: 5}).verify(Graph(2), p3)
+        assert not Embedding({0: 0, 1: "1"}).verify(Graph(2), p3)
 
     def test_k_tt_needs_no_alpha_search(self, monkeypatch):
         # a stable pair among 50 common neighbours, with the alpha search
@@ -202,9 +236,69 @@ class TestFindPattern:
             contains_induced(host, p3)
         with pytest.raises(InvariantViolationError):
             find_pattern(host, PatternSpec("explicit", graph=p3))
-        monkeypatch.setattr(patterns, "_find_s_ttt", lambda g, t: Embedding({0: 0, 1: 1, 2: 2, 3: 0}))
-        with pytest.raises(InvariantViolationError):
-            find_pattern(host, PatternSpec("s_ttt", t=1))
+        for spec in (PatternSpec("s_ttt", t=1), PatternSpec("k_tt", t=1)):
+            with pytest.raises(InvariantViolationError):
+                find_pattern(host, spec)
+
+
+class TestTwinBreaking:
+    # K_{1,4}, K_{3,3}, E_3, K_4 and C_4 plus a pendant at vertex 0: twin
+    # classes of 4, 3 + 3, 3, 4 and 2 (vertices 1 and 3) vertices
+    PATTERNS = (generate("complete_bipartite", a=1, b=4),
+                generate("complete_bipartite", a=3, b=3),
+                Graph(3), generate("complete", k=4),
+                Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
+
+    def test_twin_classes(self):
+        # twin and runs against the definition: p < u are twins when
+        # N(p) - {u} == N(u) - {p}
+        rng = random.Random(8)
+        hs = list(self.PATTERNS) + [generate("gnp", n=rng.randint(1, 7),
+                                             p=rng.choice([0.2, 0.5, 0.8]),
+                                             seed=rng.randrange(10**6)) for _ in range(300)]
+        for h in hs:
+            adj = h._masks
+            earlier = [[p for p in range(u) if adj[p] & ~(1 << u) == adj[u] & ~(1 << p)]
+                       for u in range(h.n)]
+            sizes = Counter(min(ps + [u]) for u, ps in enumerate(earlier))
+            _, _, steps = patterns._pattern_profile(adj)
+            for u, (_, _, twin, runs) in enumerate(steps):
+                assert twin == max(earlier[u], default=-1)
+                assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
+        assert patterns._pattern_profile(self.PATTERNS[1]._masks)[2][0][3] == ((3, 3),)
+
+    def test_matches_reference_and_naive(self):
+        rng = random.Random(19)
+        hits = [0] * len(self.PATTERNS)
+        for _ in range(60):
+            for i, h in enumerate(self.PATTERNS):
+                g = _random_host(rng, h, 9)
+                want = reference_backtrack_induced(g, h)
+                got = patterns._backtrack_induced(g, h)
+                assert (got is None) == (want is None) == (not naive_contains_induced(g, h))
+                if got is not None:
+                    assert got.mapping == want.mapping
+                    hits[i] += 1
+        assert all(10 < x < 60 for x in hits)
+
+    def test_k_tt_boundary(self):
+        # A (t, stable) complete to B (stable) and to a clique D that is
+        # complete to B: the common neighbourhood of A holds exactly |B|
+        # stable vertices, and no other side of t stable vertices exists
+        rng = random.Random(4)
+        for t in (2, 3, 4):
+            for b, want in ((t, True), (t - 1, False)):
+                n = t + b + 2
+                ab = [(x, y) for x in range(t) for y in range(t, n)]
+                d = [(n - 2, n - 1)] + [(y, z) for y in range(t, t + b) for z in (n - 2, n - 1)]
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = Graph(n, [(perm[x], perm[y]) for x, y in ab + d])
+                emb = find_pattern(g, PatternSpec("k_tt", t=t))
+                assert (emb is not None) == want
+                ref = reference_find_k_tt(g, t)
+                assert (None if emb is None else emb.mapping) == (
+                    None if ref is None else ref.mapping)
 
 
 class TestLtFree:

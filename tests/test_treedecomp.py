@@ -353,13 +353,17 @@ class TestMWIS:
         with pytest.raises(PreconditionError):
             mwis(MWISInstance(g, {0: 1}), "td", td=bad)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(PreconditionError):
+            mwis(MWISInstance(generate("path", k=3), {0: 1}), "greedy")
+
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError):
             MWISInstance(Graph(2), {0: -1})
 
     def test_non_finite_weight_rejected(self):
         for x in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+            with pytest.raises(PreconditionError):
                 MWISInstance(Graph(2), {0: x})
 
     def test_empty_instance_td(self):
