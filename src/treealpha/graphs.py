@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Mapping
 
 from .caps import cap
@@ -289,25 +290,31 @@ def closed_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def _reach(adj, seed: int, through: int) -> int:
+    """Every vertex reached from the mask seed along walks whose inner
+    vertices all lie in the mask through, seed included, as a mask; adj[v]
+    is v's adjacency mask."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        nxt &= ~seen
+        seen |= nxt
+        frontier = nxt & through
+    return seen
+
+
 def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """Connected components of g minus ``removed``, sorted by least vertex."""
-    rm = check_vertex_set(g, removed)
-    seen = set(rm)
+    keep = ((1 << g.n) - 1) & ~set_to_mask(check_vertex_set(g, removed))
     out = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
+    while keep:
+        comp = _reach(g._masks, keep & -keep, keep) & keep
+        out.append(mask_to_set(comp))
+        keep ^= comp
     return out
 
 
@@ -625,36 +632,33 @@ def _gen_wall(t: int) -> Graph:
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
-    if not (0 <= p <= 1):
-        raise PreconditionError(f"edge probability {p} outside [0,1]")
+    if not (isinstance(p, Real) and 0 <= p <= 1):
+        raise PreconditionError(f"edge probability {p!r} outside [0,1]")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
 
 
+# kind -> (builder, the parameters it takes, in order); gnp also takes the seed
+_KINDS = {"path": (_gen_path, "k"), "cycle": (_gen_cycle, "k"),
+          "complete": (_gen_complete, "k"), "complete_bipartite": (_gen_complete_bipartite, "a b"),
+          "s_ttt": (_gen_s_ttt, "t"), "k_gamma_2": (_gen_k_gamma_2, "gamma"),
+          "wall": (_gen_wall, "t"), "gnp": (_gen_gnp, "n p")}
+
+
 def generate(kind: str, seed: int | None = None, **params) -> Graph:
     """Named graph families; gnp is deterministic per seed."""
-    checked = {k: v for k, v in params.items()}
+    if kind not in _KINDS:
+        raise PreconditionError(f"unknown graph kind {kind!r}")
     for key in ("k", "t", "a", "b", "gamma", "n"):
-        if key in checked and checked[key] is not None and checked[key] <= 0:
-            raise PreconditionError(f"parameter {key}={checked[key]} must be positive")
-    if kind == "path":
-        return _gen_path(params["k"])
-    if kind == "cycle":
-        return _gen_cycle(params["k"])
-    if kind == "complete":
-        return _gen_complete(params["k"])
-    if kind == "complete_bipartite":
-        return _gen_complete_bipartite(params["a"], params["b"])
-    if kind == "s_ttt":
-        return _gen_s_ttt(params["t"])
-    if kind == "k_gamma_2":
-        return _gen_k_gamma_2(params["gamma"])
-    if kind == "wall":
-        return _gen_wall(params["t"])
-    if kind == "gnp":
-        return _gen_gnp(params["n"], params["p"], seed if seed is not None else 0)
-    raise PreconditionError(f"unknown graph kind {kind!r}")
+        if key in params and not (isinstance(params[key], int) and params[key] > 0):
+            raise PreconditionError(f"parameter {key}={params[key]!r} must be a positive integer")
+    build, names = _KINDS[kind]
+    try:
+        args = [params[key] for key in names.split()]
+    except KeyError as e:
+        raise PreconditionError(f"graph kind {kind!r} needs parameter {e.args[0]!r}") from None
+    return build(*args, seed or 0) if kind == "gnp" else build(*args)
 
 
 def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:

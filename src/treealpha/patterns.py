@@ -70,11 +70,11 @@ class PatternSpec:
         return self.graph
 
 
-def _host_profile(g: Graph) -> tuple[tuple[int, ...], list[int], int]:
+def _host_profile(g: Graph, triangles: bool = True) -> tuple[tuple[int, ...], list[int], int]:
     """What the matcher needs of a host, built once per host: its adjacency
     masks, the mask of vertices of degree >= d for each d (the list ends
     with an empty mask past the maximum degree), and the mask of vertices
-    that lie in a triangle."""
+    that lie in a triangle, or 0 unless triangles is set."""
     adj = g._masks
     degrees = [m.bit_count() for m in adj]
     deg_ge = [0] * (max(degrees, default=0) + 2)
@@ -82,7 +82,7 @@ def _host_profile(g: Graph) -> tuple[tuple[int, ...], list[int], int]:
         deg_ge[d] |= 1 << v
     for d in range(len(deg_ge) - 2, -1, -1):
         deg_ge[d] |= deg_ge[d + 1]
-    return adj, deg_ge, _triangle_mask(adj)
+    return adj, deg_ge, _triangle_mask(adj) if triangles else 0
 
 
 def _triangle_mask(adj: tuple[int, ...]) -> int:
@@ -155,7 +155,7 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
         return Embedding({})
     if k > g.n:
         return None
-    adj, deg_ge, tri = host if host is not None else _host_profile(g)
+    adj, deg_ge, tri = host if host is not None else _host_profile(g, in_tri != 0)
     doms = []
     for u, d in enumerate(degrees):
         dom = deg_ge[d] if d < len(deg_ge) else 0

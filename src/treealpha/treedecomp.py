@@ -9,6 +9,7 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 from .caps import cap
 from .errors import (
@@ -22,6 +23,7 @@ from .graphs import (
     Graph,
     WeightFn,
     _max_weight_stable,
+    _reach,
     alpha_exact,
     check_vertex_set,
     components,
@@ -80,7 +82,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     if set(td.bags) != set(t.vertices):
         violations.append(("tree", "bag keys do not match tree nodes"))
         return TDReport(False, violations)
-    if t.n > 0 and (t.edge_count() != t.n - 1 or len(components(t)) != 1):
+    if t.n > 0 and (t.edge_count() != t.n - 1 or _reach(t._masks, 1, -1) != (1 << t.n) - 1):
         violations.append(("tree", "decomposition tree is not a tree"))
         return TDReport(False, violations)
 
@@ -88,26 +90,18 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     holders = [0] * g.n
     for tn, bag in td.bags.items():
         for v in bag:
-            if v in g.vertices:
+            if isinstance(v, int) and 0 <= v < g.n:
                 holders[v] |= 1 << tn
+            else:
+                violations.append(("vertex-range", (tn, v)))
     for v in g.vertices:
         if not holders[v]:
             violations.append(("vertex-coverage", v))
     for u, v in g.edges():
         if not holders[u] & holders[v]:
             violations.append(("edge-coverage", (u, v)))
-    tree_masks = t._masks
     for v, hold in enumerate(holders):
-        seen = frontier = hold & -hold
-        while frontier:
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= tree_masks[b.bit_length() - 1]
-                frontier ^= b
-            frontier = reach & hold & ~seen
-            seen |= frontier
-        if seen != hold:
+        if (_reach(t._masks, hold & -hold, hold) & hold) != hold:
             violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
 
     return TDReport(not violations, violations)
@@ -127,14 +121,11 @@ def td_stats(g: Graph, td: TreeDecomposition,
 # -- chordality and minimal triangulations -----------------------------------
 
 
-def _mcs_cliques(n: int, adj: list[int]) -> list[int] | None:
-    """Maximum cardinality search. Returns, for each vertex in visiting
-    order, the mask of it and its earlier-visited neighbours, or None as
-    soon as one of those is not a clique: the reverse visiting order is a
-    perfect elimination ordering exactly when the graph is chordal, and the
-    masks then include every maximal clique."""
+def _mcs_chordal(n: int, adj: list[int]) -> bool:
+    """Chordality by maximum cardinality search: the graph is chordal exactly
+    when each vertex's earlier-visited neighbours form a clique, the reverse
+    visiting order then being a perfect elimination ordering."""
     weight = [0] * n
-    cliques = []
     numbered = 0
     for _ in range(n):
         best, bw = -1, -1
@@ -147,20 +138,19 @@ def _mcs_cliques(n: int, adj: list[int]) -> list[int] | None:
         while m:
             b = m & -m
             if (earlier ^ b) & ~adj[b.bit_length() - 1]:
-                return None
+                return False
             m ^= b
-        cliques.append(earlier | bit)
         numbered |= bit
         m = adj[best] & ~numbered
         while m:
             b = m & -m
             weight[b.bit_length() - 1] += 1
             m ^= b
-    return cliques
+    return True
 
 
 def is_chordal(g: Graph) -> bool:
-    return _mcs_cliques(g.n, list(g._masks)) is not None
+    return _mcs_chordal(g.n, list(g._masks))
 
 
 def minimal_triangulations(g: Graph) -> set[frozenset]:
@@ -216,43 +206,46 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
 
     minimal: set[frozenset] = set()
     for fill in fills:
-        if all(
-            _mcs_cliques(n, with_fill(fill - {e})) is None
-            for e in fill
-        ):
+        if not any(_mcs_chordal(n, with_fill(fill - {e})) for e in fill):
             minimal.add(fill)
     return minimal
 
 
-def _maximal_cliques_chordal(n: int, adj: list[int]) -> list[frozenset[int]]:
-    cliques = _mcs_cliques(n, adj)
-    return [mask_to_set(c) for c in dict.fromkeys(cliques)
-            if not any(c & o == c and c != o for o in cliques)]
-
-
 def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
-    """Exact tree independence number via minimal chordal completions.
+    """Exact tree independence number, by dynamic programming over the set
+    of vertices eliminated first.
 
-    The minimum over all minimal triangulations H of the largest stability
-    number (in g) over the maximal cliques of H.
+    Eliminating v after the set S gives the bag {v} + Q(S, v), where Q(S, v)
+    holds the vertices outside S + v that v reaches through S. An order's
+    bags are cliques of its filled graph and include each maximal clique of
+    it, and every triangulation contains the filled graph of its perfect
+    elimination order; alpha is monotone, so tree-alpha is the least over
+    orders of the largest alpha of a bag. A bag depends on the set before it,
+    not on that set's order, hence with TA(empty) = 0 and
+    TA(S) = min over v in S of max(TA(S - v), alpha({v} + Q(S - v, v))),
+    tree-alpha is TA(V): the treewidth recurrence of Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos (TALG 2012) with alpha as the bag cost.
     """
     limit = cap("tree_alpha", cap_override)
     if g.n > limit:
         raise CapExceededError("tree_alpha_exact", g.n, limit)
-    if g.n == 0:
-        return 0
-    best = None
-    base = list(g._masks)
-    for fill in minimal_triangulations(g):
-        adj = list(base)
-        for a, c in fill:
-            adj[a] |= 1 << c
-            adj[c] |= 1 << a
-        worst = 0
-        for bag in _maximal_cliques_chordal(g.n, adj):
-            worst = max(worst, alpha_exact(g, bag))
-        best = worst if best is None else min(best, worst)
-    return best
+    adj, unit = g._masks, [1] * g.n
+    bag_alpha: dict[int, int] = {}
+    ta = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        best, m = g.n, s
+        while m:
+            b = m & -m
+            m ^= b
+            before = s ^ b
+            if ta[before] >= best:
+                continue
+            bag = _reach(adj, b, before) & ~before
+            if bag not in bag_alpha:
+                bag_alpha[bag] = _max_weight_stable(adj, bag, unit).bit_count()
+            best = min(best, max(ta[before], bag_alpha[bag]))
+        ta[s] = best
+    return ta[-1]
 
 
 # -- assembly from a balanced-separator oracle --------------------------------
@@ -285,6 +278,10 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     decomposition is validated and its independence number asserted against
     ceil((3-c)/(1-c)) times the largest oracle-output stability number.
     """
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, ArithmeticError) as e:
+        raise PreconditionError(f"balance fraction c={c!r} is not a number") from e
     if not (Fraction(1, 2) <= c < 1):
         raise PreconditionError(f"balance fraction c={c} outside [1/2, 1)")
     bags: dict[int, frozenset[int]] = {}
@@ -376,8 +373,8 @@ class MWISInstance:
     def __post_init__(self):
         check_vertex_set(self.graph, self.weights.keys())
         for v, x in self.weights.items():
-            if not 0 <= x < math.inf:
-                raise PreconditionError(f"weight {x} at vertex {v} is negative or not finite")
+            if not (isinstance(x, Real) and 0 <= x < math.inf):
+                raise PreconditionError(f"weight {x!r} at vertex {v} is not a finite number >= 0")
 
     def w(self, v: int):
         return self.weights.get(v, 0)

@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 
 from treealpha.graphs import Graph, components, generate, line_graph, subdivide
 from treealpha.patterns import Embedding, LtVerdict
+from treealpha.treedecomp import minimal_triangulations
 
 
 def naive_alpha(g: Graph, verts=None) -> int:
@@ -186,6 +187,26 @@ def minimal_triangulations_by_branching(g: Graph) -> set[frozenset]:
 
     rec(base)
     return results
+
+
+def reference_tree_alpha(g: Graph) -> int:
+    """Tree independence number as the package computed it before its
+    recurrence over eliminated sets: the least, over the minimal
+    triangulations H of g, of the largest naive_alpha over H's maximal
+    cliques, with the cliques found by checking every vertex subset."""
+    best = None
+    for fill in minimal_triangulations(g):
+        adj = [set(g.neighbors(v)) for v in g.vertices]
+        for a, c in fill:
+            adj[a].add(c)
+            adj[c].add(a)
+        cliques = [frozenset(sub) for r in range(1, g.n + 1)
+                   for sub in combinations(range(g.n), r)
+                   if all(b in adj[a] for a, b in combinations(sub, 2))]
+        maximal = [q for q in cliques if not any(q < o for o in cliques)]
+        worst = max((naive_alpha(g, q) for q in maximal), default=0)
+        best = worst if best is None else min(best, worst)
+    return best
 
 
 def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:

@@ -194,6 +194,10 @@ class TestGenerators:
             generate("cycle", k=2)
         with pytest.raises(PreconditionError):
             generate("kite")
+        for kind, params in (("path", {}), ("gnp", {"n": 5}), ("path", {"k": 2.5}),
+                             ("gnp", {"n": 5, "p": "x"}), ("complete_bipartite", {"a": 2})):
+            with pytest.raises(PreconditionError):
+                generate(kind, **params)
 
 
 def _girth(g: Graph) -> int:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import treealpha
 from treealpha.errors import (
     CapExceededError,
     FormatError,
@@ -32,6 +37,7 @@ from .oracles import (
     naive_is_chordal,
     naive_mwis,
     naive_validate_td,
+    reference_tree_alpha,
 )
 
 
@@ -213,6 +219,23 @@ class TestTreeAlpha:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             tree_alpha_exact(Graph(11))
+        assert tree_alpha_exact(generate("cycle", k=10)) == 2
+
+    def test_matches_triangulation_reference(self):
+        rng = random.Random(59)
+        cases = [Graph(0)]
+        for k in range(1, 9):
+            cases += [Graph(k), generate("complete", k=k)]
+            cases += [generate("cycle", k=k)] if k >= 3 else []
+        cases += [Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+                  Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+                  Graph(6, [(0, 1), (2, 3), (4, 5)])]
+        for _ in range(160):
+            cases.append(generate("gnp", n=rng.randint(1, 7),
+                                  p=rng.choice([0.2, 0.35, 0.5, 0.7]),
+                                  seed=rng.randrange(10**6)))
+        for g in cases:
+            assert tree_alpha_exact(g) == reference_tree_alpha(g), g.edges()
 
     def test_minimal_triangulations_match_branching_oracle(self):
         rng = random.Random(17)
@@ -276,6 +299,22 @@ class TestAssemble:
     def test_c_range(self):
         with pytest.raises(PreconditionError):
             assemble_td(Graph(1), brute_balanced_separator, c=Fraction(1, 4))
+
+        def counting_oracle(sub, w):
+            calls.append(sub)
+            return brute_balanced_separator(sub, w)
+
+        for bad in ("x", None, float("nan"), float("inf")):
+            calls = []
+            with pytest.raises(PreconditionError):
+                assemble_td(generate("path", k=5), counting_oracle, c=bad)
+            assert calls == []
+
+    def test_float_c_is_its_fraction(self):
+        g = generate("gnp", n=9, p=0.3, seed=11)
+        for c, exact in ((0.5, Fraction(1, 2)), (0.75, Fraction(3, 4))):
+            got = assemble_td(g, brute_balanced_separator, c=c)
+            assert got == assemble_td(g, brute_balanced_separator, c=exact)
 
     def test_random_instances_validate(self):
         rng = random.Random(31)
@@ -353,13 +392,22 @@ class TestMWIS:
         with pytest.raises(PreconditionError):
             mwis(MWISInstance(g, {0: 1}), "td", td=bad)
 
+    def test_td_bag_members_outside_graph_refused(self):
+        g = generate("path", k=3)
+        for extra in (7, -1):
+            td = TreeDecomposition(Graph(1), {0: frozenset({0, 1, 2, extra})})
+            assert validate_td(g, td).violations == [("vertex-range", (0, extra))]
+            with pytest.raises(PreconditionError):
+                mwis(MWISInstance(g, {0: 1, 1: 1, 2: 1}), "td", td=td)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(PreconditionError):
             mwis(MWISInstance(generate("path", k=3), {0: 1}), "greedy")
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(PreconditionError):
-            MWISInstance(Graph(2), {0: -1})
+        for x in (-1, "1", None, 1j):
+            with pytest.raises(PreconditionError):
+                MWISInstance(Graph(2), {0: x})
 
     def test_non_finite_weight_rejected(self):
         for x in (float("nan"), float("inf")):
@@ -407,3 +455,36 @@ class TestMWIS:
             assert val == mwis(inst, "brute")[1] == naive_mwis(g, weights)
             assert inst.total(wit) == val
             assert not any(g.has_edge(a, b) for a, b in combinations(wit, 2))
+
+
+def test_certificate_checks_survive_optimize():
+    # under python -O (asserts stripped) a DP witness that is not stable and
+    # an assembled decomposition that fails validation are still refused
+    script = """
+from treealpha import treedecomp
+from treealpha.errors import InvariantViolationError
+from treealpha.graphs import generate
+from treealpha.treedecomp import MWISInstance, TreeDecomposition
+
+assert False, "asserts must be stripped in this run"
+g = generate("path", k=3)
+validate = treedecomp.validate_td
+treedecomp._mwis_td = lambda *args: (0b011, 2)
+treedecomp.validate_td = lambda g, td: validate(
+    g, TreeDecomposition(td.tree, {**td.bags, 0: frozenset()}))
+calls = (lambda: treedecomp.mwis(MWISInstance(g, {v: 1 for v in g.vertices}), "td",
+                                 td=TreeDecomposition.single_bag(g)),
+         lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices))
+for call in calls:
+    try:
+        call()
+    except InvariantViolationError:
+        continue
+    raise SystemExit("a wrong certificate was accepted")
+print("refused")
+"""
+    src = str(Path(treealpha.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
