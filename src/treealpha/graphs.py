@@ -1,9 +1,12 @@
 """Immutable simple graphs, weight functions, generators and set primitives.
 
-Vertices are dense ids ``0..n-1``. Induced subgraphs return an explicit id
-translation instead of renumbering silently. All randomized generation takes
-an explicit seed and is deterministic. Graphs are immutable after
-construction and safe to share across concurrent tasks.
+Vertices are dense ids ``0..n-1``. A graph is held in one representation:
+one adjacency bitmask per vertex, bit u of vertex v's mask set when uv is
+an edge; every accessor and every neighbourhood or component walk reads
+those masks. Induced subgraphs return an explicit id translation instead of
+renumbering silently. All randomized generation takes an explicit seed and
+is deterministic. Graphs are immutable after construction and safe to share
+across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Iterable, Mapping
 from .caps import cap
 from .errors import CapExceededError, FormatError, PreconditionError
 
-Vertex = int
 Edge = tuple[int, int]
 
 FLOAT_TOL = Fraction(1, 10**9)
@@ -30,29 +32,27 @@ def norm_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph: symmetric adjacency, no loops, no multi-edges."""
+    """Simple undirected graph: no loops, no multi-edges, stored only as the
+    tuple ``_masks`` of adjacency bitmasks, one per vertex."""
 
-    __slots__ = ("n", "_adj", "_masks")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if n < 0:
-            raise PreconditionError(f"vertex count must be nonnegative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
+        if not (isinstance(n, int) and n >= 0):
+            raise PreconditionError(f"vertex count must be a nonnegative integer, got {n!r}")
+        masks = [0] * n
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise PreconditionError(f"edge {e!r} is not a pair of vertices") from None
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise PreconditionError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        masks = []
-        for s in adj:
-            m = 0
-            for w in s:
-                m |= 1 << w
-            masks.append(m)
         self._masks = tuple(masks)
 
     # -- basic accessors ---------------------------------------------------
@@ -62,28 +62,39 @@ class Graph:
         return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        """v's neighbours, as a frozenset built from its mask on each call."""
+        return mask_to_set(self._masks[v])
 
     def adj_mask(self, v: int) -> int:
         return self._masks[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise PreconditionError(f"({u!r}, {v!r}) is not a pair of ids in 0..{self.n - 1}")
+        return self._masks[u] >> v & 1 == 1
 
     def edges(self) -> list[Edge]:
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        """Every edge (u, v) with u < v, in lexicographic order."""
+        out = []
+        for u, m in enumerate(self._masks):
+            m >>= u + 1
+            while m:
+                b = m & -m
+                out.append((u, u + b.bit_length()))
+                m ^= b
+        return out
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return isinstance(other, Graph) and self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -96,16 +107,12 @@ class Graph:
         Returns (subgraph, host_to_sub, sub_to_host); sub ids are assigned in
         increasing host-id order.
         """
-        order = sorted(set(verts))
-        check_vertex_set(self, order)
+        order = sorted(check_vertex_set(self, verts))
         host_to_sub = {h: i for i, h in enumerate(order)}
-        edges = [
-            (host_to_sub[u], host_to_sub[v])
-            for u in order
-            for v in self._adj[u]
-            if u < v and v in host_to_sub
-        ]
-        return Graph(len(order), edges), host_to_sub, tuple(order)
+        keep = set_to_mask(order)
+        sub = Graph(len(order))
+        sub._masks = tuple(_remap(self._masks[h] & keep, host_to_sub) for h in order)
+        return sub, host_to_sub, tuple(order)
 
 
 def set_to_mask(vs: Iterable[int]) -> int:
@@ -115,21 +122,37 @@ def set_to_mask(vs: Iterable[int]) -> int:
     return m
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
+
+
+def _remap(mask: int, to) -> int:
+    """mask with each bit v moved to bit to[v]."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << to[b.bit_length() - 1]
+        mask ^= b
+    return out
 
 
 def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
-    """Validate that every id lies in g's universe; returns the frozenset."""
+    """Validate that every member is an int id in g's universe; returns the
+    frozenset."""
     s = frozenset(vs)
     for v in s:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"vertex {v} outside universe 0..{g.n - 1}")
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise PreconditionError(f"vertex {v!r} is not an id in 0..{g.n - 1}")
     return s
 
 
@@ -147,7 +170,8 @@ class Path:
 
     def verify(self, g: Graph, induced: bool = False) -> bool:
         vs = self.vertices
-        if len(set(vs)) != len(vs) or not vs:
+        if len(set(vs)) != len(vs) or not vs or not all(
+                isinstance(v, int) and 0 <= v < g.n for v in vs):
             return False
         for a, b in zip(vs, vs[1:]):
             if not g.has_edge(a, b):
@@ -164,15 +188,15 @@ class Path:
 
 
 def _to_fraction(x) -> Fraction:
+    """x, an int, float, Fraction or numeric string, as an exact finite rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise FormatError(f"cannot interpret weight {x!r}")
+    if isinstance(x, (int, float, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise PreconditionError(f"cannot interpret weight {x!r} as a finite number")
 
 
 class WeightFn:
@@ -189,13 +213,15 @@ class WeightFn:
         w: dict[int, Fraction] = {}
         saw_float = float_mode
         for v, x in weights.items():
+            if not isinstance(v, int):
+                raise PreconditionError(f"weight key {v!r} is not a vertex id")
             if isinstance(x, float):
                 saw_float = True
             fx = _to_fraction(x)
             if fx < 0 or fx > 1:
                 raise PreconditionError(f"weight of {v} is {fx}, outside [0,1]")
             if fx:
-                w[int(v)] = fx
+                w[v] = fx
         self._w = w
         self.float_mode = saw_float
         if self.total > 1 + self.tol:
@@ -256,7 +282,7 @@ class WeightFn:
             raise FormatError("weight JSON must be an object")
         try:
             return cls({int(k): v for k, v in raw.items()})
-        except (ValueError, OverflowError, ZeroDivisionError, PreconditionError) as e:
+        except (ValueError, PreconditionError) as e:
             raise FormatError(f"bad weight JSON: {e}") from e
 
     def to_json(self) -> str:
@@ -274,26 +300,20 @@ class WeightFn:
 
 def open_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
     """N(X): vertices outside X with a neighbor in X."""
-    xs = check_vertex_set(g, x)
-    out: set[int] = set()
-    for v in xs:
-        out |= g.neighbors(v)
-    return frozenset(out - xs)
+    xm = set_to_mask(check_vertex_set(g, x))
+    return mask_to_set(_reach(g._masks, xm, 0) & ~xm)
 
 
 def closed_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
     """N[X] = X together with N(X)."""
-    xs = check_vertex_set(g, x)
-    out = set(xs)
-    for v in xs:
-        out |= g.neighbors(v)
-    return frozenset(out)
+    return mask_to_set(_reach(g._masks, set_to_mask(check_vertex_set(g, x)), 0))
 
 
 def _reach(adj, seed: int, through: int) -> int:
     """Every vertex reached from the mask seed along walks whose inner
     vertices all lie in the mask through, seed included, as a mask; adj[v]
-    is v's adjacency mask."""
+    is v's adjacency mask. With through = 0 this is the closed
+    neighbourhood of seed."""
     seen = frontier = seed
     while frontier:
         nxt = 0
@@ -307,27 +327,24 @@ def _reach(adj, seed: int, through: int) -> int:
     return seen
 
 
-def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Connected components of g minus ``removed``, sorted by least vertex."""
-    keep = ((1 << g.n) - 1) & ~set_to_mask(check_vertex_set(g, removed))
+def _component_masks(adj, keep: int) -> list[int]:
+    """The connected components of the subgraph induced by the mask keep,
+    as masks, sorted by least vertex."""
     out = []
     while keep:
-        comp = _reach(g._masks, keep & -keep, keep) & keep
-        out.append(mask_to_set(comp))
+        comp = _reach(adj, keep & -keep, keep) & keep
+        out.append(comp)
         keep ^= comp
     return out
 
 
+def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
+    """Connected components of g minus ``removed``, sorted by least vertex."""
+    keep = ((1 << g.n) - 1) & ~set_to_mask(check_vertex_set(g, removed))
+    return [mask_to_set(comp) for comp in _component_masks(g._masks, keep)]
+
+
 # -- maximum weight stable set (exact) ----------------------------------------
-
-
-def _remap(mask: int, to: list[int]) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << to[b.bit_length() - 1]
-        mask ^= b
-    return out
 
 
 def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
@@ -406,10 +423,9 @@ def alpha_exact(g: Graph, x: Iterable[int] | None = None,
 
 
 def is_anticomplete(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    sa, sb = set(a), set(b)
-    if sa & sb:
-        return False
-    return all(not g.has_edge(u, v) for u in sa for v in sb)
+    """Whether a and b are disjoint with no edge between them: N[a] misses b."""
+    bm = set_to_mask(check_vertex_set(g, b))
+    return not _reach(g._masks, set_to_mask(check_vertex_set(g, a)), 0) & bm
 
 
 # -- text formats ---------------------------------------------------------------

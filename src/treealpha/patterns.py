@@ -243,16 +243,6 @@ class LtVerdict:
     members_tested: int = 0
     notes: list[str] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "verdict": self.status,
-            "certified_cap": self.certified_cap,
-            "members_tested": self.members_tested,
-        }
-        if self.witness is not None:
-            out["witness"] = {str(k): v for k, v in sorted(self.witness.mapping.items())}
-        return out
-
 
 def _distributions(total: int, bins: int):
     """All ways to split `total` across `bins` nonnegative counts."""

@@ -22,6 +22,8 @@ from .errors import (
 from .graphs import (
     Graph,
     WeightFn,
+    _bits,
+    _component_masks,
     _max_weight_stable,
     _reach,
     alpha_exact,
@@ -58,10 +60,10 @@ class TreeDecomposition:
             raw = json.loads(text)
             tree = Graph(len(raw["nodes"]), [tuple(e) for e in raw["edges"]])
             bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
-            if not all(isinstance(v, int) for b in bags.values() for v in b):
-                raise TypeError("bag members must be integers")
         except (ValueError, KeyError, TypeError, AttributeError, PreconditionError) as e:
             raise FormatError(f"bad tree decomposition JSON: {e!r}") from e
+        if not all(isinstance(v, int) for b in bags.values() for v in b):
+            raise FormatError("bad tree decomposition JSON: bag members must be integers")
         return cls(tree, bags)
 
     @classmethod
@@ -178,22 +180,16 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            nb = adj[v] & remaining & ~b
-            new_adj = list(adj)
+            filled = list(adj)
             new_fill = set()
-            nbs = []
-            mm = nb
-            while mm:
-                bb = mm & -mm
-                nbs.append(bb.bit_length() - 1)
-                mm ^= bb
+            nbs = _bits(adj[v] & remaining & ~b)
             for i, a in enumerate(nbs):
                 for c in nbs[i + 1:]:
-                    if not (new_adj[a] >> c) & 1:
-                        new_adj[a] |= 1 << c
-                        new_adj[c] |= 1 << a
+                    if not (filled[a] >> c) & 1:
+                        filled[a] |= 1 << c
+                        filled[c] |= 1 << a
                         new_fill.add((min(a, c), max(a, c)))
-            rec(remaining & ~b, new_adj, fill | frozenset(new_fill))
+            rec(remaining & ~b, filled, fill | frozenset(new_fill))
 
     rec((1 << n) - 1, base, frozenset())
 
@@ -272,11 +268,12 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
                 alpha_cap: int | None = None) -> AssembleResult:
     """Build a tree decomposition by recursive balanced separation.
 
-    Recursion state is (active region, accumulated boundary); the weight
-    handed to the oracle is uniform on boundary plus active region, every
-    oracle output is re-checked for (w,c)-balance, and the resulting
-    decomposition is validated and its independence number asserted against
-    ceil((3-c)/(1-c)) times the largest oracle-output stability number.
+    Recursion state is (active region, accumulated boundary pieces), all
+    vertex masks; the weight handed to the oracle is uniform on boundary
+    plus active region, every oracle output is re-checked for (w,c)-balance,
+    and the resulting decomposition is validated and its independence number
+    checked against ceil((3-c)/(1-c)) times the largest oracle-output
+    stability number.
     """
     try:
         c = Fraction(c)
@@ -284,57 +281,58 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
         raise PreconditionError(f"balance fraction c={c!r} is not a number") from e
     if not (Fraction(1, 2) <= c < 1):
         raise PreconditionError(f"balance fraction c={c} outside [1/2, 1)")
+    adj = g._masks
     bags: dict[int, frozenset[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     oracle_alphas: list[int] = []
     max_pieces = 0
 
-    def call_oracle(univ: frozenset[int], w: WeightFn) -> frozenset[int]:
-        sub, to_sub, to_host = g.induced(univ)
-        x_sub = frozenset(sep_oracle(sub, w.translate(to_sub)))
-        for v in x_sub:
-            if not (0 <= v < sub.n):
-                raise OracleContractError(
-                    f"oracle returned vertex {v} outside its instance", (sub, w)
-                )
+    def call_oracle(univ: int, w: WeightFn) -> int:
+        sub, to_sub, to_host = g.induced(_bits(univ))
+        out = sep_oracle(sub, w.translate(to_sub))
+        try:
+            x_sub = check_vertex_set(sub, out)
+        except (TypeError, PreconditionError) as e:
+            raise OracleContractError(
+                f"oracle returned {out!r}, not a vertex set of its instance", (sub, w)
+            ) from e
         if not _balanced_here(sub, w.translate(to_sub), x_sub, c):
             raise OracleContractError(
                 "oracle output is not a balanced separator", (sub, w)
             )
-        x = frozenset(to_host[v] for v in x_sub)
-        oracle_alphas.append(alpha_exact(g, x, alpha_cap) if x else 0)
+        x = set_to_mask(to_host[v] for v in x_sub)
+        oracle_alphas.append(alpha_exact(g, _bits(x), alpha_cap) if x else 0)
         return x
 
-    def new_node(bag: frozenset[int]) -> int:
+    def new_node(bag: int) -> int:
         node = len(bags)
-        bags[node] = bag
+        bags[node] = mask_to_set(bag)
         return node
 
-    def decompose(region: frozenset[int], boundary: list[frozenset[int]]) -> int:
+    def decompose(region: int, boundary: list[int]) -> int:
+        # boundary pieces are nonempty, and each child's region is one
+        # component of region minus the separator x
         nonlocal max_pieces
-        bverts = frozenset().union(*boundary) if boundary else frozenset()
+        bverts = 0
+        for p in boundary:
+            bverts |= p
         if not region:
             return new_node(bverts)
         univ = region | bverts
-        w = WeightFn.uniform(univ)
-        x = call_oracle(univ, w)
-        pieces = len([p for p in boundary if p]) + (1 if x else 0)
-        bag = bverts | x
-        outside = frozenset(g.vertices) - region
-        rest = components(g, outside | x)
-        if len(rest) == 1 and rest[0] == region:
+        x = call_oracle(univ, WeightFn.uniform(_bits(univ)))
+        pieces = len(boundary) + (1 if x else 0)
+        rest = _component_masks(adj, region & ~x)
+        if rest == [region]:
             # the separator missed the active region; force a cut of it
-            x2 = call_oracle(univ, WeightFn.uniform(region))
-            x = x | x2
-            bag = bverts | x
+            x |= call_oracle(univ, WeightFn.uniform(_bits(region)))
             pieces += 1
-            rest = components(g, outside | x)
+            rest = _component_masks(adj, region & ~x)
         max_pieces = max(max_pieces, pieces)
+        bag = bverts | x
         node = new_node(bag)
         for comp in rest:
-            nb = frozenset(
-                u for u in bag if any(v in g.neighbors(u) for v in comp)
-            )
+            # comp and bag are disjoint, so N[comp] & bag is bag & N(comp)
+            nb = _reach(adj, comp, 0) & bag
             child_boundary = [p & nb for p in boundary if p & nb]
             if x & nb:
                 child_boundary.append(x & nb)
@@ -342,7 +340,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
             tree_edges.append((node, child))
         return node
 
-    decompose(frozenset(g.vertices), [])
+    decompose((1 << g.n) - 1, [])
     td = TreeDecomposition(Graph(len(bags), tree_edges), dict(bags))
 
     report = validate_td(g, td)
@@ -426,15 +424,13 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         if counted > limit:
             raise CapExceededError("mwis td state count", counted, limit)
 
-    tree = td.tree
-    root = 0
-    parent = {root: None}
-    order = [root]
+    # kids[t]: t's children when the tree hangs from node 0, ascending
+    tree = td.tree._masks
+    kids, order, seen = {}, [0], 1
     for t in order:
-        for u in tree.neighbors(t):
-            if u not in parent:
-                parent[u] = t
-                order.append(u)
+        kids[t] = _bits(tree[t] & ~seen)
+        seen |= tree[t]
+        order.extend(kids[t])
 
     # value[t][s]: the best weight in the subtree of t among stable sets that
     # meet bag t in s. A child's table is forgotten down to the part of its
@@ -446,9 +442,7 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     for t in reversed(order):
         own_t = own.pop(t)
         table = dict(own_t)
-        for u in tree.neighbors(t):
-            if parent[u] != t:
-                continue
+        for u in kids[t]:
             shared = bags[t] & bags[u]
             best: dict[int, tuple[object, int]] = {}
             for s, val in value.pop(u).items():
@@ -461,15 +455,15 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
             pick[u] = best
         value[t] = table
 
-    top = value[root]
-    chosen = {root: max(top, key=top.__getitem__)}
-    for t in order[1:]:
-        shared = bags[t] & bags[parent[t]]
-        chosen[t] = pick[t][chosen[parent[t]] & shared][1]
+    top = value[0]
+    chosen = {0: max(top, key=top.__getitem__)}
+    for t in order:
+        for u in kids[t]:
+            chosen[u] = pick[u][chosen[t] & bags[t] & bags[u]][1]
     wit = 0
     for s in chosen.values():
         wit |= s
-    return wit, top[chosen[root]]
+    return wit, top[chosen[0]]
 
 
 def mwis(instance: MWISInstance, method: str = "brute",

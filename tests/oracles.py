@@ -6,11 +6,23 @@ no pruning shared with the implementations under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
-from treealpha.graphs import Graph, components, generate, line_graph, subdivide
+from treealpha.errors import OracleContractError
+from treealpha.graphs import Graph, WeightFn, components, generate, line_graph, subdivide
 from treealpha.patterns import Embedding, LtVerdict
-from treealpha.treedecomp import minimal_triangulations
+from treealpha.treedecomp import AssembleResult, TreeDecomposition, minimal_triangulations
+
+
+def edge_list_adjacency(n: int, edges) -> list[frozenset[int]]:
+    """Neighbour sets built straight from a constructor edge list, the way
+    Graph stored its adjacency before it kept only bitmasks."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [frozenset(s) for s in adj]
 
 
 def naive_alpha(g: Graph, verts=None) -> int:
@@ -465,3 +477,66 @@ def reference_find_k_tt(g: Graph, t: int) -> Embedding | None:
     mapping = {i: v for i, v in enumerate(a_side)}
     mapping.update({t + i: v for i, v in enumerate(b_side)})
     return Embedding(mapping)
+
+
+def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleResult:
+    """assemble_td as the package ran it on neighbour sets, before its
+    recursion state became vertex masks: frozenset regions and boundary
+    pieces, components by ``naive_components`` and each child's boundary
+    found by scanning the bag for neighbours of the component. Makes the
+    same oracle calls in the same order; skips the final validation and
+    bound check, which the package applies to its own result."""
+    c = Fraction(c)
+    adj = edge_list_adjacency(g.n, g.edges())
+    bags: dict[int, frozenset[int]] = {}
+    tree_edges: list[tuple[int, int]] = []
+    oracle_alphas: list[int] = []
+    max_pieces = 0
+
+    def comps(removed):
+        return sorted(naive_components(g, removed), key=min)
+
+    def call_oracle(univ, w):
+        sub, to_sub, to_host = g.induced(univ)
+        w_sub = w.translate(to_sub)
+        x_sub = frozenset(sep_oracle(sub, w_sub))
+        if not all(w_sub.weight(comp) <= c + w_sub.tol
+                   for comp in naive_components(sub, x_sub)):
+            raise OracleContractError("oracle output is not a balanced separator", (sub, w))
+        x = frozenset(to_host[v] for v in x_sub)
+        oracle_alphas.append(naive_alpha(g, x))
+        return x
+
+    def new_node(bag):
+        bags[len(bags)] = bag
+        return len(bags) - 1
+
+    def decompose(region, boundary):
+        nonlocal max_pieces
+        bverts = frozenset().union(*boundary) if boundary else frozenset()
+        if not region:
+            return new_node(bverts)
+        univ = region | bverts
+        x = call_oracle(univ, WeightFn.uniform(univ))
+        pieces = len([p for p in boundary if p]) + (1 if x else 0)
+        outside = frozenset(g.vertices) - region
+        rest = comps(outside | x)
+        if len(rest) == 1 and rest[0] == region:
+            x = x | call_oracle(univ, WeightFn.uniform(region))
+            pieces += 1
+            rest = comps(outside | x)
+        max_pieces = max(max_pieces, pieces)
+        bag = bverts | x
+        node = new_node(bag)
+        for comp in rest:
+            nb = frozenset(u for u in bag if any(v in adj[u] for v in comp))
+            child_boundary = [p & nb for p in boundary if p & nb]
+            if x & nb:
+                child_boundary.append(x & nb)
+            child = decompose(comp, child_boundary)
+            tree_edges.append((node, child))
+        return node
+
+    decompose(frozenset(g.vertices), [])
+    td = TreeDecomposition(Graph(len(bags), tree_edges), dict(bags))
+    return AssembleResult(td, oracle_alphas, max(oracle_alphas, default=0), max_pieces)

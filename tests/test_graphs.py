@@ -28,7 +28,7 @@ from treealpha.graphs import (
     subdivide,
 )
 
-from .oracles import naive_alpha, naive_components
+from .oracles import edge_list_adjacency, naive_alpha, naive_components
 
 
 def petersen() -> Graph:
@@ -63,9 +63,21 @@ class TestGraphBasics:
             Graph(2, [(0, 5)])
         with pytest.raises(PreconditionError):
             Graph(-1)
-        for bad in (2, -1):
+        # a non-integer count or endpoint, and an edge that is not a pair
+        for n, edges in ((2.5, []), ("3", []), (3, [(0, 1.0)]), (3, [("0", 1)]),
+                         (3, [(0, 1, 2)]), (3, [(0,)]), (3, [5])):
+            with pytest.raises(PreconditionError):
+                Graph(n, edges)
+        for bad in (2, -1, 1.5, 1.0, "1"):
             with pytest.raises(PreconditionError):
                 check_vertex_set(Graph(2), [0, bad])
+        with pytest.raises(PreconditionError):
+            alpha_exact(generate("path", k=4), [1.5])
+        with pytest.raises(PreconditionError):
+            components(generate("path", k=4), [1.0])
+        for u, v in ((-1, 0), (0, -1), (0, 2), (2, 0)):  # -1 would index vertex 1
+            with pytest.raises(PreconditionError):
+                Graph(2, [(0, 1)]).has_edge(u, v)
 
     def test_multi_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -76,6 +88,31 @@ class TestGraphBasics:
         for u in g.vertices:
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
+
+    def test_accessors_match_edge_list_adjacency(self):
+        # every accessor read off the masks against neighbour sets built
+        # from the edge list the graph was constructed with
+        rng = random.Random(61)
+        for _ in range(150):
+            n = rng.randint(0, 12)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+            edges = [e for e in edges if e[0] != e[1]]
+            g = Graph(n, edges)
+            adj = edge_list_adjacency(n, edges)
+            assert g.edges() == sorted({(min(e), max(e)) for e in edges})
+            assert g.edge_count() == len(g.edges())
+            assert g == Graph(n, [(v, u) for u, v in reversed(edges)])
+            assert hash(g) == hash(Graph(n, [(v, u) for u, v in edges]))
+            for u in range(n):
+                assert g.neighbors(u) == adj[u] and isinstance(g.neighbors(u), frozenset)
+                assert g.degree(u) == len(adj[u])
+                for v in range(n):
+                    assert g.has_edge(u, v) is (v in adj[u])
+            xs = frozenset(v for v in range(n) if rng.random() < 0.4)
+            sub, to_sub, to_host = g.induced(xs)
+            assert to_host == tuple(sorted(xs)) and sub.n == len(xs)
+            assert sub.edges() == sorted((to_sub[u], to_sub[v]) for u in xs for v in adj[u]
+                                         if u < v and v in xs)
 
     def test_induced_translation(self):
         g = generate("cycle", k=6)
@@ -310,6 +347,25 @@ class TestSetPrimitives:
         g = generate("path", k=3)
         assert closed_nbhd(g, frozenset()) == frozenset()
 
+    def test_set_primitives_match_edge_list_adjacency(self):
+        rng = random.Random(71)
+        for _ in range(150):
+            n, p = rng.randint(0, 12), rng.choice([0.15, 0.3, 0.6])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = Graph(n, edges)
+            adj = edge_list_adjacency(n, edges)
+            xs = frozenset(v for v in range(n) if rng.random() < 0.3)
+            ys = frozenset(v for v in range(n) if rng.random() < 0.3)
+            near = frozenset().union(*(adj[v] for v in xs))
+            assert open_nbhd(g, xs) == near - xs
+            assert closed_nbhd(g, xs) == near | xs
+            assert is_anticomplete(g, xs, ys) == (not xs & ys and not near & ys)
+            comps = components(g, xs)
+            assert set(comps) == naive_components(g, xs) and len(comps) == len(set(comps))
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        with pytest.raises(PreconditionError):
+            is_anticomplete(generate("path", k=3), {0}, {3})
+
     @given(small_graphs, st.data())
     @settings(max_examples=80, deadline=None)
     def test_nbhd_identities(self, g, data):
@@ -369,6 +425,11 @@ class TestWeightFn:
             WeightFn({0: Fraction(-1, 4)})
         with pytest.raises(PreconditionError):
             WeightFn.uniform([])
+        # NaN, infinite, unparsable or non-numeric weights, non-integer keys
+        for bad in ({0: float("nan")}, {0: float("inf")}, {0: "x"}, {0: "1/0"}, {0: None},
+                    {1.5: 0.5}, {"0": 0.5}):
+            with pytest.raises(PreconditionError):
+                WeightFn(bad)
 
     def test_normal_flag(self):
         w = WeightFn.uniform(range(5))
@@ -384,7 +445,7 @@ class TestWeightFn:
 
     def test_json_bad_entries_are_format_errors(self):
         for text in ('{"a": 0.5}', '{"0": "x"}', '{"0": "1/0"}', '{"0": NaN}', '{"0": 2}',
-                     '{"0": 0.75, "1": 0.5}'):
+                     '{"0": 0.75, "1": 0.5}', '{"0": Infinity}', '{"1.5": 0.5}', '{"0": null}'):
             with pytest.raises(FormatError):
                 WeightFn.from_json(text)
 
@@ -412,6 +473,8 @@ class TestPath:
         assert Path((0, 1, 2)).verify(g, induced=True)
         assert not Path((0, 2)).verify(g)
         assert Path((4, 0, 1)).verify(g, induced=True)
+        for vs in ((-1, 0), (0, -1), (4, 5), (0, 1.0)):  # -1 would index 4, next to 0
+            assert not Path(vs).verify(g)
 
     def test_path_chord_not_induced(self):
         g = generate("cycle", k=4)

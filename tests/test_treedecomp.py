@@ -37,6 +37,7 @@ from .oracles import (
     naive_is_chordal,
     naive_mwis,
     naive_validate_td,
+    reference_assemble_td,
     reference_tree_alpha,
 )
 
@@ -295,6 +296,12 @@ class TestAssemble:
 
         with pytest.raises(OracleContractError):
             assemble_td(g, bad_oracle)
+        # outputs that are not an iterable of the instance's int ids
+        for out in (None, 3, ["a"], [1.0], [8], [[1]]):
+            with pytest.raises(OracleContractError) as err:
+                assemble_td(g, lambda sub, w, out=out: out)
+            sub, w = err.value.instance
+            assert sub == g and isinstance(w, WeightFn)
 
     def test_c_range(self):
         with pytest.raises(PreconditionError):
@@ -315,6 +322,19 @@ class TestAssemble:
         for c, exact in ((0.5, Fraction(1, 2)), (0.75, Fraction(3, 4))):
             got = assemble_td(g, brute_balanced_separator, c=c)
             assert got == assemble_td(g, brute_balanced_separator, c=exact)
+
+    def test_matches_set_based_reference(self):
+        # the mask recursion against the set-based one it replaced: the same
+        # bags, tree edges, oracle alphas, d_realized and max_pieces
+        rng = random.Random(59)
+        for _ in range(100):
+            n = rng.randint(0, 12)
+            g = generate("gnp", n=n, p=rng.choice([0.15, 0.3, 0.5]),
+                         seed=rng.randrange(10**6)) if n else Graph(0)
+            for c in (Fraction(1, 2), Fraction(3, 4)):
+                def oracle(sub, w, c=c):
+                    return brute_balanced_separator(sub, w, c)
+                assert assemble_td(g, oracle, c) == reference_assemble_td(g, oracle, c)
 
     def test_random_instances_validate(self):
         rng = random.Random(31)
@@ -408,6 +428,10 @@ class TestMWIS:
         for x in (-1, "1", None, 1j):
             with pytest.raises(PreconditionError):
                 MWISInstance(Graph(2), {0: x})
+        # a weight keyed by something other than a vertex id
+        for key in (1.5, 1.0, "1", 2):
+            with pytest.raises(PreconditionError):
+                MWISInstance(Graph(2), {key: 1})
 
     def test_non_finite_weight_rejected(self):
         for x in (float("nan"), float("inf")):
