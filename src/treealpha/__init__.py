@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .graphs import (  # noqa: F401
     Graph,
-    Path,
     WeightFn,
     alpha_exact,
     closed_nbhd,
@@ -19,7 +18,6 @@ from .graphs import (  # noqa: F401
     generate,
     line_graph,
     max_stable_set,
-    open_nbhd,
     parse_graph,
     subdivide,
 )

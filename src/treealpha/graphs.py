@@ -1,4 +1,5 @@
-"""Immutable simple graphs, weight functions, generators and set primitives.
+"""Immutable simple graphs, weight functions, generators, neighbourhoods and
+components, and exact stability number.
 
 Vertices are dense ids ``0..n-1``. A graph is held in one representation:
 one adjacency bitmask per vertex, bit u of vertex v's mask set when uv is
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from typing import Iterable, Mapping
@@ -40,6 +40,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not (isinstance(n, int) and n >= 0):
             raise PreconditionError(f"vertex count must be a nonnegative integer, got {n!r}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise PreconditionError(f"edges {edges!r} is not an iterable of pairs") from None
         masks = [0] * n
         for e in edges:
             try:
@@ -149,39 +153,14 @@ def _remap(mask: int, to) -> int:
 def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     """Validate that every member is an int id in g's universe; returns the
     frozenset."""
-    s = frozenset(vs)
+    try:
+        s = frozenset(vs)
+    except TypeError:
+        raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
     for v in s:
         if not (isinstance(v, int) and 0 <= v < g.n):
             raise PreconditionError(f"vertex {v!r} is not an id in 0..{g.n - 1}")
     return s
-
-
-# -- paths -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Path:
-    """An ordered sequence of distinct vertices forming a path."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def verify(self, g: Graph, induced: bool = False) -> bool:
-        vs = self.vertices
-        if len(set(vs)) != len(vs) or not vs or not all(
-                isinstance(v, int) and 0 <= v < g.n for v in vs):
-            return False
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                return False
-        if induced:
-            for i, a in enumerate(vs):
-                for b in vs[i + 2:]:
-                    if g.has_edge(a, b):
-                        return False
-        return True
 
 
 # -- weight functions ---------------------------------------------------------
@@ -202,18 +181,19 @@ def _to_fraction(x) -> Fraction:
 class WeightFn:
     """Nonnegative vertex weights with total at most 1.
 
-    Weights are held as exact rationals; floats given by the caller are
-    converted to their exact binary value and ``float_mode`` switches the
-    normality test and balance comparisons to a 1e-9 tolerance.
+    Keys are vertex ids, so nonnegative ints. Weights are held as exact
+    rationals; floats given by the caller are converted to their exact binary
+    value, and ``float_mode``, set when any given weight is a float, switches
+    the normality test and balance comparisons to a 1e-9 tolerance.
     """
 
     __slots__ = ("_w", "float_mode")
 
-    def __init__(self, weights: Mapping[int, object], float_mode: bool = False):
+    def __init__(self, weights: Mapping[int, object]):
         w: dict[int, Fraction] = {}
-        saw_float = float_mode
+        saw_float = False
         for v, x in weights.items():
-            if not isinstance(v, int):
+            if not (isinstance(v, int) and v >= 0):
                 raise PreconditionError(f"weight key {v!r} is not a vertex id")
             if isinstance(x, float):
                 saw_float = True
@@ -243,21 +223,6 @@ class WeightFn:
 
     def is_normal(self) -> bool:
         return abs(self.total - 1) <= self.tol
-
-    def restrict(self, vs: Iterable[int]) -> "WeightFn":
-        """Restriction without renormalization; thresholds stay absolute."""
-        keep = set(vs)
-        return WeightFn({v: x for v, x in self._w.items() if v in keep}, self.float_mode)
-
-    def scale(self, factor) -> "WeightFn":
-        f = _to_fraction(factor)
-        return WeightFn({v: x * f for v, x in self._w.items()}, self.float_mode)
-
-    def translate(self, mapping: Mapping[int, int]) -> "WeightFn":
-        """Reindex weights through a host-to-sub id translation."""
-        return WeightFn(
-            {mapping[v]: x for v, x in self._w.items() if v in mapping}, self.float_mode
-        )
 
     @classmethod
     def uniform(cls, vs: Iterable[int]) -> "WeightFn":
@@ -296,12 +261,6 @@ class WeightFn:
 
 
 # -- neighborhoods and components ---------------------------------------------
-
-
-def open_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
-    """N(X): vertices outside X with a neighbor in X."""
-    xm = set_to_mask(check_vertex_set(g, x))
-    return mask_to_set(_reach(g._masks, xm, 0) & ~xm)
 
 
 def closed_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
@@ -420,12 +379,6 @@ def alpha_exact(g: Graph, x: Iterable[int] | None = None,
                 cap_override: int | None = None) -> int:
     """Exact stability number of G[x]."""
     return len(max_stable_set(g, x, cap_override))
-
-
-def is_anticomplete(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """Whether a and b are disjoint with no edge between them: N[a] misses b."""
-    bm = set_to_mask(check_vertex_set(g, b))
-    return not _reach(g._masks, set_to_mask(check_vertex_set(g, a)), 0) & bm
 
 
 # -- text formats ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Induced-subgraph pattern detection.
 
 One exact backtracking matcher, ``_backtrack_induced``, finds every
-pattern: explicit graphs through ``contains_induced`` (capped), the named
-forbidden structures S_{t,t,t}, K_{t,t} and K_gamma^2 through
-``find_pattern``, and the members of a bounded semi-decision for freeness
+pattern: an explicit graph through ``contains_induced``, its one route,
+which caps the pattern's size; the named forbidden structures S_{t,t,t},
+K_{t,t} and K_gamma^2, whose size t or gamma fixes, through
+``find_pattern``; and the members of a bounded semi-decision for freeness
 from line graphs of wall subdivisions through ``lt_free_upto``.
 """
 
@@ -40,12 +41,12 @@ class Embedding:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """One of the named forbidden structures, or an explicit pattern graph."""
+    """One of the named forbidden structures; an explicit pattern graph goes
+    to ``contains_induced`` instead."""
 
-    kind: str  # s_ttt | k_tt | k_gamma_2 | explicit
+    kind: str  # s_ttt | k_tt | k_gamma_2
     t: int = 0
     gamma: int = 0
-    graph: Graph | None = None
 
     def __post_init__(self):
         if self.kind in ("s_ttt", "k_tt"):
@@ -54,9 +55,6 @@ class PatternSpec:
         elif self.kind == "k_gamma_2":
             if self.gamma < 1:
                 raise PreconditionError(f"k_gamma_2 needs gamma >= 1, got gamma={self.gamma}")
-        elif self.kind == "explicit":
-            if self.graph is None:
-                raise PreconditionError("explicit pattern spec needs a graph")
         else:
             raise PreconditionError(f"unknown pattern kind {self.kind!r}")
 
@@ -65,9 +63,7 @@ class PatternSpec:
             return generate("s_ttt", t=self.t)
         if self.kind == "k_tt":
             return generate("complete_bipartite", a=self.t, b=self.t)
-        if self.kind == "k_gamma_2":
-            return generate("k_gamma_2", gamma=self.gamma)
-        return self.graph
+        return generate("k_gamma_2", gamma=self.gamma)
 
 
 def _host_profile(g: Graph, triangles: bool = True) -> tuple[tuple[int, ...], list[int], int]:

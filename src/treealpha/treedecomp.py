@@ -28,7 +28,6 @@ from .graphs import (
     _reach,
     alpha_exact,
     check_vertex_set,
-    components,
     mask_to_set,
     set_to_mask,
 )
@@ -260,18 +259,18 @@ class AssembleResult:
     max_pieces: int
 
 
-def _balanced_here(g: Graph, w: WeightFn, x: frozenset[int], c: Fraction) -> bool:
-    return all(w.weight(comp) <= c + w.tol for comp in components(g, x))
-
-
 def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
                 alpha_cap: int | None = None) -> AssembleResult:
     """Build a tree decomposition by recursive balanced separation.
 
     Recursion state is (active region, accumulated boundary pieces), all
-    vertex masks; the weight handed to the oracle is uniform on boundary
-    plus active region, every oracle output is re-checked for (w,c)-balance,
-    and the resulting decomposition is validated and its independence number
+    vertex masks. Each oracle call gets G[boundary + region], in sub ids, and
+    a weight uniform on a mask heavy: the whole of boundary plus region, or
+    the region alone for the forced re-cut when the first separator missed
+    it. Every oracle output X is re-checked for (w,c)-balance on host masks:
+    each component of G[boundary + region] - X may hold at most c * |heavy|
+    vertices of heavy, the exact test that uniform rational weights give.
+    The resulting decomposition is validated and its independence number
     checked against ceil((3-c)/(1-c)) times the largest oracle-output
     stability number.
     """
@@ -287,20 +286,20 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     oracle_alphas: list[int] = []
     max_pieces = 0
 
-    def call_oracle(univ: int, w: WeightFn) -> int:
+    def call_oracle(univ: int, heavy: int) -> int:
+        # the oracle's instance is G[univ] with weight uniform on heavy
         sub, to_sub, to_host = g.induced(_bits(univ))
-        out = sep_oracle(sub, w.translate(to_sub))
+        w = WeightFn.uniform(to_sub[v] for v in _bits(heavy))
+        out = sep_oracle(sub, w)
         try:
-            x_sub = check_vertex_set(sub, out)
-        except (TypeError, PreconditionError) as e:
+            x = set_to_mask(to_host[v] for v in check_vertex_set(sub, out))
+        except PreconditionError as e:
             raise OracleContractError(
                 f"oracle returned {out!r}, not a vertex set of its instance", (sub, w)
             ) from e
-        if not _balanced_here(sub, w.translate(to_sub), x_sub, c):
-            raise OracleContractError(
-                "oracle output is not a balanced separator", (sub, w)
-            )
-        x = set_to_mask(to_host[v] for v in x_sub)
+        room = c * heavy.bit_count()
+        if any((comp & heavy).bit_count() > room for comp in _component_masks(adj, univ & ~x)):
+            raise OracleContractError("oracle output is not a balanced separator", (sub, w))
         oracle_alphas.append(alpha_exact(g, _bits(x), alpha_cap) if x else 0)
         return x
 
@@ -319,12 +318,12 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
         if not region:
             return new_node(bverts)
         univ = region | bverts
-        x = call_oracle(univ, WeightFn.uniform(_bits(univ)))
+        x = call_oracle(univ, univ)
         pieces = len(boundary) + (1 if x else 0)
         rest = _component_masks(adj, region & ~x)
         if rest == [region]:
             # the separator missed the active region; force a cut of it
-            x |= call_oracle(univ, WeightFn.uniform(_bits(region)))
+            x |= call_oracle(univ, region)
             pieces += 1
             rest = _component_masks(adj, region & ~x)
         max_pieces = max(max_pieces, pieces)

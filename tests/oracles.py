@@ -498,7 +498,7 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
 
     def call_oracle(univ, w):
         sub, to_sub, to_host = g.induced(univ)
-        w_sub = w.translate(to_sub)
+        w_sub = WeightFn({to_sub[v]: x for v, x in w.items()})
         x_sub = frozenset(sep_oracle(sub, w_sub))
         if not all(w_sub.weight(comp) <= c + w_sub.tol
                    for comp in naive_components(sub, x_sub)):

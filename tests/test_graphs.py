@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from treealpha.errors import CapExceededError, FormatError, PreconditionError
 from treealpha.graphs import (
     Graph,
-    Path,
     WeightFn,
     alpha_exact,
     check_vertex_set,
@@ -20,10 +19,8 @@ from treealpha.graphs import (
     components,
     emit_graph,
     generate,
-    is_anticomplete,
     line_graph,
     max_stable_set,
-    open_nbhd,
     parse_graph,
     subdivide,
 )
@@ -75,6 +72,11 @@ class TestGraphBasics:
             alpha_exact(generate("path", k=4), [1.5])
         with pytest.raises(PreconditionError):
             components(generate("path", k=4), [1.0])
+        # a vertex set or edge collection that is not iterable
+        for call in (lambda: components(generate("path", k=3), None),
+                     lambda: generate("path", k=3).induced(None), lambda: Graph(3, 5)):
+            with pytest.raises(PreconditionError):
+                call()
         for u, v in ((-1, 0), (0, -1), (0, 2), (2, 0)):  # -1 would index vertex 1
             with pytest.raises(PreconditionError):
                 Graph(2, [(0, 1)]).has_edge(u, v)
@@ -329,19 +331,17 @@ class TestSetPrimitives:
 
     def test_components_pairwise_anticomplete(self):
         g = generate("gnp", n=12, p=0.25, seed=9)
-        comps = components(g, {0, 1})
+        removed = frozenset({5, 6, 8, 11})
+        comps = components(g, removed)
+        assert len(comps) == 4
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
-                assert is_anticomplete(g, a, b)
-        assert frozenset().union(*comps, frozenset({0, 1})) == frozenset(g.vertices)
+                assert not a & b and not any(g.has_edge(u, v) for u in a for v in b)
+        assert frozenset().union(*comps, removed) == frozenset(g.vertices)
 
     def test_star_center_closed_nbhd(self):
         g = generate("complete_bipartite", a=1, b=5)
         assert closed_nbhd(g, {0}) == frozenset(range(6))
-
-    def test_leaf_open_nbhd(self):
-        g = generate("path", k=3)
-        assert open_nbhd(g, {0}) == frozenset({1})
 
     def test_empty_nbhd(self):
         g = generate("path", k=3)
@@ -355,16 +355,13 @@ class TestSetPrimitives:
             g = Graph(n, edges)
             adj = edge_list_adjacency(n, edges)
             xs = frozenset(v for v in range(n) if rng.random() < 0.3)
-            ys = frozenset(v for v in range(n) if rng.random() < 0.3)
             near = frozenset().union(*(adj[v] for v in xs))
-            assert open_nbhd(g, xs) == near - xs
             assert closed_nbhd(g, xs) == near | xs
-            assert is_anticomplete(g, xs, ys) == (not xs & ys and not near & ys)
             comps = components(g, xs)
             assert set(comps) == naive_components(g, xs) and len(comps) == len(set(comps))
             assert [min(c) for c in comps] == sorted(min(c) for c in comps)
         with pytest.raises(PreconditionError):
-            is_anticomplete(generate("path", k=3), {0}, {3})
+            closed_nbhd(generate("path", k=3), {3})
 
     @given(small_graphs, st.data())
     @settings(max_examples=80, deadline=None)
@@ -372,8 +369,7 @@ class TestSetPrimitives:
         xs = frozenset(
             data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
         ) if g.n else frozenset()
-        assert closed_nbhd(g, xs) == xs | open_nbhd(g, xs)
-        assert not (open_nbhd(g, xs) & xs)
+        assert closed_nbhd(g, xs) == xs.union(*(g.neighbors(v) for v in xs))
 
 
 class TestAlphaExact:
@@ -425,9 +421,9 @@ class TestWeightFn:
             WeightFn({0: Fraction(-1, 4)})
         with pytest.raises(PreconditionError):
             WeightFn.uniform([])
-        # NaN, infinite, unparsable or non-numeric weights, non-integer keys
+        # NaN, infinite, unparsable or non-numeric weights, keys that are not vertex ids
         for bad in ({0: float("nan")}, {0: float("inf")}, {0: "x"}, {0: "1/0"}, {0: None},
-                    {1.5: 0.5}, {"0": 0.5}):
+                    {1.5: 0.5}, {"0": 0.5}, {-3: 0.5, 0: 0.5}):
             with pytest.raises(PreconditionError):
                 WeightFn(bad)
 
@@ -445,7 +441,8 @@ class TestWeightFn:
 
     def test_json_bad_entries_are_format_errors(self):
         for text in ('{"a": 0.5}', '{"0": "x"}', '{"0": "1/0"}', '{"0": NaN}', '{"0": 2}',
-                     '{"0": 0.75, "1": 0.5}', '{"0": Infinity}', '{"1.5": 0.5}', '{"0": null}'):
+                     '{"0": 0.75, "1": 0.5}', '{"0": Infinity}', '{"1.5": 0.5}', '{"0": null}',
+                     '{"-1": 0.5}'):
             with pytest.raises(FormatError):
                 WeightFn.from_json(text)
 
@@ -453,34 +450,4 @@ class TestWeightFn:
         w = WeightFn.from_json(json.dumps({"0": 0.25, "1": 0.75}))
         assert w.float_mode
         assert w.is_normal()
-
-    def test_restrict_no_renormalize(self):
-        w = WeightFn.uniform(range(4))
-        r = w.restrict({0, 1})
-        assert r.total == Fraction(1, 2)
-
-    def test_scale(self):
-        w = WeightFn({0: Fraction(1, 4)})
-        assert w.scale(2).of(0) == Fraction(1, 2)
-        with pytest.raises(PreconditionError):
-            w.scale(8)
-
-
-class TestPath:
-    def test_path_verify(self):
-        g = generate("cycle", k=5)
-        assert Path((0, 1, 2)).verify(g)
-        assert Path((0, 1, 2)).verify(g, induced=True)
-        assert not Path((0, 2)).verify(g)
-        assert Path((4, 0, 1)).verify(g, induced=True)
-        for vs in ((-1, 0), (0, -1), (4, 5), (0, 1.0)):  # -1 would index 4, next to 0
-            assert not Path(vs).verify(g)
-
-    def test_path_chord_not_induced(self):
-        g = generate("cycle", k=4)
-        assert Path((0, 1, 2, 3)).verify(g)
-        assert not Path((0, 1, 2, 3)).verify(g, induced=True)  # chord 3-0
-
-    def test_path_rejects_repeats(self):
-        g = generate("cycle", k=4)
-        assert not Path((0, 1, 0)).verify(g)
+        assert not WeightFn.from_json(json.dumps({"0": "1/4", "1": "3/4"})).float_mode

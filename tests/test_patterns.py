@@ -223,7 +223,8 @@ class TestFindPattern:
         assert emb.mapping == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_bad_spec_rejected(self):
-        for kind, t, gamma in (("s_ttt", 0, 3), ("k_tt", 0, 3), ("k_gamma_2", 3, 0)):
+        for kind, t, gamma in (("s_ttt", 0, 3), ("k_tt", 0, 3), ("k_gamma_2", 3, 0),
+                               ("explicit", 3, 3)):
             with pytest.raises(PreconditionError):
                 find_pattern(generate("complete", k=4), PatternSpec(kind, t=t, gamma=gamma))
 
@@ -234,8 +235,6 @@ class TestFindPattern:
         monkeypatch.setattr(patterns, "_backtrack_induced", lambda g, h: wrong)
         with pytest.raises(InvariantViolationError):
             contains_induced(host, p3)
-        with pytest.raises(InvariantViolationError):
-            find_pattern(host, PatternSpec("explicit", graph=p3))
         for spec in (PatternSpec("s_ttt", t=1), PatternSpec("k_tt", t=1)):
             with pytest.raises(InvariantViolationError):
                 find_pattern(host, spec)
@@ -382,7 +381,7 @@ wrong = Embedding({0: 0, 1: 1, 2: 2})
 patterns._backtrack_induced = lambda *args: wrong
 host, p3 = generate("complete", k=3), generate("path", k=3)
 calls = (lambda: patterns.contains_induced(host, p3),
-         lambda: patterns.find_pattern(host, PatternSpec("explicit", graph=p3)),
+         lambda: patterns.find_pattern(host, PatternSpec("s_ttt", t=1)),
          lambda: patterns.lt_free_upto(generate("cycle", k=7), 1, 7))
 for call in calls:
     try:

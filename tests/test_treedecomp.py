@@ -53,6 +53,17 @@ def brute_balanced_separator(g: Graph, w: WeightFn, c=Fraction(1, 2)):
     return frozenset(verts)
 
 
+def logged(log: list, answers=(), c=Fraction(1, 2)):
+    """An oracle that appends each instance it gets to log, as (sub.n,
+    sub.edges(), w.items()), and answers its i-th call with answers[i], or
+    past their end as brute_balanced_separator."""
+    def oracle(sub, w):
+        log.append((sub.n, sub.edges(), w.items()))
+        i = len(log) - 1
+        return answers[i] if i < len(answers) else brute_balanced_separator(sub, w, c)
+    return oracle
+
+
 def elimination_td(g: Graph, order: list[int]) -> TreeDecomposition:
     """Decomposition from eliminating g's vertices in order: node i holds the
     i-th vertex with its neighbours eliminated later (fill edges added) and
@@ -303,6 +314,47 @@ class TestAssemble:
             sub, w = err.value.instance
             assert sub == g and isinstance(w, WeightFn)
 
+    def test_breach_carries_the_instance_the_oracle_saw(self):
+        # whichever call breaks the contract, the error holds that call's
+        # subgraph and weight, so sep_oracle(*err.instance) replays it
+        for g in (generate("path", k=9), generate("gnp", n=10, p=0.3, seed=5)):
+            assert len(components(g)) == 1  # so an empty separator is never balanced
+            calls = len(assemble_td(g, brute_balanced_separator).oracle_alphas)
+            for breach_at in range(calls):
+                for bad in (lambda sub: frozenset(), lambda sub: [sub.n]):
+                    log = []
+
+                    def oracle(sub, w, bad=bad, breach_at=breach_at, log=log):
+                        log.append((sub, w.items()))
+                        if len(log) > breach_at:
+                            return bad(sub)
+                        return brute_balanced_separator(sub, w)
+
+                    with pytest.raises(OracleContractError) as err:
+                        assemble_td(g, oracle)
+                    sub, w = err.value.instance
+                    assert len(log) == breach_at + 1 and (sub, w.items()) == log[-1]
+
+    def test_balance_boundary(self):
+        # on C_8 with c = 1/2: {2, 7} leaves 4 of 8 vertices in {3..6}; the
+        # child on region {0, 1} gets G[{0, 1, 2, 7}] (sub ids 0..3) and
+        # sub {2, 3}, i.e. host {2, 7}, leaves 2 of 4 in {0, 1}; that misses
+        # the region, so the forced re-cut puts the weight on {0, 1} alone,
+        # and sub {0} leaves 1 of those 2. Each answer holds exactly c.
+        g = generate("cycle", k=8)
+        log = []
+        result = assemble_td(g, logged(log, [{2, 7}, {2, 3}, {0}]))
+        assert validate_td(g, result.td).ok
+        half = Fraction(1, 2)
+        assert [entry[2] for entry in log[1:3]] == [[(v, Fraction(1, 4)) for v in range(4)],
+                                                    [(0, half), (1, half)]]
+        # one vertex of the weight more in a component, at each of the three calls
+        for answers in ([{1, 7}], [{2, 7}, {3}], [{2, 7}, {2, 3}, {3}]):
+            log = []
+            with pytest.raises(OracleContractError, match="not a balanced separator"):
+                assemble_td(g, logged(log, answers))
+            assert len(log) == len(answers)
+
     def test_c_range(self):
         with pytest.raises(PreconditionError):
             assemble_td(Graph(1), brute_balanced_separator, c=Fraction(1, 4))
@@ -325,16 +377,18 @@ class TestAssemble:
 
     def test_matches_set_based_reference(self):
         # the mask recursion against the set-based one it replaced: the same
-        # bags, tree edges, oracle alphas, d_realized and max_pieces
+        # bags, tree edges, oracle alphas, d_realized and max_pieces, and the
+        # same subgraph and weight handed to the oracle at every call
         rng = random.Random(59)
         for _ in range(100):
             n = rng.randint(0, 12)
             g = generate("gnp", n=n, p=rng.choice([0.15, 0.3, 0.5]),
                          seed=rng.randrange(10**6)) if n else Graph(0)
             for c in (Fraction(1, 2), Fraction(3, 4)):
-                def oracle(sub, w, c=c):
-                    return brute_balanced_separator(sub, w, c)
-                assert assemble_td(g, oracle, c) == reference_assemble_td(g, oracle, c)
+                got, want = [], []
+                assert (assemble_td(g, logged(got, c=c), c)
+                        == reference_assemble_td(g, logged(want, c=c), c))
+                assert got == want  # the same instance at every oracle call
 
     def test_random_instances_validate(self):
         rng = random.Random(31)
@@ -482,11 +536,13 @@ class TestMWIS:
 
 
 def test_certificate_checks_survive_optimize():
-    # under python -O (asserts stripped) a DP witness that is not stable and
-    # an assembled decomposition that fails validation are still refused
+    # under python -O (asserts stripped) a DP witness that is not stable, an
+    # assembled decomposition that fails validation and a separator whose
+    # largest component holds one vertex of the weight too many, at the first
+    # call or at a forced re-cut (see test_balance_boundary), are still refused
     script = """
 from treealpha import treedecomp
-from treealpha.errors import InvariantViolationError
+from treealpha.errors import InvariantViolationError, OracleContractError
 from treealpha.graphs import generate
 from treealpha.treedecomp import MWISInstance, TreeDecomposition
 
@@ -505,6 +561,12 @@ for call in calls:
     except InvariantViolationError:
         continue
     raise SystemExit("a wrong certificate was accepted")
+for answers in ([{1, 7}], [{2, 7}, {2, 3}, {3}]):
+    try:
+        treedecomp.assemble_td(generate("cycle", k=8), lambda sub, w: answers.pop(0))
+    except OracleContractError:
+        continue
+    raise SystemExit("an unbalanced separator was accepted")
 print("refused")
 """
     src = str(Path(treealpha.__file__).resolve().parents[1])
