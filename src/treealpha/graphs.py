@@ -26,6 +26,12 @@ Edge = tuple[int, int]
 FLOAT_TOL = Fraction(1, 10**9)
 
 
+def _is_int(x) -> bool:
+    """x is a plain int: a bool, which Python counts as an int, is not a
+    vertex id or a count."""
+    return type(x) is int
+
+
 def norm_edge(u: int, v: int) -> Edge:
     """Normalize an undirected edge to (min, max) form."""
     return (u, v) if u < v else (v, u)
@@ -38,7 +44,7 @@ class Graph:
     __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if not (isinstance(n, int) and n >= 0):
+        if not (_is_int(n) and n >= 0):
             raise PreconditionError(f"vertex count must be a nonnegative integer, got {n!r}")
         try:
             edges = iter(edges)
@@ -50,7 +56,8 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise PreconditionError(f"edge {e!r} is not a pair of vertices") from None
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            # _is_int inlined, as this runs once per edge
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
@@ -158,7 +165,7 @@ def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     except TypeError:
         raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
     for v in s:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (_is_int(v) and 0 <= v < g.n):
             raise PreconditionError(f"vertex {v!r} is not an id in 0..{g.n - 1}")
     return s
 
@@ -193,7 +200,7 @@ class WeightFn:
         w: dict[int, Fraction] = {}
         saw_float = False
         for v, x in weights.items():
-            if not (isinstance(v, int) and v >= 0):
+            if not (_is_int(v) and v >= 0):
                 raise PreconditionError(f"weight key {v!r} is not a vertex id")
             if isinstance(x, float):
                 saw_float = True
@@ -620,7 +627,7 @@ def generate(kind: str, seed: int | None = None, **params) -> Graph:
     if kind not in _KINDS:
         raise PreconditionError(f"unknown graph kind {kind!r}")
     for key in ("k", "t", "a", "b", "gamma", "n"):
-        if key in params and not (isinstance(params[key], int) and params[key] > 0):
+        if key in params and not (_is_int(params[key]) and params[key] > 0):
             raise PreconditionError(f"parameter {key}={params[key]!r} must be a positive integer")
     build, names = _KINDS[kind]
     try:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .caps import cap
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
-from .graphs import Graph, generate, line_graph, subdivide
+from .graphs import Graph, _is_int, generate, line_graph, subdivide
 
 
 @dataclass
@@ -26,9 +26,9 @@ class Embedding:
 
     def verify(self, pattern: Graph, host: Graph) -> bool:
         m = self.mapping
-        if set(m) != set(pattern.vertices):
+        if not all(_is_int(a) for a in m) or set(m) != set(pattern.vertices):
             return False
-        if not all(isinstance(v, int) and 0 <= v < host.n for v in m.values()):
+        if not all(_is_int(v) and 0 <= v < host.n for v in m.values()):
             return False
         if len(set(m.values())) != len(m):
             return False
@@ -49,6 +49,9 @@ class PatternSpec:
     gamma: int = 0
 
     def __post_init__(self):
+        for name in ("t", "gamma"):
+            if not _is_int(getattr(self, name)):
+                raise PreconditionError(f"{name}={getattr(self, name)!r} is not an integer")
         if self.kind in ("s_ttt", "k_tt"):
             if self.t < 1:
                 raise PreconditionError(f"{self.kind} needs t >= 1, got t={self.t}")
@@ -231,7 +234,9 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
 @dataclass
 class LtVerdict:
     """Semi-decision outcome; certified_cap is the largest host size the
-    enumeration can definitively clear at the requested size cap."""
+    enumeration can definitively clear at the requested size cap.
+    members_tested counts isomorphism classes of members, one per split of
+    the subdivisions over the wall's branch paths."""
 
     status: str  # free | witness | inconclusive
     certified_cap: int
@@ -250,8 +255,35 @@ def _distributions(total: int, bins: int):
             yield (first,) + rest
 
 
-# Member profiles kept, keyed by (t, distribution): room for every member of
-# the 2-wall with at most three subdivisions (1540), at about 4 kB each.
+@lru_cache(maxsize=None)
+def _branch_edges(t: int) -> tuple[int, ...]:
+    """For each branch path of the t-wall, the index in ``wall.edges()`` of
+    its lowest edge, ascending. A branch path is a maximal path whose inner
+    vertices have degree 2; the t = 1 wall, a 6-cycle, is one branch path."""
+    wall = generate("wall", t=t)
+    adj, edges = wall._masks, wall.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    seen: set[int] = set()
+    out = []
+    for i, (u, v) in enumerate(edges):
+        if i in seen:
+            continue
+        out.append(i)
+        seen.add(i)
+        for prev, cur in ((u, v), (v, u)):
+            while adj[cur].bit_count() == 2:
+                nxt = (adj[cur] & ~(1 << prev)).bit_length() - 1
+                j = index[(min(cur, nxt), max(cur, nxt))]
+                if j in seen:  # the walk closed a cycle
+                    break
+                seen.add(j)
+                prev, cur = cur, nxt
+    return tuple(out)
+
+
+# Member profiles kept, keyed by (t, distribution): room for every class of
+# the 2-wall with at most three subdivisions (220) and of the 3-wall with at
+# most two (325), at about 4 kB each.
 _MEMBER_CACHE = 2048
 
 
@@ -274,13 +306,23 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
 
     A subdivision with V + s vertices (s extra) has a line graph on E + s
     vertices, so only s <= |V(g)| - E can possibly embed; verdicts are
-    certified exactly when the cap covers every such s. A witness is
-    checked against the member it embeds.
+    certified exactly when the cap covers every such s. A subdivided
+    wall's isomorphism type depends only on how many subdivisions land on
+    each branch path (see ``_branch_edges``), so one member per class is
+    tested: the one with each path's whole total on the path's lowest wall
+    edge. member_budget and members_tested count these classes. A witness
+    is checked against the member it embeds.
     """
+    for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
+        if not _is_int(x):
+            raise PreconditionError(f"lt_free_upto needs an integer {name}, got {x!r}")
     if t < 1:
         raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
+    if member_budget < 0:
+        raise PreconditionError(f"member_budget must be >= 0, got {member_budget}")
     wall = generate("wall", t=t)
     v_wall, e_wall = wall.n, wall.edge_count()
+    paths = _branch_edges(t)
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
     host = _host_profile(g)
@@ -288,7 +330,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     tested = 0
     s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for dist in _distributions(s, e_wall):
+        for split in _distributions(s, len(paths)):
             if tested >= member_budget:
                 return LtVerdict(
                     status="inconclusive",
@@ -297,6 +339,10 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
             tested += 1
+            dist = [0] * e_wall
+            for i, c in zip(paths, split):
+                dist[i] = c
+            dist = tuple(dist)
             emb = _backtrack_induced(g, _member_profile(t, dist), host)
             if emb is not None:
                 return LtVerdict(

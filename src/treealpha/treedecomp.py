@@ -24,6 +24,7 @@ from .graphs import (
     WeightFn,
     _bits,
     _component_masks,
+    _is_int,
     _max_weight_stable,
     _reach,
     alpha_exact,
@@ -61,7 +62,7 @@ class TreeDecomposition:
             bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
         except (ValueError, KeyError, TypeError, AttributeError, PreconditionError) as e:
             raise FormatError(f"bad tree decomposition JSON: {e!r}") from e
-        if not all(isinstance(v, int) for b in bags.values() for v in b):
+        if not all(_is_int(v) for b in bags.values() for v in b):
             raise FormatError("bad tree decomposition JSON: bag members must be integers")
         return cls(tree, bags)
 
@@ -91,7 +92,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     holders = [0] * g.n
     for tn, bag in td.bags.items():
         for v in bag:
-            if isinstance(v, int) and 0 <= v < g.n:
+            if _is_int(v) and 0 <= v < g.n:
                 holders[v] |= 1 << tn
             else:
                 violations.append(("vertex-range", (tn, v)))

@@ -62,12 +62,15 @@ class TestGraphBasics:
             Graph(-1)
         # a non-integer count or endpoint, and an edge that is not a pair
         for n, edges in ((2.5, []), ("3", []), (3, [(0, 1.0)]), (3, [("0", 1)]),
-                         (3, [(0, 1, 2)]), (3, [(0,)]), (3, [5])):
+                         (3, [(0, 1, 2)]), (3, [(0,)]), (3, [5]), (True, []),
+                         (2, [(False, True)]), (3, [(0, True)])):
             with pytest.raises(PreconditionError):
                 Graph(n, edges)
-        for bad in (2, -1, 1.5, 1.0, "1"):
+        for bad in (2, -1, 1.5, 1.0, "1", True):
             with pytest.raises(PreconditionError):
                 check_vertex_set(Graph(2), [0, bad])
+        with pytest.raises(PreconditionError):  # True would remove vertex 1
+            components(generate("path", k=3), [True])
         with pytest.raises(PreconditionError):
             alpha_exact(generate("path", k=4), [1.5])
         with pytest.raises(PreconditionError):
@@ -234,6 +237,7 @@ class TestGenerators:
         with pytest.raises(PreconditionError):
             generate("kite")
         for kind, params in (("path", {}), ("gnp", {"n": 5}), ("path", {"k": 2.5}),
+                             ("wall", {"t": True}),
                              ("gnp", {"n": 5, "p": "x"}), ("complete_bipartite", {"a": 2})):
             with pytest.raises(PreconditionError):
                 generate(kind, **params)
@@ -423,7 +427,7 @@ class TestWeightFn:
             WeightFn.uniform([])
         # NaN, infinite, unparsable or non-numeric weights, keys that are not vertex ids
         for bad in ({0: float("nan")}, {0: float("inf")}, {0: "x"}, {0: "1/0"}, {0: None},
-                    {1.5: 0.5}, {"0": 0.5}, {-3: 0.5, 0: 0.5}):
+                    {1.5: 0.5}, {"0": 0.5}, {-3: 0.5, 0: 0.5}, {True: 1}, {False: 0.5}):
             with pytest.raises(PreconditionError):
                 WeightFn(bad)
 

@@ -75,18 +75,52 @@ def _random_host(rng: random.Random, h: Graph, max_n: int) -> Graph:
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def _lt_key(v):
-    return (v.status, v.certified_cap, v.members_tested, v.notes,
-            None if v.witness is None else v.witness.mapping)
+def _class_members(t: int, s: int):
+    """The member lt_free_upto tests for each split of s subdivisions over
+    the t-wall's branch paths."""
+    e_wall = generate("wall", t=t).edge_count()
+    paths = patterns._branch_edges(t)
+    for split in patterns._distributions(s, len(paths)):
+        dist = [0] * e_wall
+        for i, c in zip(paths, split):
+            dist[i] = c
+        yield patterns._member(t, tuple(dist))
 
 
-def _planted(t: int, s: int, pendants: int, rng: random.Random) -> Graph:
-    """L(t-wall with s random subdivisions) plus pendant vertices, relabelled."""
+def _check_against_reference(g: Graph, t: int, size_cap: int, budget: int = 200_000):
+    """lt_free_upto against the per-edge reference: the same status and
+    certified_cap where the reference is definite; where its budget binds, a
+    cap at least as high and, if definite, the unbudgeted status. A witness
+    has the reference witness's size and embeds a tested member."""
+    got = lt_free_upto(g, t, size_cap, budget)
+    want = reference_lt_free_upto(g, t, size_cap, budget)
+    if want.status == "inconclusive":
+        assert got.certified_cap >= want.certified_cap
+        if got.status == "inconclusive":
+            return got, want
+        settled = reference_lt_free_upto(g, t, size_cap)
+    else:
+        assert got.certified_cap == want.certified_cap
+        settled = want
+    assert got.status == settled.status
+    if got.status == "witness":
+        k = len(got.witness.mapping)
+        assert k == len(settled.witness.mapping)
+        s = k - generate("wall", t=t).edge_count()
+        assert any(got.witness.verify(m, g) for m in _class_members(t, s))
+    return got, want
+
+
+def _planted(t: int, s: int, pendants: int, rng: random.Random,
+             counts: dict | None = None) -> Graph:
+    """L(t-wall with s random subdivisions, or with the given counts per
+    wall edge) plus pendant vertices, relabelled."""
     wall = generate("wall", t=t)
-    counts: dict = {}
-    for _ in range(s):
-        e = rng.choice(wall.edges())
-        counts[e] = counts.get(e, 0) + 1
+    if counts is None:
+        counts = {}
+        for _ in range(s):
+            e = rng.choice(wall.edges())
+            counts[e] = counts.get(e, 0) + 1
     member, _ = line_graph(subdivide(wall, counts))
     n = member.n
     edges = member.edges() + [(rng.randrange(n), n + j) for j in range(pendants)]
@@ -209,6 +243,9 @@ class TestFindPattern:
         assert not Embedding({0: -1, 1: 1}).verify(p2, p3)  # -1 would index vertex 2
         assert not Embedding({0: 0, 1: 5}).verify(Graph(2), p3)
         assert not Embedding({0: 0, 1: "1"}).verify(Graph(2), p3)
+        assert Embedding({0: 0, 1: 1}).verify(p2, p3)
+        assert not Embedding({0: 0, 1: True}).verify(p2, p3)  # a bool is not an id
+        assert not Embedding({0: 1, True: 0}).verify(p2, p3)
 
     def test_k_tt_needs_no_alpha_search(self, monkeypatch):
         # a stable pair among 50 common neighbours, with the alpha search
@@ -224,7 +261,8 @@ class TestFindPattern:
 
     def test_bad_spec_rejected(self):
         for kind, t, gamma in (("s_ttt", 0, 3), ("k_tt", 0, 3), ("k_gamma_2", 3, 0),
-                               ("explicit", 3, 3)):
+                               ("explicit", 3, 3), ("k_tt", True, 0), ("s_ttt", "2", 0),
+                               ("k_tt", 2.0, 0), ("k_gamma_2", 0, "3"), ("k_gamma_2", 0, True)):
             with pytest.raises(PreconditionError):
                 find_pattern(generate("complete", k=4), PatternSpec(kind, t=t, gamma=gamma))
 
@@ -332,6 +370,12 @@ class TestLtFree:
         for t in (0, -1):
             with pytest.raises(PreconditionError):
                 lt_free_upto(generate("cycle", k=7), t, 7)
+        # parameters that are not integers, bools among them, or a negative budget
+        c7 = generate("cycle", k=7)
+        for t, size_cap, budget in (("2", 7, 10), (True, 7, 10), (1, None, 10), (1, 7.5, 10),
+                                    (1, True, 10), (1, 7, None), (1, 7, -1), (1, 7, 2.0)):
+            with pytest.raises(PreconditionError):
+                lt_free_upto(c7, t, size_cap, budget)
 
     def test_wrong_witness_is_refused(self, monkeypatch):
         wrong = Embedding({0: 0, 1: 1, 2: 2})
@@ -345,10 +389,15 @@ class TestLtFree:
         hosts += [generate("gnp", n=rng.randint(6, 11), p=rng.choice([0.2, 0.3, 0.5]),
                            seed=rng.randrange(10**6)) for _ in range(20)]
         hosts += [_planted(1, s, 2, rng) for s in (0, 1, 2, 3)]
+        statuses = Counter()
         for g in hosts:
             for size_cap, budget in ((g.n, 200_000), (8, 200_000), (g.n, 3)):
-                assert _lt_key(lt_free_upto(g, 1, size_cap, budget)) == _lt_key(
-                    reference_lt_free_upto(g, 1, size_cap, budget))
+                got, want = _check_against_reference(g, 1, size_cap, budget)
+                statuses[want.status, got.status] += 1
+        # every status occurs, and the budget of 3 binds on the reference
+        # where one member per level lets the new test finish
+        assert {"free", "witness", "inconclusive"} <= {w for w, _ in statuses}
+        assert statuses["inconclusive", "free"] + statuses["inconclusive", "witness"] > 0
 
     def test_matches_reference_t2(self):
         rng = random.Random(6)
@@ -356,15 +405,57 @@ class TestLtFree:
         hosts += [generate("gnp", n=20, p=0.15, seed=rng.randrange(10**6)) for _ in range(3)]
         statuses = []
         for g in hosts:
-            got = lt_free_upto(g, 2, g.n)
-            assert _lt_key(got) == _lt_key(reference_lt_free_upto(g, 2, g.n))
+            got, _ = _check_against_reference(g, 2, g.n)
             statuses.append(got.status)
         assert statuses == ["witness"] * 4 + ["free"] * 3
         for _ in range(3):  # over budget: inconclusive after exactly 20 members
             g = generate("gnp", n=28, p=0.12, seed=rng.randrange(10**6))
-            got = lt_free_upto(g, 2, g.n, member_budget=20)
+            got, _ = _check_against_reference(g, 2, g.n, 20)
             assert got.status == "inconclusive" and got.members_tested == 20
-            assert _lt_key(got) == _lt_key(reference_lt_free_upto(g, 2, g.n, 20))
+
+    def test_members_are_copies_of_their_class(self):
+        # every per-edge member with s <= 2 is isomorphic to the tested
+        # member with the same totals per branch path; the paths are found
+        # here by joining wall edges that meet at a degree-2 vertex
+        for t in (1, 2):
+            wall = generate("wall", t=t)
+            edges = wall.edges()
+            path_of = list(range(len(edges)))
+            for i, (a, b) in enumerate(edges):
+                for j in range(i):
+                    shared = {a, b} & set(edges[j])
+                    if shared and wall.degree(shared.pop()) == 2:
+                        lo, hi = sorted((path_of[i], path_of[j]))
+                        path_of = [lo if p == hi else p for p in path_of]
+            assert patterns._branch_edges(t) == tuple(sorted(set(path_of)))
+            for s in range(3):
+                for dist in patterns._distributions(s, len(edges)):
+                    rep = [0] * len(edges)
+                    for i, c in enumerate(dist):
+                        rep[path_of[i]] += c
+                    member, cls = patterns._member(t, dist), patterns._member(t, tuple(rep))
+                    assert (member.n, member.edge_count()) == (cls.n, cls.edge_count())
+                    emb = patterns._backtrack_induced(cls, member)
+                    assert emb is not None and emb.verify(member, cls)
+
+    def test_one_member_per_class(self):
+        # 1 + 9 + 45 splits over the 2-wall's nine branch paths for s <= 2,
+        # and one per level on the 6-cycle (the per-edge count is 210 in both)
+        for g in (generate("path", k=21), generate("gnp", n=21, p=0.12, seed=3)):
+            verdict = lt_free_upto(g, 2, g.n)
+            assert (verdict.status, verdict.members_tested) == ("free", 55)
+        verdict = lt_free_upto(generate("path", k=10), 1, 30)
+        assert (verdict.status, verdict.members_tested) == ("free", 5)
+
+    def test_witness_off_the_representative_edge(self):
+        # two subdivisions on wall edge (0, 5), which shares its branch
+        # path 5-0-1-2 with the path's lowest edge (0, 1)
+        wall = generate("wall", t=2)
+        assert wall.edges()[1] == (0, 5) and 1 not in patterns._branch_edges(2)
+        g = _planted(2, 2, 3, random.Random(9), counts={(0, 5): 2})
+        got, want = _check_against_reference(g, 2, g.n)
+        assert got.status == want.status == "witness"
+        assert got.members_tested < want.members_tested
 
 
 def test_certificate_checks_survive_optimize():

@@ -136,7 +136,9 @@ class TestValidate:
                      '{"nodes": [0, 1], "edges": [[0, 5]], "bags": {}}',
                      '{"nodes": [0, 1], "edges": [[0]], "bags": {}}',
                      '{"nodes": [0], "edges": [], "bags": {"x": [0]}}',
-                     '{"nodes": [0], "edges": [], "bags": {"0": ["a"]}}'):
+                     '{"nodes": [0], "edges": [], "bags": {"0": ["a"]}}',
+                     '{"nodes": [0], "edges": [], "bags": {"0": [0, true]}}',
+                     '{"nodes": [0, 1], "edges": [[0, true]], "bags": {}}'):
             with pytest.raises(FormatError):
                 TreeDecomposition.from_json(text)
 
@@ -473,6 +475,14 @@ class TestMWIS:
             assert validate_td(g, td).violations == [("vertex-range", (0, extra))]
             with pytest.raises(PreconditionError):
                 mwis(MWISInstance(g, {0: 1, 1: 1, 2: 1}), "td", td=td)
+        # True is not vertex 1, which the bag then leaves uncovered
+        td = TreeDecomposition(Graph(1), {0: frozenset({0, True, 2})})
+        assert ("vertex-range", (0, True)) in validate_td(g, td).violations
+        assert ("vertex-coverage", 1) in validate_td(g, td).violations
+        with pytest.raises(PreconditionError):
+            mwis(MWISInstance(g, {0: 1, 1: 1, 2: 1}), "td", td=td)
+        with pytest.raises(PreconditionError):
+            MWISInstance(g, {True: 1})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(PreconditionError):
