@@ -1,15 +1,14 @@
 """Exhaustive-computation caps.
 
-All caps can be overridden per call; the environment variable
-``TREEALPHA_CAP_OVERRIDE`` (an integer) replaces every default cap at once,
-as a blunt escape hatch for experiments on larger instances.
+Each exhaustive computation refuses an instance above its cap rather than
+approximate. ``DEFAULT_CAPS`` holds each cap's default; every call that
+enforces a cap takes a per-call override in that cap's own unit, and
+nothing else changes a cap.
 """
 
 from __future__ import annotations
 
-import os
-
-from .errors import FormatError
+from .errors import PreconditionError
 
 DEFAULT_CAPS = {
     "alpha": 40,
@@ -19,17 +18,12 @@ DEFAULT_CAPS = {
     "mwis_states": 5_000_000,
 }
 
-_ENV_VAR = "TREEALPHA_CAP_OVERRIDE"
-
 
 def cap(name: str, override: int | None = None) -> int:
-    """Resolve a cap: explicit override > environment override > default."""
-    if override is not None:
-        return override
-    env = os.environ.get(_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"{_ENV_VAR}={env!r} is not an integer") from None
-    return DEFAULT_CAPS[name]
+    """The cap in force: override when given, else the default."""
+    if override is None:
+        return DEFAULT_CAPS[name]
+    # a plain int: a bool, a float or a numeric string is refused
+    if not (type(override) is int and override >= 0):
+        raise PreconditionError(f"{name} cap override {override!r} is not an integer >= 0")
+    return override

@@ -13,6 +13,7 @@ across concurrent tasks.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from numbers import Real
@@ -72,20 +73,23 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """v's neighbours, as a frozenset built from its mask on each call."""
-        return mask_to_set(self._masks[v])
-
     def adj_mask(self, v: int) -> int:
+        """v's adjacency mask; every per-vertex accessor reads it here, so
+        each refuses a v that is not an id in 0..n-1."""
+        if not (_is_int(v) and 0 <= v < self.n):
+            raise PreconditionError(f"{v!r} is not a vertex id in 0..{self.n - 1}")
         return self._masks[v]
 
+    def neighbors(self, v: int) -> frozenset[int]:
+        """v's neighbours, as a frozenset built from its mask on each call."""
+        return mask_to_set(self.adj_mask(v))
+
     def degree(self, v: int) -> int:
-        return self._masks[v].bit_count()
+        return self.adj_mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise PreconditionError(f"({u!r}, {v!r}) is not a pair of ids in 0..{self.n - 1}")
-        return self._masks[u] >> v & 1 == 1
+        self.adj_mask(v)  # refuses a v that is not an id
+        return self.adj_mask(u) >> v & 1 == 1
 
     def edges(self) -> list[Edge]:
         """Every edge (u, v) with u < v, in lexicographic order."""
@@ -188,13 +192,14 @@ def _to_fraction(x) -> Fraction:
 class WeightFn:
     """Nonnegative vertex weights with total at most 1.
 
-    Keys are vertex ids, so nonnegative ints. Weights are held as exact
-    rationals; floats given by the caller are converted to their exact binary
-    value, and ``float_mode``, set when any given weight is a float, switches
-    the normality test and balance comparisons to a 1e-9 tolerance.
+    Keys are vertex ids, so nonnegative ints. Weights are exact rationals,
+    held as integer numerators over one common denominator; floats given by
+    the caller are converted to their exact binary value, and ``float_mode``,
+    set when any given weight is a float, switches the normality test and
+    balance comparisons to a 1e-9 tolerance.
     """
 
-    __slots__ = ("_w", "float_mode")
+    __slots__ = ("_num", "_den", "float_mode")
 
     def __init__(self, weights: Mapping[int, object]):
         w: dict[int, Fraction] = {}
@@ -209,7 +214,8 @@ class WeightFn:
                 raise PreconditionError(f"weight of {v} is {fx}, outside [0,1]")
             if fx:
                 w[v] = fx
-        self._w = w
+        self._den = math.lcm(*(x.denominator for x in w.values()))
+        self._num = {v: x.numerator * (self._den // x.denominator) for v, x in w.items()}
         self.float_mode = saw_float
         if self.total > 1 + self.tol:
             raise PreconditionError(f"total weight {self.total} exceeds 1")
@@ -219,14 +225,15 @@ class WeightFn:
         return FLOAT_TOL if self.float_mode else Fraction(0)
 
     def of(self, v: int) -> Fraction:
-        return self._w.get(v, Fraction(0))
+        return Fraction(self._num.get(v, 0), self._den)
 
     def weight(self, vs: Iterable[int]) -> Fraction:
-        return sum((self._w.get(v, Fraction(0)) for v in vs), Fraction(0))
+        num = self._num
+        return Fraction(sum(num.get(v, 0) for v in vs), self._den)
 
     @property
     def total(self) -> Fraction:
-        return sum(self._w.values(), Fraction(0))
+        return Fraction(sum(self._num.values()), self._den)
 
     def is_normal(self) -> bool:
         return abs(self.total - 1) <= self.tol
@@ -240,7 +247,7 @@ class WeightFn:
         return cls({v: share for v in vs})
 
     def items(self):
-        return sorted(self._w.items())
+        return sorted((v, Fraction(x, self._den)) for v, x in self._num.items())
 
     # -- JSON boundary: {"vertex": "num/den" | float} ----------------------
 
@@ -264,7 +271,7 @@ class WeightFn:
         return json.dumps(out, sort_keys=True)
 
     def __repr__(self) -> str:
-        return f"WeightFn(total={self.total}, support={len(self._w)})"
+        return f"WeightFn(total={self.total}, support={len(self._num)})"
 
 
 # -- neighborhoods and components ---------------------------------------------
@@ -643,14 +650,13 @@ def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
     Line-graph ids follow the lexicographic order of g's edges.
     """
     es = g.edges()
-    ids = {e: i for i, e in enumerate(es)}
-    out = []
+    inc = [0] * g.n  # inc[v]: the ids of the edges at v, as a mask
     for i, (u, v) in enumerate(es):
-        for j in range(i + 1, len(es)):
-            x, y = es[j]
-            if u in (x, y) or v in (x, y):
-                out.append((i, j))
-    return Graph(len(es), out), ids
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    out = Graph(len(es))
+    out._masks = tuple((inc[u] | inc[v]) ^ 1 << i for i, (u, v) in enumerate(es))
+    return out, {e: i for i, e in enumerate(es)}
 
 
 def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
@@ -661,11 +667,12 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
     known = set(g.edges())
     norm_counts = {}
     for e, c in counts.items():
-        ne = norm_edge(*e)
+        pair = type(e) is tuple and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])
+        ne = norm_edge(*e) if pair else None
         if ne not in known:
-            raise PreconditionError(f"unknown edge key {e}")
-        if c < 0:
-            raise PreconditionError(f"negative subdivision count for {e}")
+            raise PreconditionError(f"unknown edge key {e!r}")
+        if not (_is_int(c) and c >= 0):
+            raise PreconditionError(f"subdivision count {c!r} for {e} is not an integer >= 0")
         norm_counts[ne] = c
     edges = []
     nxt = g.n

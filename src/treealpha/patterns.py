@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .caps import cap
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
-from .graphs import Graph, _is_int, generate, line_graph, subdivide
+from .graphs import Edge, Graph, _bits, _is_int, generate, line_graph, norm_edge, subdivide
 
 
 @dataclass
@@ -102,9 +102,9 @@ def _pattern_profile(adj: tuple[int, ...]) -> tuple:
     """What the matcher needs of a pattern with adjacency masks adj: each
     vertex's degree, the mask of vertices that lie in a triangle, and per
     vertex u a step ``(later neighbours, later non-neighbours, twin, runs)``:
-    the ids above u adjacent and not adjacent to u, u's latest earlier twin
-    (or -1), and ``(head, size)`` for each twin class of two or more whose
-    first vertex, its head, lies above u. Pattern vertices p < u are twins
+    the ids above u adjacent and not adjacent to u, read off u's mask, u's
+    latest earlier twin (or -1), and ``(head, size)`` for each twin class of
+    two or more whose first vertex, its head, lies above u. Pattern vertices p < u are twins
     when N(p) minus u equals N(u) minus p; twinship is an equivalence."""
     k = len(adj)
     twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
@@ -118,10 +118,10 @@ def _pattern_profile(adj: tuple[int, ...]) -> tuple:
         size[head[u]] += 1
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
-    steps = tuple((tuple(p for p in range(u + 1, k) if adj[u] >> p & 1),
-                   tuple(p for p in range(u + 1, k) if not adj[u] >> p & 1),
+    full = (1 << k) - 1
+    steps = tuple((tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))),
                    twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                  for u in range(k))
+                  for u, m in enumerate(adj))
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
 
 
@@ -256,48 +256,50 @@ def _distributions(total: int, bins: int):
 
 
 @lru_cache(maxsize=None)
-def _branch_edges(t: int) -> tuple[int, ...]:
-    """For each branch path of the t-wall, the index in ``wall.edges()`` of
-    its lowest edge, ascending. A branch path is a maximal path whose inner
-    vertices have degree 2; the t = 1 wall, a 6-cycle, is one branch path."""
+def _wall(t: int) -> tuple[Graph, tuple[Edge, ...]]:
+    """The t-wall and, for each of its branch paths, the path's lowest
+    edge, ascending. A branch path is a maximal path whose inner vertices
+    have degree 2; the t = 1 wall, a 6-cycle, is one branch path. A split
+    of s subdivisions over the branch paths lists one count per path, in
+    this order."""
     wall = generate("wall", t=t)
-    adj, edges = wall._masks, wall.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    seen: set[int] = set()
-    out = []
-    for i, (u, v) in enumerate(edges):
-        if i in seen:
+    adj = wall._masks
+    seen: set[Edge] = set()
+    lowest = []
+    for u, v in wall.edges():
+        if (u, v) in seen:
             continue
-        out.append(i)
-        seen.add(i)
+        lowest.append((u, v))
+        seen.add((u, v))
         for prev, cur in ((u, v), (v, u)):
             while adj[cur].bit_count() == 2:
                 nxt = (adj[cur] & ~(1 << prev)).bit_length() - 1
-                j = index[(min(cur, nxt), max(cur, nxt))]
-                if j in seen:  # the walk closed a cycle
+                e = norm_edge(cur, nxt)
+                if e in seen:  # the walk closed a cycle
                     break
-                seen.add(j)
+                seen.add(e)
                 prev, cur = cur, nxt
-    return tuple(out)
+    return wall, tuple(lowest)
 
 
-# Member profiles kept, keyed by (t, distribution): room for every class of
-# the 2-wall with at most three subdivisions (220) and of the 3-wall with at
-# most two (325), at about 4 kB each.
+# Member profiles kept, keyed by (t, split): room for every split of at most
+# three subdivisions over the 2-wall's branch paths (220) and of at most two
+# over the 3-wall's (325), at about 4 kB each.
 _MEMBER_CACHE = 2048
 
 
-def _member(t: int, dist: tuple[int, ...]) -> Graph:
-    """L(the t-wall with dist[i] subdivisions on its i-th edge)."""
-    wall = generate("wall", t=t)
-    member, _ = line_graph(subdivide(wall, dict(zip(wall.edges(), dist))))
+def _member(t: int, split: tuple[int, ...]) -> Graph:
+    """L(the t-wall with split[i] subdivisions on the lowest edge of its
+    i-th branch path), the one member tested for split's class."""
+    wall, lowest = _wall(t)
+    member, _ = line_graph(subdivide(wall, dict(zip(lowest, split))))
     return member
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)
-def _member_profile(t: int, dist: tuple[int, ...]) -> tuple:
-    """The ``_pattern_profile`` of ``_member(t, dist)``, built once."""
-    return _pattern_profile(_member(t, dist)._masks)
+def _member_profile(t: int, split: tuple[int, ...]) -> tuple:
+    """The ``_pattern_profile`` of ``_member(t, split)``, built once."""
+    return _pattern_profile(_member(t, split)._masks)
 
 
 def lt_free_upto(g: Graph, t: int, size_cap: int,
@@ -308,10 +310,10 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     vertices, so only s <= |V(g)| - E can possibly embed; verdicts are
     certified exactly when the cap covers every such s. A subdivided
     wall's isomorphism type depends only on how many subdivisions land on
-    each branch path (see ``_branch_edges``), so one member per class is
-    tested: the one with each path's whole total on the path's lowest wall
-    edge. member_budget and members_tested count these classes. A witness
-    is checked against the member it embeds.
+    each branch path (see ``_wall``), so one member per class is tested:
+    the one with each path's whole total on the path's lowest wall edge.
+    member_budget and members_tested count these classes. A witness is
+    checked against the member it embeds.
     """
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
         if not _is_int(x):
@@ -320,9 +322,8 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
         raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
     if member_budget < 0:
         raise PreconditionError(f"member_budget must be >= 0, got {member_budget}")
-    wall = generate("wall", t=t)
+    wall, lowest = _wall(t)
     v_wall, e_wall = wall.n, wall.edge_count()
-    paths = _branch_edges(t)
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
     host = _host_profile(g)
@@ -330,7 +331,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     tested = 0
     s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for split in _distributions(s, len(paths)):
+        for split in _distributions(s, len(lowest)):
             if tested >= member_budget:
                 return LtVerdict(
                     status="inconclusive",
@@ -339,16 +340,12 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
             tested += 1
-            dist = [0] * e_wall
-            for i, c in zip(paths, split):
-                dist[i] = c
-            dist = tuple(dist)
-            emb = _backtrack_induced(g, _member_profile(t, dist), host)
+            emb = _backtrack_induced(g, _member_profile(t, split), host)
             if emb is not None:
                 return LtVerdict(
                     status="witness",
                     certified_cap=e_wall + max(s_enum, 0),
-                    witness=_certified(emb, _member(t, dist), g),
+                    witness=_certified(emb, _member(t, split), g),
                     members_tested=tested,
                 )
         s_complete = s

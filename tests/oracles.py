@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from treealpha.errors import OracleContractError
-from treealpha.graphs import Graph, WeightFn, components, generate, line_graph, subdivide
-from treealpha.patterns import Embedding, LtVerdict
+from treealpha.graphs import Graph, WeightFn, components, generate, subdivide
+from treealpha.patterns import Embedding, LtVerdict, _triangle_mask
 from treealpha.treedecomp import AssembleResult, TreeDecomposition, minimal_triangulations
 
 
@@ -317,6 +317,41 @@ def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
     return None
 
 
+def naive_line_graph(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
+    """L(G) and the edge-to-vertex map, by testing every pair of edges for
+    a shared endpoint; ids follow the lexicographic order of g's edges."""
+    es = g.edges()
+    ids = {e: i for i, e in enumerate(es)}
+    out = []
+    for i, (u, v) in enumerate(es):
+        for j in range(i + 1, len(es)):
+            x, y = es[j]
+            if u in (x, y) or v in (x, y):
+                out.append((i, j))
+    return Graph(len(es), out), ids
+
+
+def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
+    """``patterns._pattern_profile`` as it was before it read each step's
+    later neighbours and non-neighbours off the masks: every later id is
+    tested against u's mask."""
+    k = len(adj)
+    twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
+    for u, m in enumerate(adj):
+        closed = m | 1 << u
+        p = max(last.get(m, -1), last.get(closed, -1))
+        if p >= 0:
+            twin[u], head[u] = p, head[p]
+        size[head[u]] += 1
+        last[m] = last[closed] = u
+    runs = [(h, c) for h, c in enumerate(size) if c > 1]
+    steps = tuple((tuple(p for p in range(u + 1, k) if adj[u] >> p & 1),
+                   tuple(p for p in range(u + 1, k) if not adj[u] >> p & 1),
+                   twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                  for u in range(k))
+    return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
+
+
 def _distributions(total: int, bins: int):
     if bins == 1:
         yield (total,)
@@ -329,8 +364,9 @@ def _distributions(total: int, bins: int):
 def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
                            member_budget: int = 200_000) -> LtVerdict:
     """The wall line-graph test as the package ran it before members were
-    cached: every member rebuilt with ``line_graph``/``subdivide`` and
-    matched by ``reference_backtrack_induced``, in the same order."""
+    cached: one member per split over the wall's edges, each rebuilt with
+    ``naive_line_graph``/``subdivide`` and matched by
+    ``reference_backtrack_induced``, in the same order."""
     wall = generate("wall", t=t)
     v_wall, e_wall = wall.n, wall.edge_count()
     edges = wall.edges()
@@ -348,7 +384,7 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
                     members_tested=tested,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
-            member, _ = line_graph(subdivide(wall, dict(zip(edges, dist))))
+            member, _ = naive_line_graph(subdivide(wall, dict(zip(edges, dist))))
             tested += 1
             emb = reference_backtrack_induced(g, member)
             if emb is not None:

@@ -24,8 +24,10 @@ from treealpha.graphs import (
     parse_graph,
     subdivide,
 )
+from treealpha.patterns import contains_induced
+from treealpha.treedecomp import MWISInstance, TreeDecomposition, mwis, tree_alpha_exact
 
-from .oracles import edge_list_adjacency, naive_alpha, naive_components
+from .oracles import edge_list_adjacency, naive_alpha, naive_components, naive_line_graph
 
 
 def petersen() -> Graph:
@@ -83,6 +85,14 @@ class TestGraphBasics:
         for u, v in ((-1, 0), (0, -1), (0, 2), (2, 0)):  # -1 would index vertex 1
             with pytest.raises(PreconditionError):
                 Graph(2, [(0, 1)]).has_edge(u, v)
+        # per-vertex accessors: -1 would read vertex 3, and True vertex 1
+        p4 = generate("path", k=4)
+        for call in (lambda: p4.degree(-1), lambda: p4.adj_mask(-1), lambda: p4.neighbors(-1),
+                     lambda: p4.degree(4), lambda: p4.degree(True), lambda: p4.adj_mask(1.0),
+                     lambda: p4.has_edge(True, 2), lambda: p4.has_edge(1.5, 2),
+                     lambda: p4.has_edge(2, "1")):
+            with pytest.raises(PreconditionError):
+                call()
 
     def test_multi_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -282,6 +292,16 @@ class TestLineGraphSubdivide:
         for (u, v), i in ids.items():
             assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
 
+    def test_matches_naive_line_graph(self):
+        # the incidence-mask construction against the pair scan: graph and
+        # edge-to-id map, on random graphs and on edgeless and complete ones
+        rng = random.Random(83)
+        gs = [Graph(0), Graph(5)] + [generate("complete", k=k) for k in (1, 2, 5, 12)]
+        gs += [generate("gnp", n=rng.randint(1, 12), p=rng.choice([0.1, 0.3, 0.6, 0.9]),
+                        seed=rng.randrange(10**6)) for _ in range(150)]
+        for g in gs:
+            assert line_graph(g) == naive_line_graph(g)
+
     def test_subdivide_k2_once(self):
         g = subdivide(Graph(2, [(0, 1)]), {(0, 1): 1})
         # ids 0,1 preserved; the new vertex 2 sits between them
@@ -305,6 +325,11 @@ class TestLineGraphSubdivide:
             subdivide(Graph(3, [(0, 1)]), {(1, 2): 1})
         with pytest.raises(PreconditionError):
             subdivide(Graph(3, [(0, 1)]), {(0, 1): -1})
+        # counts that are not plain ints, and keys that are not pairs of ids
+        for counts in ({(0, 1): 1.5}, {(0, 1): "2"}, {(0, 1): True}, {(0, 1): None}, {5: 1},
+                       {(0, 1, 2): 1}, {(0,): 1}, {("0", 1): 1}, {(0, True): 1}, {(0, 1.0): 1}):
+            with pytest.raises(PreconditionError):
+                subdivide(Graph(3, [(0, 1)]), counts)
 
     def test_subdivide_vertex_count(self):
         g = generate("cycle", k=5)
@@ -404,10 +429,22 @@ class TestAlphaExact:
         with pytest.raises(CapExceededError):
             alpha_exact(g, cap_override=5)
 
-    def test_non_integer_cap_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("TREEALPHA_CAP_OVERRIDE", "abc")
-        with pytest.raises(FormatError, match="TREEALPHA_CAP_OVERRIDE"):
-            alpha_exact(Graph(3))
+    def test_non_integer_cap_override_rejected(self):
+        # every cap override is a plain int >= 0, refused before any search
+        inst = MWISInstance(generate("path", k=3), {0: 1, 1: 1, 2: 1})
+        td = TreeDecomposition.single_bag(inst.graph)
+        for bad in ("5", "3", 2.5, 3.0, True, -1):
+            for call in (lambda: alpha_exact(Graph(3), cap_override=bad),
+                         lambda: max_stable_set(Graph(3), cap_override=bad),
+                         lambda: contains_induced(Graph(3), Graph(2), cap_override=bad),
+                         lambda: mwis(inst, "brute", cap_override=bad),
+                         lambda: mwis(inst, "td", td=td, cap_override=bad),
+                         lambda: tree_alpha_exact(Graph(3), cap_override=bad)):
+                with pytest.raises(PreconditionError):
+                    call()
+        assert alpha_exact(Graph(3), cap_override=3) == 3
+        with pytest.raises(CapExceededError):
+            alpha_exact(Graph(1), cap_override=0)
 
     def test_matches_naive_on_200_random(self):
         rng = random.Random(424242)
@@ -430,6 +467,32 @@ class TestWeightFn:
                     {1.5: 0.5}, {"0": 0.5}, {-3: 0.5, 0: 0.5}, {True: 1}, {False: 0.5}):
             with pytest.raises(PreconditionError):
                 WeightFn(bad)
+
+    def test_sums_match_fraction_sums(self):
+        # of, weight, total and items against plain Fraction sums, on weight
+        # maps with mixed denominators, with floats, and uniform
+        rng = random.Random(97)
+        for case in range(150):
+            n = rng.randint(1, 12)
+            if case % 3 == 0:
+                raw = {v: Fraction(rng.randint(0, 4), rng.randint(4, 9) * n) for v in range(n)}
+            elif case % 3 == 1:
+                raw = {v: rng.choice([0.0, 0.5, 1 / 3, 0.1]) / n for v in range(n)}
+                raw[n + 2] = Fraction(1, 7 * n)
+            else:
+                raw = {v: Fraction(1, n) for v in rng.sample(range(2 * n), n)}
+            w = WeightFn.uniform(raw) if case % 3 == 2 else WeightFn(raw)
+            exact = {v: Fraction(x) for v, x in raw.items() if x}
+            assert w.items() == sorted(exact.items())
+            assert w.total == sum(exact.values(), Fraction(0))
+            assert w.float_mode == (case % 3 == 1)
+            for v in range(-1, 2 * n + 3):
+                assert w.of(v) == exact.get(v, 0) and type(w.of(v)) is Fraction
+            for _ in range(5):
+                vs = [rng.randrange(2 * n + 3) for _ in range(rng.randint(0, n))]
+                got = w.weight(vs)
+                assert got == sum((exact.get(v, Fraction(0)) for v in vs), Fraction(0))
+                assert type(got) is Fraction
 
     def test_normal_flag(self):
         w = WeightFn.uniform(range(5))

@@ -31,3 +31,16 @@ def test_no_assert_and_no_builtin_raise():
                 if _raised_name(node) in BUILTIN_RAISES:
                     found.append(f"{path.name}:{node.lineno}: raise {_raised_name(node)}")
     assert found == []
+
+
+def test_no_environment_reads():
+    # every cap and option is a call argument: no source reads the
+    # process environment
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [node.attr] if isinstance(node, ast.Attribute) else (
+                [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            if {"environ", "environb", "getenv", "getenvb"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -31,6 +31,7 @@ from .oracles import (
     reference_find_k_tt,
     reference_find_s_ttt,
     reference_lt_free_upto,
+    reference_pattern_profile,
 )
 
 
@@ -78,13 +79,9 @@ def _random_host(rng: random.Random, h: Graph, max_n: int) -> Graph:
 def _class_members(t: int, s: int):
     """The member lt_free_upto tests for each split of s subdivisions over
     the t-wall's branch paths."""
-    e_wall = generate("wall", t=t).edge_count()
-    paths = patterns._branch_edges(t)
-    for split in patterns._distributions(s, len(paths)):
-        dist = [0] * e_wall
-        for i, c in zip(paths, split):
-            dist[i] = c
-        yield patterns._member(t, tuple(dist))
+    _, lowest = patterns._wall(t)
+    for split in patterns._distributions(s, len(lowest)):
+        yield patterns._member(t, split)
 
 
 def _check_against_reference(g: Graph, t: int, size_cap: int, budget: int = 200_000):
@@ -304,6 +301,17 @@ class TestTwinBreaking:
                 assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
         assert patterns._pattern_profile(self.PATTERNS[1]._masks)[2][0][3] == ((3, 3),)
 
+    def test_profile_matches_reference(self):
+        # steps read off the masks against every later id tested in turn,
+        # on random patterns, edgeless and complete ones among them
+        rng = random.Random(23)
+        hs = list(self.PATTERNS) + [Graph(0), Graph(1), Graph(6), generate("complete", k=7)]
+        hs += [generate("gnp", n=rng.randint(1, 12), p=rng.choice([0.1, 0.3, 0.5, 0.8]),
+                        seed=rng.randrange(10**6)) for _ in range(150)]
+        hs += [patterns._member(2, (0, 1, 0, 0, 2, 0, 0, 0, 1))]
+        for h in hs:
+            assert patterns._pattern_profile(h._masks) == reference_pattern_profile(h._masks)
+
     def test_matches_reference_and_naive(self):
         rng = random.Random(19)
         hits = [0] * len(self.PATTERNS)
@@ -427,13 +435,15 @@ class TestLtFree:
                     if shared and wall.degree(shared.pop()) == 2:
                         lo, hi = sorted((path_of[i], path_of[j]))
                         path_of = [lo if p == hi else p for p in path_of]
-            assert patterns._branch_edges(t) == tuple(sorted(set(path_of)))
+            heads = sorted(set(path_of))
+            assert patterns._wall(t) == (wall, tuple(edges[i] for i in heads))
             for s in range(3):
                 for dist in patterns._distributions(s, len(edges)):
                     rep = [0] * len(edges)
                     for i, c in enumerate(dist):
                         rep[path_of[i]] += c
-                    member, cls = patterns._member(t, dist), patterns._member(t, tuple(rep))
+                    member, _ = line_graph(subdivide(wall, dict(zip(edges, dist))))
+                    cls = patterns._member(t, tuple(rep[i] for i in heads))
                     assert (member.n, member.edge_count()) == (cls.n, cls.edge_count())
                     emb = patterns._backtrack_induced(cls, member)
                     assert emb is not None and emb.verify(member, cls)
@@ -451,7 +461,7 @@ class TestLtFree:
         # two subdivisions on wall edge (0, 5), which shares its branch
         # path 5-0-1-2 with the path's lowest edge (0, 1)
         wall = generate("wall", t=2)
-        assert wall.edges()[1] == (0, 5) and 1 not in patterns._branch_edges(2)
+        assert wall.edges()[1] == (0, 5) and (0, 5) not in patterns._wall(2)[1]
         g = _planted(2, 2, 3, random.Random(9), counts={(0, 5): 2})
         got, want = _check_against_reference(g, 2, g.n)
         assert got.status == want.status == "witness"
