@@ -13,13 +13,18 @@ class TreealphaError(Exception):
 
 
 class CapExceededError(TreealphaError):
-    """An exhaustive computation was refused because it exceeds its cap."""
+    """An exhaustive computation was refused because it exceeds its cap.
 
-    def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what}: size {size} exceeds cap {cap}")
+    ``source`` says where the cap came from: ``"argument"`` when the call
+    passed its override, ``"default"`` otherwise.
+    """
+
+    def __init__(self, what: str, size: int, cap: int, source: str):
+        super().__init__(f"{what}: size {size} exceeds cap {cap} ({source})")
         self.what = what
         self.size = size
         self.cap = cap
+        self.source = source
 
 
 class FormatError(TreealphaError):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import Iterable, Mapping
 
-from .caps import cap
+from .caps import cap, source
 from .errors import CapExceededError, FormatError, PreconditionError
 
 Edge = tuple[int, int]
@@ -385,7 +385,7 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     xs = check_vertex_set(g, x) if x is not None else frozenset(range(g.n))
     limit = cap("alpha", cap_override)
     if len(xs) > limit:
-        raise CapExceededError("alpha_exact", len(xs), limit)
+        raise CapExceededError("alpha_exact", len(xs), limit, source(cap_override))
     return mask_to_set(_max_weight_stable(g._masks, set_to_mask(xs), [1] * g.n))
 
 
@@ -664,25 +664,25 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
 
     Original vertex ids are preserved; new ids are appended per sorted edge.
     """
-    known = set(g.edges())
+    n, masks = g.n, list(g._masks)
     norm_counts = {}
     for e, c in counts.items():
-        pair = type(e) is tuple and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])
-        ne = norm_edge(*e) if pair else None
-        if ne not in known:
+        known = (type(e) is tuple and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])
+                 and 0 <= e[0] < n and 0 <= e[1] < n and masks[e[0]] >> e[1] & 1)
+        if not known:
             raise PreconditionError(f"unknown edge key {e!r}")
         if not (_is_int(c) and c >= 0):
             raise PreconditionError(f"subdivision count {c!r} for {e} is not an integer >= 0")
-        norm_counts[ne] = c
-    edges = []
-    nxt = g.n
-    for e in g.edges():
-        c = norm_counts.get(e, 0)
-        u, v = e
+        norm_counts[norm_edge(*e)] = c
+    for (u, v), c in sorted(norm_counts.items()):
         if c == 0:
-            edges.append((u, v))
             continue
-        chain = [u] + list(range(nxt, nxt + c)) + [v]
-        nxt += c
-        edges.extend(zip(chain, chain[1:]))
-    return Graph(nxt, edges)
+        # the path u, nxt, ..., nxt + c - 1, v replaces the edge uv
+        nxt = len(masks)
+        chain = [u, *range(nxt, nxt + c), v]
+        masks[u] ^= 1 << v | 1 << nxt
+        masks[v] ^= 1 << u | 1 << nxt + c - 1
+        masks.extend(1 << a | 1 << b for a, b in zip(chain, chain[2:]))
+    out = Graph(len(masks))
+    out._masks = tuple(masks)
+    return out

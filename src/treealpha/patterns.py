@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .caps import cap
+from .caps import cap, source
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
 from .graphs import Edge, Graph, _bits, _is_int, generate, line_graph, norm_edge, subdivide
 
@@ -206,7 +206,7 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
     """An induced embedding of h into g, or None; exactness guaranteed."""
     limit = cap("pattern", cap_override)
     if h.n > limit:
-        raise CapExceededError("contains_induced pattern size", h.n, limit)
+        raise CapExceededError("contains_induced pattern size", h.n, limit, source(cap_override))
     return _certified(_backtrack_induced(g, h), h, g)
 
 

@@ -1,6 +1,7 @@
 """Tree decompositions: validation, statistics, exact tree independence
-number for tiny graphs, assembly from a balanced-separator oracle, and exact
-MWIS both brute-force and by dynamic programming over a decomposition."""
+number when the pieces left by its safe reductions are tiny, assembly from a
+balanced-separator oracle, and exact MWIS both brute-force and by dynamic
+programming over a decomposition."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
 
-from .caps import cap
+from .caps import cap, source
 from .errors import (
     CapExceededError,
     FormatError,
@@ -27,6 +28,7 @@ from .graphs import (
     _is_int,
     _max_weight_stable,
     _reach,
+    _remap,
     alpha_exact,
     check_vertex_set,
     mask_to_set,
@@ -208,8 +210,49 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
 
 
 def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
-    """Exact tree independence number, by dynamic programming over the set
-    of vertices eliminated first.
+    """Exact tree independence number: 0 on the empty graph, otherwise the
+    larger of 1 and the value of each piece that two safe reductions leave.
+
+    - Simplicial vertices go first: v is simplicial when its remaining
+      neighbours are pairwise adjacent, and removing v puts them back on the
+      worklist. Then tree-alpha(G) = max(1, tree-alpha(G - v)). An optimal
+      decomposition of G - v has a bag holding the clique N(v), and the bag
+      N[v], whose alpha is 1, attaches to it; and induced subgraphs never
+      raise tree-alpha.
+    - What is left splits into its components, and decompositions of the
+      components join by one tree edge each, so the value is the largest
+      over the components.
+
+    Each piece runs ``_subset_tree_alpha``, and the ``tree_alpha`` cap bounds
+    the size of the largest piece, not n: a refusal reports that piece.
+    """
+    limit = cap("tree_alpha", cap_override)
+    adj = g._masks
+    keep = todo = (1 << g.n) - 1
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = adj[b.bit_length() - 1] & keep
+        m = nb
+        while m:
+            u = m & -m
+            m ^= u
+            if m & ~adj[u.bit_length() - 1]:
+                break
+        else:
+            keep ^= b
+            todo |= nb
+    pieces = _component_masks(adj, keep)
+    size = max((p.bit_count() for p in pieces), default=0)
+    if size > limit:
+        raise CapExceededError("tree_alpha_exact", size, limit, source(cap_override))
+    floor = 1 if g.n else 0  # a nonempty graph has a bag, and its alpha is at least 1
+    return max([floor] + [_subset_tree_alpha(adj, p) for p in pieces])
+
+
+def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
+    """Tree independence number of the subgraph that the mask piece induces,
+    by dynamic programming over the set of vertices eliminated first.
 
     Eliminating v after the set S gives the bag {v} + Q(S, v), where Q(S, v)
     holds the vertices outside S + v that v reaches through S. An order's
@@ -222,14 +265,15 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
     tree-alpha is TA(V): the treewidth recurrence of Bodlaender, Fomin,
     Koster, Kratsch and Thilikos (TALG 2012) with alpha as the bag cost.
     """
-    limit = cap("tree_alpha", cap_override)
-    if g.n > limit:
-        raise CapExceededError("tree_alpha_exact", g.n, limit)
-    adj, unit = g._masks, [1] * g.n
+    order = _bits(piece)
+    n = len(order)
+    to = {v: i for i, v in enumerate(order)}
+    adj = tuple(_remap(adj[v] & piece, to) for v in order)
+    unit = [1] * n
     bag_alpha: dict[int, int] = {}
-    ta = [0] * (1 << g.n)
-    for s in range(1, 1 << g.n):
-        best, m = g.n, s
+    ta = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best, m = n, s
         while m:
             b = m & -m
             m ^= b
@@ -385,7 +429,7 @@ def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[frozenset
     g = inst.graph
     limit = cap("mwis_brute", cap_override)
     if g.n > limit:
-        raise CapExceededError("mwis brute force", g.n, limit)
+        raise CapExceededError("mwis brute force", g.n, limit, source(cap_override))
     weights = [inst.w(v) for v in g.vertices]
     wit = mask_to_set(_max_weight_stable(g._masks, (1 << g.n) - 1, weights))
     return wit, inst.total(wit)
@@ -422,7 +466,7 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         own[t] = _stable_subsets(g._masks, b, inst.w, limit - counted)
         counted += len(own[t])
         if counted > limit:
-            raise CapExceededError("mwis td state count", counted, limit)
+            raise CapExceededError("mwis td state count", counted, limit, source(state_cap))
 
     # kids[t]: t's children when the tree hangs from node 0, ascending
     tree = td.tree._masks

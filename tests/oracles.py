@@ -9,8 +9,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from treealpha.errors import OracleContractError
-from treealpha.graphs import Graph, WeightFn, components, generate, subdivide
+from treealpha.errors import OracleContractError, PreconditionError
+from treealpha.graphs import (
+    Graph,
+    WeightFn,
+    _max_weight_stable,
+    _reach,
+    components,
+    generate,
+    norm_edge,
+)
 from treealpha.patterns import Embedding, LtVerdict, _triangle_mask
 from treealpha.treedecomp import AssembleResult, TreeDecomposition, minimal_triangulations
 
@@ -221,6 +229,29 @@ def reference_tree_alpha(g: Graph) -> int:
     return best
 
 
+def reference_subset_tree_alpha(g: Graph) -> int:
+    """Tree independence number as ``tree_alpha_exact`` computed it before
+    it removed simplicial vertices and split components: the subset
+    recurrence over eliminated sets, run on the whole graph, with no cap."""
+    adj, unit = g._masks, [1] * g.n
+    bag_alpha: dict[int, int] = {}
+    ta = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        best, m = g.n, s
+        while m:
+            b = m & -m
+            m ^= b
+            before = s ^ b
+            if ta[before] >= best:
+                continue
+            bag = _reach(adj, b, before) & ~before
+            if bag not in bag_alpha:
+                bag_alpha[bag] = _max_weight_stable(adj, bag, unit).bit_count()
+            best = min(best, max(ta[before], bag_alpha[bag]))
+        ta[s] = best
+    return ta[-1]
+
+
 def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
     """Violations of the three tree-decomposition conditions, found by
     scanning every bag for every vertex and every edge (quadratic)."""
@@ -331,6 +362,34 @@ def naive_line_graph(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
     return Graph(len(es), out), ids
 
 
+def naive_subdivide(g: Graph, counts) -> Graph:
+    """``graphs.subdivide`` as it was before it built its masks in one pass:
+    the edge set, a second walk over the edges in order, and every output
+    edge re-checked by ``Graph(n, edges)``."""
+    known = set(g.edges())
+    norm_counts = {}
+    for e, c in counts.items():
+        pair = type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+        ne = norm_edge(*e) if pair else None
+        if ne not in known:
+            raise PreconditionError(f"unknown edge key {e!r}")
+        if not (type(c) is int and c >= 0):
+            raise PreconditionError(f"subdivision count {c!r} for {e} is not an integer >= 0")
+        norm_counts[ne] = c
+    edges = []
+    nxt = g.n
+    for e in g.edges():
+        c = norm_counts.get(e, 0)
+        u, v = e
+        if c == 0:
+            edges.append((u, v))
+            continue
+        chain = [u] + list(range(nxt, nxt + c)) + [v]
+        nxt += c
+        edges.extend(zip(chain, chain[1:]))
+    return Graph(nxt, edges)
+
+
 def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     """``patterns._pattern_profile`` as it was before it read each step's
     later neighbours and non-neighbours off the masks: every later id is
@@ -365,7 +424,7 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
                            member_budget: int = 200_000) -> LtVerdict:
     """The wall line-graph test as the package ran it before members were
     cached: one member per split over the wall's edges, each rebuilt with
-    ``naive_line_graph``/``subdivide`` and matched by
+    ``naive_line_graph``/``naive_subdivide`` and matched by
     ``reference_backtrack_induced``, in the same order."""
     wall = generate("wall", t=t)
     v_wall, e_wall = wall.n, wall.edge_count()
@@ -384,7 +443,7 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
                     members_tested=tested,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
-            member, _ = naive_line_graph(subdivide(wall, dict(zip(edges, dist))))
+            member, _ = naive_line_graph(naive_subdivide(wall, dict(zip(edges, dist))))
             tested += 1
             emb = reference_backtrack_induced(g, member)
             if emb is not None:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treealpha import caps
 from treealpha.errors import CapExceededError, FormatError, PreconditionError
 from treealpha.graphs import (
     Graph,
@@ -27,7 +28,13 @@ from treealpha.graphs import (
 from treealpha.patterns import contains_induced
 from treealpha.treedecomp import MWISInstance, TreeDecomposition, mwis, tree_alpha_exact
 
-from .oracles import edge_list_adjacency, naive_alpha, naive_components, naive_line_graph
+from .oracles import (
+    edge_list_adjacency,
+    naive_alpha,
+    naive_components,
+    naive_line_graph,
+    naive_subdivide,
+)
 
 
 def petersen() -> Graph:
@@ -331,6 +338,37 @@ class TestLineGraphSubdivide:
             with pytest.raises(PreconditionError):
                 subdivide(Graph(3, [(0, 1)]), counts)
 
+    def test_matches_naive_subdivide(self):
+        # the one-pass mask construction against the edge-list build: the
+        # same ids and masks on random graphs and count maps (keys in either
+        # orientation and in any order, zero counts, empty maps), and a
+        # refusal wherever the edge-list build refuses (non-edges, ids out
+        # of range, bad counts)
+        rng = random.Random(97)
+        cases = [(Graph(0), {}), (Graph(4), {}), (generate("complete", k=1), {})]
+        for _ in range(200):
+            g = generate("gnp", n=rng.randint(1, 12), p=rng.choice([0.1, 0.3, 0.6, 0.9]),
+                         seed=rng.randrange(10**6))
+            keys = [e if rng.random() < 0.5 else e[::-1] for e in g.edges() if rng.random() < 0.6]
+            rng.shuffle(keys)
+            counts = {e: rng.randint(0, 3) for e in keys}
+            if rng.random() < 0.2:
+                u, v = rng.randrange(-1, g.n + 1), rng.randrange(-1, g.n + 1)
+                counts[(u, v)] = rng.choice([1, -1, 1.5])
+            cases.append((g, counts))
+        refused = 0
+        for g, counts in cases:
+            try:
+                want = naive_subdivide(g, counts)
+            except PreconditionError:
+                refused += 1
+                with pytest.raises(PreconditionError):
+                    subdivide(g, counts)
+                continue
+            got = subdivide(g, counts)
+            assert (got.n, got._masks) == (want.n, want._masks), (g.edges(), counts)
+        assert 10 <= refused <= 60
+
     def test_subdivide_vertex_count(self):
         g = generate("cycle", k=5)
         counts = {e: i for i, e in enumerate(g.edges())}
@@ -445,6 +483,35 @@ class TestAlphaExact:
         assert alpha_exact(Graph(3), cap_override=3) == 3
         with pytest.raises(CapExceededError):
             alpha_exact(Graph(1), cap_override=0)
+
+    def test_refusal_names_its_cap_source(self, monkeypatch):
+        # every cap refusal says whether its cap was the call's argument or
+        # the default, in its source field and in its message
+        inst = MWISInstance(generate("path", k=3), {0: 1, 1: 1, 2: 1})
+        td = TreeDecomposition.single_bag(inst.graph)
+        c11 = generate("cycle", k=11)
+        # path(3) has five stable sets; a default of 4 refuses them
+        monkeypatch.setitem(caps.DEFAULT_CAPS, "mwis_states", 4)
+        cases = [  # (call, size, cap, source)
+            (lambda: alpha_exact(Graph(41)), 41, 40, "default"),
+            (lambda: alpha_exact(Graph(3), cap_override=2), 3, 2, "argument"),
+            (lambda: max_stable_set(Graph(41)), 41, 40, "default"),
+            (lambda: max_stable_set(Graph(3), cap_override=2), 3, 2, "argument"),
+            (lambda: contains_induced(Graph(3), Graph(13)), 13, 12, "default"),
+            (lambda: contains_induced(Graph(3), Graph(2), cap_override=1), 2, 1, "argument"),
+            (lambda: mwis(MWISInstance(Graph(25), {}), "brute"), 25, 24, "default"),
+            (lambda: mwis(inst, "brute", cap_override=2), 3, 2, "argument"),
+            (lambda: mwis(inst, "td", td=td), 5, 4, "default"),
+            (lambda: mwis(inst, "td", td=td, cap_override=3), 5, 3, "argument"),
+            (lambda: tree_alpha_exact(c11), 11, 10, "default"),
+            (lambda: tree_alpha_exact(c11, cap_override=9), 11, 9, "argument"),
+        ]
+        for call, size, cap, source in cases:
+            with pytest.raises(CapExceededError) as err:
+                call()
+            assert (err.value.size, err.value.cap, err.value.source) == (size, cap, source)
+            assert str(err.value).endswith(f"exceeds cap {cap} ({source})")
+        assert mwis(inst, "td", td=td, cap_override=5)[1] == 2
 
     def test_matches_naive_on_200_random(self):
         rng = random.Random(424242)

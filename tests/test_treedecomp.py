@@ -38,6 +38,7 @@ from .oracles import (
     naive_mwis,
     naive_validate_td,
     reference_assemble_td,
+    reference_subset_tree_alpha,
     reference_tree_alpha,
 )
 
@@ -104,6 +105,42 @@ def corrupted(td: TreeDecomposition, rng: random.Random):
         free = [(a, b) for a, b in combinations(nodes, 2) if (a, b) not in edges]
         edges.append(rng.choice(free))
         yield TreeDecomposition(Graph(td.tree.n, edges), td.bags)
+
+
+def _union(*gs: Graph) -> Graph:
+    """The disjoint union, each graph's ids shifted past the ones before it."""
+    edges, n = [], 0
+    for g in gs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return Graph(n, edges)
+
+
+def _with_pendant_path(g: Graph, k: int) -> Graph:
+    """g with a path of k new vertices hanging from vertex 0."""
+    path = [0, *range(g.n, g.n + k)]
+    return Graph(g.n + k, g.edges() + list(zip(path, path[1:])))
+
+
+def _random_forest(rng: random.Random, n: int) -> Graph:
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8])
+
+
+def _random_chordal(rng: random.Random, n: int) -> Graph:
+    """An intersection graph of subtrees of a random tree: chordal."""
+    size = rng.randint(1, 8)
+    parent = [-1] + [rng.randrange(i) for i in range(1, size)]
+    tree_adj = [set() for _ in range(size)]
+    for i in range(1, size):
+        tree_adj[i].add(parent[i])
+        tree_adj[parent[i]].add(i)
+    subtrees = []
+    for _ in range(n):
+        grown = {rng.randrange(size)}
+        for _ in range(rng.randint(0, 3)):
+            grown.add(rng.choice(sorted(set().union(*(tree_adj[x] for x in grown)) | grown)))
+        subtrees.append(grown)
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if subtrees[u] & subtrees[v]])
 
 
 class TestValidate:
@@ -231,9 +268,60 @@ class TestTreeAlpha:
         assert tree_alpha_exact(generate("complete", k=7)) == 1
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            tree_alpha_exact(Graph(11))
+        # the cap bounds the largest piece left after the reductions: C_11
+        # has no simplicial vertex and is one piece, and a pendant path
+        # hanging off it is removed vertex by vertex
+        c11 = generate("cycle", k=11)
+        for g in (c11, _with_pendant_path(c11, 20)):
+            with pytest.raises(CapExceededError) as err:
+                tree_alpha_exact(g)
+            assert err.value.size == 11
         assert tree_alpha_exact(generate("cycle", k=10)) == 2
+
+    def test_answers_above_ten_vertices(self):
+        # every piece fits the cap although n does not
+        c5 = generate("cycle", k=5)
+        cases = [
+            (Graph(0), 0),
+            (Graph(11), 1),
+            (generate("path", k=30), 1),
+            (generate("complete", k=12), 1),
+            (generate("complete_bipartite", a=1, b=20), 1),
+            (_union(c5, c5, c5), 2),
+            (_with_pendant_path(generate("cycle", k=6), 20), 2),
+        ]
+        for g, want in cases:
+            assert tree_alpha_exact(g) == want, g
+
+    def test_matches_plain_recurrence_on_random_graphs(self):
+        # the reductions against the subset recurrence run on the whole graph
+        rng = random.Random(61)
+        cases = [Graph(0)] + [Graph(k) for k in range(1, 11)]
+        for _ in range(1000):
+            cases.append(generate("gnp", n=rng.randint(1, 10),
+                                  p=rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+                                  seed=rng.randrange(10**6)))
+        for g in cases:
+            assert tree_alpha_exact(g) == reference_subset_tree_alpha(g), g.edges()
+
+    def test_matches_plain_recurrence_on_forests_chordal_graphs_and_unions(self):
+        rng = random.Random(67)
+        forests = [_random_forest(rng, rng.randint(1, 10)) for _ in range(60)]
+        chordal = [_random_chordal(rng, rng.randint(1, 10)) for _ in range(60)]
+        assert all(is_chordal(g) for g in forests + chordal)
+        unions = []
+        for i in range(60):
+            parts = [_random_forest(rng, rng.randint(1, 4)),
+                     _random_chordal(rng, rng.randint(1, 4)),
+                     generate("cycle", k=rng.randint(3, 5))]
+            rng.shuffle(parts)
+            g = _union(*parts)
+            # every other union also gets a few edges between its parts
+            extra = [(u, v) for u, v in combinations(g.vertices, 2)
+                     if i % 2 and rng.random() < 0.03]
+            unions.append(Graph(g.n, g.edges() + extra))
+        for g in forests + chordal + unions:
+            assert tree_alpha_exact(g) == reference_subset_tree_alpha(g), g.edges()
 
     def test_matches_triangulation_reference(self):
         rng = random.Random(59)
