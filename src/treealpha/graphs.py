@@ -130,6 +130,16 @@ class Graph:
         return sub, host_to_sub, tuple(order)
 
 
+def _check_graph(g, what: str = "g") -> None:
+    """Refuse with PreconditionError anything that lacks a graph's fields,
+    a plain int n and a tuple _masks: the one check that public entry points
+    run on a graph argument, so that None or a list is a typed refusal, not
+    a bare AttributeError. It reads fields rather than the class, so a Graph
+    built before this module was imported again still passes."""
+    if not (_is_int(getattr(g, "n", None)) and type(getattr(g, "_masks", None)) is tuple):
+        raise PreconditionError(f"{what} is {g!r}, not a Graph")
+
+
 def set_to_mask(vs: Iterable[int]) -> int:
     m = 0
     for v in vs:
@@ -313,6 +323,7 @@ def _component_masks(adj, keep: int) -> list[int]:
 
 def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """Connected components of g minus ``removed``, sorted by least vertex."""
+    _check_graph(g)
     keep = ((1 << g.n) - 1) & ~set_to_mask(check_vertex_set(g, removed))
     return [mask_to_set(comp) for comp in _component_masks(g._masks, keep)]
 
@@ -382,6 +393,7 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
 
     Refuses (never approximates) when |x| exceeds the alpha cap.
     """
+    _check_graph(g)
     xs = check_vertex_set(g, x) if x is not None else frozenset(range(g.n))
     limit = cap("alpha", cap_override)
     if len(xs) > limit:

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .caps import cap, source
 from .errors import CapExceededError, InvariantViolationError, PreconditionError
-from .graphs import Edge, Graph, _bits, _is_int, generate, line_graph, norm_edge, subdivide
+from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, generate, line_graph,
+                     norm_edge, subdivide)
 
 
 @dataclass
@@ -204,6 +205,8 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
 
 def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Embedding | None:
     """An induced embedding of h into g, or None; exactness guaranteed."""
+    _check_graph(g)
+    _check_graph(h, "h")
     limit = cap("pattern", cap_override)
     if h.n > limit:
         raise CapExceededError("contains_induced pattern size", h.n, limit, source(cap_override))
@@ -224,6 +227,7 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     as a named pattern's size is fixed by t or gamma. The twin rules keep
     the sides of K_{t,t} and the claw's leaves from being tried in every
     order."""
+    _check_graph(g)
     pattern = spec.realize()
     return _certified(_backtrack_induced(g, pattern), pattern, g)
 
@@ -315,6 +319,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     member_budget and members_tested count these classes. A witness is
     checked against the member it embeds.
     """
+    _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
         if not _is_int(x):
             raise PreconditionError(f"lt_free_upto needs an integer {name}, got {x!r}")

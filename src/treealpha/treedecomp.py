@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     WeightFn,
     _bits,
+    _check_graph,
     _component_masks,
     _is_int,
     _max_weight_stable,
@@ -81,6 +82,8 @@ class TDReport:
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     """Check the three defining conditions, reporting every violation."""
+    _check_graph(g)
+    _check_graph(getattr(td, "tree", None), "td.tree")
     violations: list[tuple[str, object]] = []
     t = td.tree
     if set(td.bags) != set(t.vertices):
@@ -226,6 +229,7 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
     Each piece runs ``_subset_tree_alpha``, and the ``tree_alpha`` cap bounds
     the size of the largest piece, not n: a refusal reports that piece.
     """
+    _check_graph(g)
     limit = cap("tree_alpha", cap_override)
     adj = g._masks
     keep = todo = (1 << g.n) - 1
@@ -264,13 +268,27 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
     TA(S) = min over v in S of max(TA(S - v), alpha({v} + Q(S - v, v))),
     tree-alpha is TA(V): the treewidth recurrence of Bodlaender, Fomin,
     Koster, Kratsch and Thilikos (TALG 2012) with alpha as the bag cost.
+
+    Every bag is a subset of the piece, so one table over the piece's
+    subsets, filled in 2^k steps before the recurrence, holds every bag's
+    alpha. With v the lowest vertex of S, a stable subset of S either avoids
+    v or holds v and nothing of N(v), so
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])), exactly.
+    A second cut skips the walk that builds a bag. The bag of v after the set
+    B = S - v holds N[v] - B, and alpha is monotone, so when alpha(N[v] - B),
+    one lookup, already reaches the least value found so far for TA(S), v
+    cannot lower it and its bag is not built. Neither step changes a value
+    the recurrence takes its minimum over, so the answer is the same.
     """
     order = _bits(piece)
     n = len(order)
     to = {v: i for i, v in enumerate(order)}
     adj = tuple(_remap(adj[v] & piece, to) for v in order)
-    unit = [1] * n
-    bag_alpha: dict[int, int] = {}
+    alpha = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        b = s & -s
+        rest = s ^ b
+        alpha[s] = max(alpha[rest], 1 + alpha[rest & ~adj[b.bit_length() - 1]])
     ta = [0] * (1 << n)
     for s in range(1, 1 << n):
         best, m = n, s
@@ -278,12 +296,12 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
             b = m & -m
             m ^= b
             before = s ^ b
-            if ta[before] >= best:
+            if ta[before] >= best or alpha[(adj[b.bit_length() - 1] | b) & ~before] >= best:
                 continue
-            bag = _reach(adj, b, before) & ~before
-            if bag not in bag_alpha:
-                bag_alpha[bag] = _max_weight_stable(adj, bag, unit).bit_count()
-            best = min(best, max(ta[before], bag_alpha[bag]))
+            # ta[before] < best, so max(ta[before], a) < best exactly when a < best
+            a = alpha[_reach(adj, b, before) & ~before]
+            if a < best:
+                best = a if a > ta[before] else ta[before]
         ta[s] = best
     return ta[-1]
 
@@ -319,6 +337,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     checked against ceil((3-c)/(1-c)) times the largest oracle-output
     stability number.
     """
+    _check_graph(g)
     try:
         c = Fraction(c)
     except (TypeError, ValueError, ArithmeticError) as e:

@@ -1,5 +1,6 @@
-"""Source hygiene: the package's checks survive ``python -O`` and its
-refusals use the package's own error types."""
+"""Source hygiene: the package's checks survive ``python -O``, its
+refusals use the package's own error types, and it keeps no unused import
+and no private definition without a caller."""
 
 from __future__ import annotations
 
@@ -43,4 +44,47 @@ def test_no_environment_reads():
                 [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
             if {"environ", "environb", "getenv", "getenvb"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _module_trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    """Every name read under node, and every attribute name."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_unused_imports():
+    # __init__.py imports the package's public names in order to export them
+    found = []
+    for name, tree in _module_trees().items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = _used_names(tree)
+        found += [f"{name}:{line}: {imp}" for imp, line in imported.items() if imp not in used]
+    assert found == []
+
+
+def test_private_definitions_have_callers():
+    # a module-level _name function or class is read somewhere in the
+    # package outside its own body
+    found = []
+    trees = _module_trees()
+    reads = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            if not any(node.name in used for stmt, used in reads if stmt is not node):
+                found.append(f"{name}:{node.lineno}: {node.name}")
     assert found == []

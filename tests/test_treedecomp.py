@@ -19,7 +19,15 @@ from treealpha.errors import (
     OracleContractError,
     PreconditionError,
 )
-from treealpha.graphs import Graph, WeightFn, alpha_exact, components, generate
+from treealpha.graphs import (
+    Graph,
+    WeightFn,
+    alpha_exact,
+    components,
+    generate,
+    max_stable_set,
+)
+from treealpha.patterns import PatternSpec, contains_induced, find_pattern, lt_free_upto
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
@@ -322,6 +330,22 @@ class TestTreeAlpha:
             unions.append(Graph(g.n, g.edges() + extra))
         for g in forests + chordal + unions:
             assert tree_alpha_exact(g) == reference_subset_tree_alpha(g), g.edges()
+
+    def test_matches_plain_recurrence_above_the_default_cap(self):
+        # 14 of these graphs leave a piece of 11 or 12 vertices, above the
+        # default cap; the reference takes each bag's alpha by branch and bound
+        for n in (11, 12):
+            for p in (0.2, 0.3, 0.5, 0.7):
+                for seed in range(4):
+                    g = generate("gnp", n=n, p=p, seed=seed)
+                    want = reference_subset_tree_alpha(g)
+                    assert tree_alpha_exact(g, cap_override=12) == want, (n, p, seed)
+
+    def test_reference_values(self):
+        for t in (2, 3, 4):
+            assert tree_alpha_exact(generate("complete_bipartite", a=t, b=t)) == t
+        # the 2-wall has 16 vertices, none simplicial, and is one piece
+        assert tree_alpha_exact(generate("wall", t=2), cap_override=16) == 2
 
     def test_matches_triangulation_reference(self):
         rng = random.Random(59)
@@ -672,3 +696,25 @@ print("refused")
                          timeout=30, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "refused"
+
+
+NON_GRAPH_CALLS = {
+    "tree_alpha_exact": tree_alpha_exact,
+    "alpha_exact": alpha_exact,
+    "max_stable_set": max_stable_set,
+    "components": components,
+    "find_pattern": lambda x: find_pattern(x, PatternSpec("k_tt", t=2)),
+    "contains_induced host": lambda x: contains_induced(x, Graph(2)),
+    "contains_induced pattern": lambda x: contains_induced(Graph(2), x),
+    "lt_free_upto": lambda x: lt_free_upto(x, 1, 10),
+    "assemble_td": lambda x: assemble_td(x, brute_balanced_separator),
+    "validate_td graph": lambda x: validate_td(x, TreeDecomposition.single_bag(Graph(2))),
+    "validate_td td": lambda x: validate_td(Graph(2), x),
+}
+
+
+@pytest.mark.parametrize("bad", [None, [0, 1]], ids=["None", "list"])
+@pytest.mark.parametrize("entry", sorted(NON_GRAPH_CALLS))
+def test_non_graph_argument_is_precondition_error(entry, bad):
+    with pytest.raises(PreconditionError):
+        NON_GRAPH_CALLS[entry](bad)
