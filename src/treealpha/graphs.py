@@ -174,6 +174,7 @@ def _remap(mask: int, to) -> int:
 def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     """Validate that every member is an int id in g's universe; returns the
     frozenset."""
+    _check_graph(g)
     try:
         s = frozenset(vs)
     except TypeError:
@@ -289,7 +290,8 @@ class WeightFn:
 
 def closed_nbhd(g: Graph, x: Iterable[int]) -> frozenset[int]:
     """N[X] = X together with N(X)."""
-    return mask_to_set(_reach(g._masks, set_to_mask(check_vertex_set(g, x)), 0))
+    seed = set_to_mask(check_vertex_set(g, x))
+    return mask_to_set(_reach(g._masks, seed, 0))
 
 
 def _reach(adj, seed: int, through: int) -> int:
@@ -323,8 +325,8 @@ def _component_masks(adj, keep: int) -> list[int]:
 
 def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """Connected components of g minus ``removed``, sorted by least vertex."""
-    _check_graph(g)
-    keep = ((1 << g.n) - 1) & ~set_to_mask(check_vertex_set(g, removed))
+    gone = set_to_mask(check_vertex_set(g, removed))
+    keep = ((1 << g.n) - 1) & ~gone
     return [mask_to_set(comp) for comp in _component_masks(g._masks, keep)]
 
 
@@ -332,59 +334,71 @@ def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
 
 
 def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
-    """A maximum-weight stable subset of ``mask``, by branch and bound.
+    """A maximum-weight stable subset of ``mask``, by a clique-cover-ordered
+    branch and bound: Tomita and Seki's MCQ (DMTCS 2003) on the complement,
+    with Kumlander's weighted colour bound (2004).
 
     ``masks[v]`` is v's adjacency mask and ``weights[v] >= 0`` its weight.
-    Vertices are relabelled by non-increasing weight (a stable sort, so unit
-    weights keep their labels); then the lowest vertex of each greedy clique
-    is its heaviest, and the clique cover bound adds up those vertices'
-    weights. Branching takes a vertex of maximum degree, first in, then out.
+    The vertices of mask are relabelled by non-decreasing degree in G[mask].
+    Each node covers its candidates by greedy cliques in label order; a
+    stable set meets a clique at most once, so the heaviest weights of the
+    cliques up to the i-th add up to a bound on what cliques 0..i can still
+    give. The node walks its cliques from last to first and takes each
+    vertex v in turn: it prunes once the current weight plus that bound
+    cannot beat the best found, else it searches the candidates outside
+    N[v] with v taken and then drops v, the "out" branch. Only a strictly
+    heavier set replaces the best, so a witness may leave out vertices of
+    weight 0.
     """
-    order = sorted(range(len(masks)), key=weights.__getitem__, reverse=True)
-    if any(v != i for i, v in enumerate(order)):
-        to = [0] * len(order)
+    verts = _bits(mask)
+    order = sorted(verts, key=lambda v: (masks[v] & mask).bit_count())
+    relabel = order != verts
+    if relabel:
+        to = [0] * len(masks)
         for i, v in enumerate(order):
             to[v] = i
-        found = _max_weight_stable(tuple(_remap(masks[v], to) for v in order),
-                                   _remap(mask, to), [weights[v] for v in order])
-        return _remap(found, order)
+        masks = tuple(_remap(masks[v] & mask, to) for v in order)
+        weights = [weights[v] for v in order]
+        mask = (1 << len(order)) - 1
     best, best_val = 0, 0
 
-    def rec(m: int, cur: int, cur_val) -> None:
+    def expand(p: int, cur: int, cur_val) -> None:
         nonlocal best, best_val
-        bound = 0
-        rem = m
+        if cur_val > best_val:
+            best, best_val = cur, cur_val
+        # cliques[i]: the i-th greedy clique of p and the bound of cliques 0..i
+        cliques, bound, rem = [], 0, p
         while rem:
             b = rem & -rem
             v = b.bit_length() - 1
-            rem ^= b
+            q, top = b, weights[v]
             cand = rem & masks[v]
             while cand:
-                cb = cand & -cand
-                rem ^= cb
-                cand &= masks[cb.bit_length() - 1]
-            bound += weights[v]
-        if cur_val + bound <= best_val:
-            return
-        pick, pick_deg = -1, -1
-        mm = m
-        while mm:
-            b = mm & -mm
-            v = b.bit_length() - 1
-            d = (masks[v] & m).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-            mm ^= b
-        if pick_deg <= 0:
-            # m is edgeless or empty, and the bound is its weight: take it all
-            best, best_val = cur | m, cur_val + bound
-            return
-        bit = 1 << pick
-        rec(m & ~(masks[pick] | bit), cur | bit, cur_val + weights[pick])
-        rec(m & ~bit, cur, cur_val)
+                b = cand & -cand
+                u = b.bit_length() - 1
+                q |= b
+                if weights[u] > top:
+                    top = weights[u]
+                cand &= masks[u]
+            rem ^= q
+            bound += top
+            cliques.append((q, bound))
+        for q, bound in reversed(cliques):
+            while q:
+                if cur_val + bound <= best_val:
+                    return
+                b = q & -q
+                q ^= b
+                v = b.bit_length() - 1
+                rest = p & ~(masks[v] | b)
+                if rest:
+                    expand(rest, cur | b, cur_val + weights[v])
+                elif cur_val + weights[v] > best_val:  # a leaf, without the call
+                    best, best_val = cur | b, cur_val + weights[v]
+                p ^= b
 
-    rec(mask, 0, 0)
-    return best
+    expand(mask, 0, 0)
+    return _remap(best, order) if relabel else best
 
 
 def max_stable_set(g: Graph, x: Iterable[int] | None = None,
@@ -549,6 +563,7 @@ def parse_graph(text: str, fmt: str, n: int | None = None) -> Graph:
 
 
 def emit_graph(g: Graph, fmt: str) -> str:
+    _check_graph(g)
     if fmt == "graph6":
         return _emit_graph6(g)
     if fmt == "edgelist":
@@ -661,6 +676,7 @@ def line_graph(g: Graph) -> tuple[Graph, dict[Edge, int]]:
 
     Line-graph ids follow the lexicographic order of g's edges.
     """
+    _check_graph(g)
     es = g.edges()
     inc = [0] * g.n  # inc[v]: the ids of the edges at v, as a mask
     for i, (u, v) in enumerate(es):
@@ -676,6 +692,7 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
 
     Original vertex ids are preserved; new ids are appended per sorted edge.
     """
+    _check_graph(g)
     n, masks = g.n, list(g._masks)
     norm_counts = {}
     for e, c in counts.items():

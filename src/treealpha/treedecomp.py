@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
@@ -117,6 +117,8 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
 def td_stats(g: Graph, td: TreeDecomposition,
              alpha_cap: int | None = None) -> tuple[int, int]:
     """(width, independence number) of the decomposition, exact."""
+    _check_graph(g)
+    _check_graph(getattr(td, "tree", None), "td.tree")
     width = td.width()
     independence = 0
     for b in td.bags.values():
@@ -432,6 +434,9 @@ class MWISInstance:
     weights: dict[int, object]
 
     def __post_init__(self):
+        _check_graph(self.graph, "graph")
+        if not isinstance(self.weights, Mapping):
+            raise PreconditionError(f"weights {self.weights!r} is not a mapping")
         check_vertex_set(self.graph, self.weights.keys())
         for v, x in self.weights.items():
             if not (isinstance(x, Real) and 0 <= x < math.inf):
@@ -532,7 +537,9 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
 def mwis(instance: MWISInstance, method: str = "brute",
          td: TreeDecomposition | None = None,
          cap_override: int | None = None) -> tuple[frozenset[int], object]:
-    """Exact maximum weight stable set with a witness."""
+    """Exact maximum weight stable set with a witness: a stable set of the
+    largest total weight, returned with that weight. A witness may leave out
+    vertices of weight 0: with every weight 0 it may be empty."""
     if method == "brute":
         return _mwis_brute(instance, cap_override)
     if method == "td":

@@ -13,8 +13,8 @@ from treealpha.errors import OracleContractError, PreconditionError
 from treealpha.graphs import (
     Graph,
     WeightFn,
-    _max_weight_stable,
     _reach,
+    _remap,
     components,
     generate,
     norm_edge,
@@ -229,6 +229,65 @@ def reference_tree_alpha(g: Graph) -> int:
     return best
 
 
+def reference_max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
+    """A maximum-weight stable subset of ``mask``, as the package's branch
+    and bound found it before it branched in clique-cover order: binary
+    in/out branching on a vertex of maximum degree, pruned by a greedy
+    clique cover, taking an edgeless remainder whole.
+
+    ``masks[v]`` is v's adjacency mask and ``weights[v] >= 0`` its weight.
+    Vertices are relabelled by non-increasing weight (a stable sort, so unit
+    weights keep their labels); then the lowest vertex of each greedy clique
+    is its heaviest, and the clique cover bound adds up those vertices'
+    weights. Branching takes a vertex of maximum degree, first in, then out.
+    """
+    order = sorted(range(len(masks)), key=weights.__getitem__, reverse=True)
+    if any(v != i for i, v in enumerate(order)):
+        to = [0] * len(order)
+        for i, v in enumerate(order):
+            to[v] = i
+        found = reference_max_weight_stable(tuple(_remap(masks[v], to) for v in order),
+                                            _remap(mask, to), [weights[v] for v in order])
+        return _remap(found, order)
+    best, best_val = 0, 0
+
+    def rec(m: int, cur: int, cur_val) -> None:
+        nonlocal best, best_val
+        bound = 0
+        rem = m
+        while rem:
+            b = rem & -rem
+            v = b.bit_length() - 1
+            rem ^= b
+            cand = rem & masks[v]
+            while cand:
+                cb = cand & -cand
+                rem ^= cb
+                cand &= masks[cb.bit_length() - 1]
+            bound += weights[v]
+        if cur_val + bound <= best_val:
+            return
+        pick, pick_deg = -1, -1
+        mm = m
+        while mm:
+            b = mm & -mm
+            v = b.bit_length() - 1
+            d = (masks[v] & m).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+            mm ^= b
+        if pick_deg <= 0:
+            # m is edgeless or empty, and the bound is its weight: take it all
+            best, best_val = cur | m, cur_val + bound
+            return
+        bit = 1 << pick
+        rec(m & ~(masks[pick] | bit), cur | bit, cur_val + weights[pick])
+        rec(m & ~bit, cur, cur_val)
+
+    rec(mask, 0, 0)
+    return best
+
+
 def reference_subset_tree_alpha(g: Graph) -> int:
     """Tree independence number as ``tree_alpha_exact`` computed it before
     it removed simplicial vertices and split components: the subset
@@ -246,7 +305,7 @@ def reference_subset_tree_alpha(g: Graph) -> int:
                 continue
             bag = _reach(adj, b, before) & ~before
             if bag not in bag_alpha:
-                bag_alpha[bag] = _max_weight_stable(adj, bag, unit).bit_count()
+                bag_alpha[bag] = reference_max_weight_stable(adj, bag, unit).bit_count()
             best = min(best, max(ta[before], bag_alpha[bag]))
         ta[s] = best
     return ta[-1]

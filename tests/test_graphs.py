@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treealpha import caps
+from treealpha import caps, graphs
 from treealpha.errors import CapExceededError, FormatError, PreconditionError
 from treealpha.graphs import (
     Graph,
@@ -34,6 +35,7 @@ from .oracles import (
     naive_components,
     naive_line_graph,
     naive_subdivide,
+    reference_max_weight_stable,
 )
 
 
@@ -519,6 +521,66 @@ class TestAlphaExact:
             n = rng.randint(1, 16)
             g = generate("gnp", n=n, p=rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(10**6))
             assert alpha_exact(g) == naive_alpha(g)
+
+    def test_max_stable_set_is_maximum_cardinality(self):
+        # unit weights are all positive, so no vertex is left out that a
+        # larger stable set could hold, on the whole graph and on subsets
+        rng = random.Random(8080)
+        for _ in range(80):
+            n = rng.randint(1, 14)
+            g = generate("gnp", n=n, p=rng.choice([0.1, 0.3, 0.6]), seed=rng.randrange(10**6))
+            x = frozenset(rng.sample(range(n), rng.randint(0, n)))
+            for verts in (None, x):
+                s = max_stable_set(g, verts)
+                assert len(s) == naive_alpha(g, verts)
+                assert verts is None or s <= verts
+                assert not any(g.has_edge(a, b) for a in s for b in s if a < b)
+
+
+WEIGHT_KINDS = {
+    "unit": lambda rng: 1,
+    "int 0..100": lambda rng: rng.randint(0, 100),
+    "int 0..3": lambda rng: rng.randint(0, 3),
+    "Fraction": lambda rng: Fraction(rng.randint(0, 12), rng.randint(1, 7)),
+    "float": lambda rng: rng.random(),
+}
+
+
+class TestMaxWeightStableKernel:
+    """``graphs._max_weight_stable`` against the in/out branch and bound it
+    replaced, kept in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+    def test_matches_reference_kernel(self, kind):
+        rng = random.Random(f"kernel:{kind}")
+        draw = WEIGHT_KINDS[kind]
+        for _ in range(40):
+            n = rng.randint(1, 16)
+            g = generate("gnp", n=n, p=rng.choice([0.1, 0.3, 0.5, 0.8]),
+                         seed=rng.randrange(10**6))
+            weights = [draw(rng) for _ in range(n)]
+            full = (1 << n) - 1
+            for mask in (full, *(rng.randint(0, full) for _ in range(3))):
+                got = graphs._max_weight_stable(g._masks, mask, weights)
+                want = reference_max_weight_stable(g._masks, mask, weights)
+                value = sum(weights[v] for v in range(n) if got >> v & 1)
+                best = sum(weights[v] for v in range(n) if want >> v & 1)
+                if kind == "float":
+                    assert math.isclose(value, best, rel_tol=1e-12, abs_tol=1e-12)
+                else:
+                    assert value == best
+                assert got & ~mask == 0
+                assert not any(g._masks[v] & got for v in range(n) if got >> v & 1)
+
+    def test_all_zero_weights(self):
+        # weight 0 adds nothing, so the witness may be empty, and it is stable
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(1, 12)
+            g = generate("gnp", n=n, p=rng.choice([0.0, 0.3, 0.7]), seed=rng.randrange(10**6))
+            wit, val = mwis(MWISInstance(g, {v: 0 for v in g.vertices}), "brute")
+            assert val == 0
+            assert not any(g.has_edge(a, b) for a in wit for b in wit if a < b)
 
 
 class TestWeightFn:

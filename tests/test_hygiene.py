@@ -1,6 +1,7 @@
 """Source hygiene: the package's checks survive ``python -O``, its
-refusals use the package's own error types, and it keeps no unused import
-and no private definition without a caller."""
+refusals use the package's own error types, it keeps no unused import
+and no private definition without a caller, and the test oracles use none
+of its search kernels."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import treealpha
 
 SOURCES = sorted(Path(treealpha.__file__).resolve().parent.glob("*.py"))
 BUILTIN_RAISES = {"ValueError", "TypeError", "KeyError", "IndexError"}
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced"}
 
 
 def _raised_name(node: ast.Raise) -> str | None:
@@ -88,3 +91,17 @@ def test_private_definitions_have_callers():
             if not any(node.name in used for stmt, used in reads if stmt is not node):
                 found.append(f"{name}:{node.lineno}: {node.name}")
     assert found == []
+
+
+def test_oracles_use_no_search_kernel():
+    # the oracles are what the kernels are checked against, so they import
+    # none of them, under any alias, and reach none through a module
+    # attribute or a getattr string
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    named = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert SEARCH_KERNELS & named == set()

@@ -23,9 +23,14 @@ from treealpha.graphs import (
     Graph,
     WeightFn,
     alpha_exact,
+    check_vertex_set,
+    closed_nbhd,
     components,
+    emit_graph,
     generate,
+    line_graph,
     max_stable_set,
+    subdivide,
 )
 from treealpha.patterns import PatternSpec, contains_induced, find_pattern, lt_free_upto
 from treealpha.treedecomp import (
@@ -608,6 +613,10 @@ class TestMWIS:
         for key in (1.5, 1.0, "1", 2):
             with pytest.raises(PreconditionError):
                 MWISInstance(Graph(2), {key: 1})
+        # weights that are not a mapping at all
+        for bad in (None, [1, 1]):
+            with pytest.raises(PreconditionError):
+                MWISInstance(Graph(2), bad)
 
     def test_non_finite_weight_rejected(self):
         for x in (float("nan"), float("inf")):
@@ -710,6 +719,14 @@ NON_GRAPH_CALLS = {
     "assemble_td": lambda x: assemble_td(x, brute_balanced_separator),
     "validate_td graph": lambda x: validate_td(x, TreeDecomposition.single_bag(Graph(2))),
     "validate_td td": lambda x: validate_td(Graph(2), x),
+    "check_vertex_set": lambda x: check_vertex_set(x, [0]),
+    "closed_nbhd": lambda x: closed_nbhd(x, []),
+    "line_graph": line_graph,
+    "subdivide": lambda x: subdivide(x, {}),
+    "emit_graph": lambda x: emit_graph(x, "graph6"),
+    "td_stats graph": lambda x: td_stats(x, TreeDecomposition.single_bag(Graph(2))),
+    "td_stats td": lambda x: td_stats(Graph(2), x),
+    "MWISInstance": lambda x: MWISInstance(x, {}),
 }
 
 
