@@ -51,10 +51,9 @@ class InvariantViolationError(TreealphaError):
 
     This either means an oracle silently broke its contract, the input graph
     is outside the hypothesis class, or there is an implementation bug; the
-    attached trace and diagnosis distinguish the cases.
+    attached trace distinguishes the cases.
     """
 
-    def __init__(self, message: str, trace=None, diagnosis: str | None = None):
+    def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
-        self.diagnosis = diagnosis

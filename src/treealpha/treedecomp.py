@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
@@ -80,10 +80,22 @@ class TDReport:
     violations: list[tuple[str, object]] = field(default_factory=list)
 
 
+def _check_td(td) -> None:
+    """Refuse with PreconditionError a decomposition whose tree is not a
+    graph or whose bags are not a mapping to collections. Bag members are
+    left to validate_td, which reports those that are not vertex ids."""
+    _check_graph(getattr(td, "tree", None), "td.tree")
+    bags = getattr(td, "bags", None)
+    # one ABC test per bag type, as one per bag slows validate_td on long paths
+    if not (isinstance(bags, Mapping)
+            and all(issubclass(t, Collection) for t in set(map(type, bags.values())))):
+        raise PreconditionError(f"td.bags is {bags!r}, not a mapping from tree nodes to bags")
+
+
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     """Check the three defining conditions, reporting every violation."""
     _check_graph(g)
-    _check_graph(getattr(td, "tree", None), "td.tree")
+    _check_td(td)
     violations: list[tuple[str, object]] = []
     t = td.tree
     if set(td.bags) != set(t.vertices):
@@ -118,7 +130,7 @@ def td_stats(g: Graph, td: TreeDecomposition,
              alpha_cap: int | None = None) -> tuple[int, int]:
     """(width, independence number) of the decomposition, exact."""
     _check_graph(g)
-    _check_graph(getattr(td, "tree", None), "td.tree")
+    _check_td(td)
     width = td.width()
     independence = 0
     for b in td.bags.values():
@@ -127,52 +139,49 @@ def td_stats(g: Graph, td: TreeDecomposition,
     return width, independence
 
 
-# -- chordality and minimal triangulations -----------------------------------
+# -- simplicial elimination: chordality, minimal triangulations, tree-alpha --
 
 
-def _mcs_chordal(n: int, adj: list[int]) -> bool:
-    """Chordality by maximum cardinality search: the graph is chordal exactly
-    when each vertex's earlier-visited neighbours form a clique, the reverse
-    visiting order then being a perfect elimination ordering."""
-    weight = [0] * n
-    numbered = 0
-    for _ in range(n):
-        best, bw = -1, -1
-        for v in range(n):
-            if not (numbered >> v) & 1 and weight[v] > bw:
-                best, bw = v, weight[v]
-        bit = 1 << best
-        earlier = adj[best] & numbered
-        m = earlier
+def _peel_simplicial(adj, keep: int) -> int:
+    """What is left of the mask keep after removing simplicial vertices of
+    G[keep] while there is one: v is simplicial when its remaining neighbours
+    are pairwise adjacent, and removing v puts them back on the worklist.
+    Nothing is left exactly when G[keep] is chordal (Dirac 1961)."""
+    todo = keep
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = adj[b.bit_length() - 1] & keep
+        m = nb
         while m:
-            b = m & -m
-            if (earlier ^ b) & ~adj[b.bit_length() - 1]:
-                return False
-            m ^= b
-        numbered |= bit
-        m = adj[best] & ~numbered
-        while m:
-            b = m & -m
-            weight[b.bit_length() - 1] += 1
-            m ^= b
-    return True
+            u = m & -m
+            m ^= u
+            if m & ~adj[u.bit_length() - 1]:
+                break
+        else:
+            keep ^= b
+            todo |= nb
+    return keep
 
 
 def is_chordal(g: Graph) -> bool:
-    return _mcs_chordal(g.n, list(g._masks))
+    _check_graph(g)
+    return not _peel_simplicial(g._masks, (1 << g.n) - 1)
 
 
 def minimal_triangulations(g: Graph) -> set[frozenset]:
     """All minimal chordal completions, as sets of fill edges.
 
     Enumerates elimination orderings depth-first, deduplicating on the
-    (eliminated set, fill set) state, then filters non-minimal fill-ins by
-    single-edge removal.
+    (eliminated set, fill set) state. Each ordering's filled graph is
+    chordal, and it is kept when no single fill edge can be dropped with the
+    graph staying chordal, which is exactly when the completion is minimal
+    (Rose 1976).
     """
-    n = g.n
-    base = list(g._masks)
+    _check_graph(g)
+    full = (1 << g.n) - 1
     seen: set[tuple[int, frozenset]] = set()
-    fills: set[frozenset] = set()
+    minimal: set[frozenset] = set()
 
     def rec(remaining: int, adj: list[int], fill: frozenset):
         state = (remaining, fill)
@@ -180,7 +189,13 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
             return
         seen.add(state)
         if remaining == 0:
-            fills.add(fill)
+            for a, c in fill:
+                drop = list(adj)
+                drop[a] ^= 1 << c
+                drop[c] ^= 1 << a
+                if not _peel_simplicial(drop, full):
+                    return
+            minimal.add(fill)
             return
         m = remaining
         while m:
@@ -198,19 +213,7 @@ def minimal_triangulations(g: Graph) -> set[frozenset]:
                         new_fill.add((min(a, c), max(a, c)))
             rec(remaining & ~b, filled, fill | frozenset(new_fill))
 
-    rec((1 << n) - 1, base, frozenset())
-
-    def with_fill(fill: Iterable[tuple[int, int]]) -> list[int]:
-        adj = list(base)
-        for a, c in fill:
-            adj[a] |= 1 << c
-            adj[c] |= 1 << a
-        return adj
-
-    minimal: set[frozenset] = set()
-    for fill in fills:
-        if not any(_mcs_chordal(n, with_fill(fill - {e})) for e in fill):
-            minimal.add(fill)
+    rec(full, list(g._masks), frozenset())
     return minimal
 
 
@@ -218,9 +221,9 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
     """Exact tree independence number: 0 on the empty graph, otherwise the
     larger of 1 and the value of each piece that two safe reductions leave.
 
-    - Simplicial vertices go first: v is simplicial when its remaining
-      neighbours are pairwise adjacent, and removing v puts them back on the
-      worklist. Then tree-alpha(G) = max(1, tree-alpha(G - v)). An optimal
+    - Simplicial vertices go first, removed by ``_peel_simplicial``: v is
+      simplicial when its remaining neighbours are pairwise adjacent, and
+      then tree-alpha(G) = max(1, tree-alpha(G - v)). An optimal
       decomposition of G - v has a bag holding the clique N(v), and the bag
       N[v], whose alpha is 1, attaches to it; and induced subgraphs never
       raise tree-alpha.
@@ -234,21 +237,7 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
     _check_graph(g)
     limit = cap("tree_alpha", cap_override)
     adj = g._masks
-    keep = todo = (1 << g.n) - 1
-    while todo:
-        b = todo & -todo
-        todo ^= b
-        nb = adj[b.bit_length() - 1] & keep
-        m = nb
-        while m:
-            u = m & -m
-            m ^= u
-            if m & ~adj[u.bit_length() - 1]:
-                break
-        else:
-            keep ^= b
-            todo |= nb
-    pieces = _component_masks(adj, keep)
+    pieces = _component_masks(adj, _peel_simplicial(adj, (1 << g.n) - 1))
     size = max((p.bit_count() for p in pieces), default=0)
     if size > limit:
         raise CapExceededError("tree_alpha_exact", size, limit, source(cap_override))
@@ -540,6 +529,7 @@ def mwis(instance: MWISInstance, method: str = "brute",
     """Exact maximum weight stable set with a witness: a stable set of the
     largest total weight, returned with that weight. A witness may leave out
     vertices of weight 0: with every weight 0 it may be empty."""
+    _check_graph(getattr(instance, "graph", None), "instance.graph")
     if method == "brute":
         return _mwis_brute(instance, cap_override)
     if method == "td":

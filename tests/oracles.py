@@ -20,7 +20,7 @@ from treealpha.graphs import (
     norm_edge,
 )
 from treealpha.patterns import Embedding, LtVerdict, _triangle_mask
-from treealpha.treedecomp import AssembleResult, TreeDecomposition, minimal_triangulations
+from treealpha.treedecomp import AssembleResult, TreeDecomposition
 
 
 def edge_list_adjacency(n: int, edges) -> list[frozenset[int]]:
@@ -123,6 +123,34 @@ def naive_is_chordal(g: Graph) -> bool:
     return True
 
 
+def mcs_chordal(n: int, adj: list[int]) -> bool:
+    """Chordality by maximum cardinality search: the graph is chordal exactly
+    when each vertex's earlier-visited neighbours form a clique, the reverse
+    visiting order then being a perfect elimination ordering."""
+    weight = [0] * n
+    numbered = 0
+    for _ in range(n):
+        best, bw = -1, -1
+        for v in range(n):
+            if not (numbered >> v) & 1 and weight[v] > bw:
+                best, bw = v, weight[v]
+        bit = 1 << best
+        earlier = adj[best] & numbered
+        m = earlier
+        while m:
+            b = m & -m
+            if (earlier ^ b) & ~adj[b.bit_length() - 1]:
+                return False
+            m ^= b
+        numbered |= bit
+        m = adj[best] & ~numbered
+        while m:
+            b = m & -m
+            weight[b.bit_length() - 1] += 1
+            m ^= b
+    return True
+
+
 def naive_induced_trees_with_terminals(g: Graph, z: frozenset[int], want: int) -> bool:
     """Is there a subset S with G[S] a tree containing >= want vertices of z?"""
     n = g.n
@@ -212,10 +240,11 @@ def minimal_triangulations_by_branching(g: Graph) -> set[frozenset]:
 def reference_tree_alpha(g: Graph) -> int:
     """Tree independence number as the package computed it before its
     recurrence over eliminated sets: the least, over the minimal
-    triangulations H of g, of the largest naive_alpha over H's maximal
-    cliques, with the cliques found by checking every vertex subset."""
+    triangulations H of g (from minimal_triangulations_by_branching), of the
+    largest naive_alpha over H's maximal cliques, with the cliques found by
+    checking every vertex subset."""
     best = None
-    for fill in minimal_triangulations(g):
+    for fill in minimal_triangulations_by_branching(g):
         adj = [set(g.neighbors(v)) for v in g.vertices]
         for a, c in fill:
             adj[a].add(c)

@@ -13,7 +13,8 @@ import treealpha
 SOURCES = sorted(Path(treealpha.__file__).resolve().parent.glob("*.py"))
 BUILTIN_RAISES = {"ValueError", "TypeError", "KeyError", "IndexError"}
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced"}
+SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
+                  "_peel_simplicial", "is_chordal", "minimal_triangulations"}
 
 
 def _raised_name(node: ast.Raise) -> str | None:

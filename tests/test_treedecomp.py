@@ -46,6 +46,7 @@ from treealpha.treedecomp import (
 )
 
 from .oracles import (
+    mcs_chordal,
     minimal_triangulations_by_branching,
     naive_is_chordal,
     naive_mwis,
@@ -260,6 +261,21 @@ class TestChordality:
                          seed=rng.randrange(10**6))
             assert is_chordal(g) == naive_is_chordal(g)
 
+    def test_matches_maximum_cardinality_search(self):
+        # the simplicial worklist against the MCS test it replaced
+        rng = random.Random(71)
+        cases = [Graph(0)] + [generate("cycle", k=k) for k in range(3, 12)]
+        for _ in range(3000):
+            cases.append(generate("gnp", n=rng.randint(1, 11),
+                                  p=rng.choice([0.1, 0.2, 0.3, 0.5, 0.7, 0.9]),
+                                  seed=rng.randrange(10**6)))
+        chordal = 0
+        for g in cases:
+            want = mcs_chordal(g.n, list(g._masks))
+            assert is_chordal(g) == want, g.edges()
+            chordal += want
+        assert 0 < chordal < len(cases)
+
 
 class TestTreeAlpha:
     def test_chordal_graphs_give_1(self):
@@ -370,12 +386,16 @@ class TestTreeAlpha:
 
     def test_minimal_triangulations_match_branching_oracle(self):
         rng = random.Random(17)
-        cases = [generate("cycle", k=4), generate("cycle", k=5),
-                 generate("cycle", k=6)]
+        cases = [generate("cycle", k=k) for k in range(4, 9)]
         cases += [
             generate("gnp", n=rng.randint(3, 6), p=rng.choice([0.3, 0.5, 0.7]),
                      seed=rng.randrange(10**6))
             for _ in range(25)
+        ]
+        cases += [
+            generate("gnp", n=rng.randint(1, 7), p=rng.choice([0.2, 0.3, 0.5, 0.7]),
+                     seed=rng.randrange(10**6))
+            for _ in range(100)
         ]
         for g in cases:
             assert minimal_triangulations(g) == minimal_triangulations_by_branching(g)
@@ -601,6 +621,19 @@ class TestMWIS:
         with pytest.raises(PreconditionError):
             MWISInstance(g, {True: 1})
 
+    def test_malformed_bags_are_precondition_error(self):
+        # bags that are not a mapping, or a bag that is not a collection, are
+        # refused by validate_td, td_stats and mwis(method="td") alike
+        g = Graph(2)
+        inst = MWISInstance(g, {0: 1, 1: 1})
+        for bags in (None, [frozenset({0, 1})], frozenset({0}), {0: None}, {0: 1},
+                     {0: iter([0, 1])}):
+            td = TreeDecomposition(Graph(1), bags)
+            for call in (lambda: validate_td(g, td), lambda: td_stats(g, td),
+                         lambda: mwis(inst, "td", td=td)):
+                with pytest.raises(PreconditionError):
+                    call()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(PreconditionError):
             mwis(MWISInstance(generate("path", k=3), {0: 1}), "greedy")
@@ -727,6 +760,9 @@ NON_GRAPH_CALLS = {
     "td_stats graph": lambda x: td_stats(x, TreeDecomposition.single_bag(Graph(2))),
     "td_stats td": lambda x: td_stats(Graph(2), x),
     "MWISInstance": lambda x: MWISInstance(x, {}),
+    "is_chordal": is_chordal,
+    "minimal_triangulations": minimal_triangulations,
+    "mwis": mwis,
 }
 
 
