@@ -1,9 +1,10 @@
-"""Exhaustive-computation caps.
+"""Exhaustive-computation caps, behind one gate.
 
 Each exhaustive computation refuses an instance above its cap rather than
-approximate. ``DEFAULT_CAPS`` holds each cap's default; every call that
-enforces a cap takes a per-call override in that cap's own unit, and
-nothing else changes a cap. A refusal carries the cap and its source.
+approximate. ``enforce`` is the one reader of ``DEFAULT_CAPS`` and the one
+raiser of ``CapExceededError``: every capped call hands it its size and the
+call's ``cap_override``, a per-call override in the cap's own unit, and
+nothing else changes a cap.
 
 The ``tree_alpha`` cap bounds the vertex count of the largest piece that
 ``tree_alpha_exact``'s subset recurrence runs on, after simplicial vertices
@@ -12,7 +13,7 @@ are removed and the rest is split into components; it does not bound n.
 
 from __future__ import annotations
 
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 
 DEFAULT_CAPS = {
     "alpha": 40,
@@ -23,16 +24,16 @@ DEFAULT_CAPS = {
 }
 
 
-def cap(name: str, override: int | None = None) -> int:
-    """The cap in force: override when given, else the default."""
+def enforce(name: str, size: int, override: int | None = None) -> int:
+    """The cap name in force: override when given, else its default. Refuses
+    a malformed override, and a size above the cap, naming the cap's key."""
     if override is None:
-        return DEFAULT_CAPS[name]
+        limit, source = DEFAULT_CAPS[name], "default"
     # a plain int: a bool, a float or a numeric string is refused
-    if not (type(override) is int and override >= 0):
+    elif type(override) is int and override >= 0:
+        limit, source = override, "argument"
+    else:
         raise PreconditionError(f"{name} cap override {override!r} is not an integer >= 0")
-    return override
-
-
-def source(override: int | None) -> str:
-    """Where the cap in force came from, for ``CapExceededError.source``."""
-    return "default" if override is None else "argument"
+    if size > limit:
+        raise CapExceededError(name, size, limit, source)
+    return limit

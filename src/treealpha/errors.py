@@ -15,8 +15,9 @@ class TreealphaError(Exception):
 class CapExceededError(TreealphaError):
     """An exhaustive computation was refused because it exceeds its cap.
 
-    ``source`` says where the cap came from: ``"argument"`` when the call
-    passed its override, ``"default"`` otherwise.
+    ``what`` is the cap's key in ``caps.DEFAULT_CAPS``, and ``source`` says
+    where the cap came from: ``"argument"`` when the call passed its
+    ``cap_override``, ``"default"`` otherwise. Only ``caps.enforce`` raises it.
     """
 
     def __init__(self, what: str, size: int, cap: int, source: str):

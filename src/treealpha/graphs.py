@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Real
-from typing import Iterable, Mapping
 
-from .caps import cap, source
-from .errors import CapExceededError, FormatError, PreconditionError
+from .caps import enforce
+from .errors import FormatError, InvariantViolationError, PreconditionError
 
 Edge = tuple[int, int]
 
@@ -189,10 +189,11 @@ def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
 
 
 def _to_fraction(x) -> Fraction:
-    """x, an int, float, Fraction or numeric string, as an exact finite rational."""
+    """x, an int, float, Fraction or numeric string, as an exact finite
+    rational; a bool is not a weight."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, (int, float, str)) and type(x) is not bool:
         try:
             return Fraction(x)
         except (ValueError, OverflowError, ZeroDivisionError):
@@ -213,6 +214,8 @@ class WeightFn:
     __slots__ = ("_num", "_den", "float_mode")
 
     def __init__(self, weights: Mapping[int, object]):
+        if not isinstance(weights, Mapping):
+            raise PreconditionError(f"weights {weights!r} is not a mapping")
         w: dict[int, Fraction] = {}
         saw_float = False
         for v, x in weights.items():
@@ -251,7 +254,10 @@ class WeightFn:
 
     @classmethod
     def uniform(cls, vs: Iterable[int]) -> "WeightFn":
-        vs = list(vs)
+        try:
+            vs = list(vs)
+        except TypeError:
+            raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
         if not vs:
             raise PreconditionError("uniform weight function needs a nonempty set")
         share = Fraction(1, len(vs))
@@ -266,7 +272,7 @@ class WeightFn:
     def from_json(cls, text: str) -> "WeightFn":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, TypeError) as e:  # TypeError: text is not a string
             raise FormatError(f"bad weight JSON: {e}") from e
         if not isinstance(raw, dict):
             raise FormatError("weight JSON must be an object")
@@ -409,10 +415,20 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     """
     _check_graph(g)
     xs = check_vertex_set(g, x) if x is not None else frozenset(range(g.n))
-    limit = cap("alpha", cap_override)
-    if len(xs) > limit:
-        raise CapExceededError("alpha_exact", len(xs), limit, source(cap_override))
-    return mask_to_set(_max_weight_stable(g._masks, set_to_mask(xs), [1] * g.n))
+    enforce("alpha", len(xs), cap_override)
+    keep = set_to_mask(xs)
+    return _stable_witness(g._masks, keep, _max_weight_stable(g._masks, keep, [1] * g.n))
+
+
+def _stable_witness(masks: tuple[int, ...], keep: int, wit: int) -> frozenset[int]:
+    """The mask wit as a vertex set, once checked to be a stable subset of
+    the mask keep in the graph with adjacency masks masks: the check, run on
+    every witness a stable-set search returns, that survives python -O."""
+    found = mask_to_set(wit)
+    if wit & ~keep or any(masks[v] & wit for v in found):
+        raise InvariantViolationError("search returned a set that is not a stable subset",
+                                      trace=sorted(found))
+    return found
 
 
 def alpha_exact(g: Graph, x: Iterable[int] | None = None,
@@ -554,7 +570,12 @@ def _parse_edgelist(text: str, n: int | None = None) -> Graph:
 
 
 def parse_graph(text: str, fmt: str, n: int | None = None) -> Graph:
-    """Parse graph6 (bit-exact) or whitespace edge-list text."""
+    """Parse graph6 (bit-exact) or whitespace edge-list text; n, when
+    given, is the edge list's vertex count."""
+    if not isinstance(text, str):
+        raise FormatError(f"graph text {text!r} is not a string")
+    if not (n is None or (_is_int(n) and n >= 0)):
+        raise PreconditionError(f"vertex count n={n!r} is not an integer >= 0")
     if fmt == "graph6":
         return _parse_graph6(text)
     if fmt == "edgelist":
@@ -642,7 +663,7 @@ def _gen_wall(t: int) -> Graph:
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
-    if not (isinstance(p, Real) and 0 <= p <= 1):
+    if not (isinstance(p, Real) and type(p) is not bool and 0 <= p <= 1):
         raise PreconditionError(f"edge probability {p!r} outside [0,1]")
     rng = random.Random(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
@@ -693,6 +714,8 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
     Original vertex ids are preserved; new ids are appended per sorted edge.
     """
     _check_graph(g)
+    if not isinstance(counts, Mapping):
+        raise PreconditionError(f"counts {counts!r} is not a mapping from edges to counts")
     n, masks = g.n, list(g._masks)
     norm_counts = {}
     for e, c in counts.items():

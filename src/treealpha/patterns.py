@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .caps import cap, source
-from .errors import CapExceededError, InvariantViolationError, PreconditionError
+from .caps import enforce
+from .errors import InvariantViolationError, PreconditionError
 from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, generate, line_graph,
                      norm_edge, subdivide)
 
@@ -26,6 +26,8 @@ class Embedding:
     mapping: dict[int, int]
 
     def verify(self, pattern: Graph, host: Graph) -> bool:
+        _check_graph(pattern, "pattern")
+        _check_graph(host, "host")
         m = self.mapping
         if not all(_is_int(a) for a in m) or set(m) != set(pattern.vertices):
             return False
@@ -207,9 +209,7 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
     """An induced embedding of h into g, or None; exactness guaranteed."""
     _check_graph(g)
     _check_graph(h, "h")
-    limit = cap("pattern", cap_override)
-    if h.n > limit:
-        raise CapExceededError("contains_induced pattern size", h.n, limit, source(cap_override))
+    enforce("pattern", h.n, cap_override)
     return _certified(_backtrack_induced(g, h), h, g)
 
 
@@ -228,6 +228,10 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     the sides of K_{t,t} and the claw's leaves from being tried in every
     order."""
     _check_graph(g)
+    # fields, not the class, as _check_graph reads them: a spec built before
+    # this module was imported again still passes
+    if not all(hasattr(spec, f) for f in ("kind", "t", "gamma", "realize")):
+        raise PreconditionError(f"spec is {spec!r}, not a PatternSpec")
     pattern = spec.realize()
     return _certified(_backtrack_induced(g, pattern), pattern, g)
 

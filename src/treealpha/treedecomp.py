@@ -10,11 +10,10 @@ import math
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
-from .caps import cap, source
+from .caps import enforce
 from .errors import (
-    CapExceededError,
     FormatError,
     InvariantViolationError,
     OracleContractError,
@@ -30,6 +29,7 @@ from .graphs import (
     _max_weight_stable,
     _reach,
     _remap,
+    _stable_witness,
     alpha_exact,
     check_vertex_set,
     mask_to_set,
@@ -71,6 +71,7 @@ class TreeDecomposition:
 
     @classmethod
     def single_bag(cls, g: Graph) -> "TreeDecomposition":
+        _check_graph(g)
         return cls(Graph(1), {0: frozenset(g.vertices)})
 
 
@@ -127,15 +128,17 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
 
 
 def td_stats(g: Graph, td: TreeDecomposition,
-             alpha_cap: int | None = None) -> tuple[int, int]:
-    """(width, independence number) of the decomposition, exact."""
+             cap_override: int | None = None) -> tuple[int, int]:
+    """(width, independence number) of the decomposition, exact. Each bag's
+    alpha runs under the ``alpha`` cap, with cap_override as its override."""
     _check_graph(g)
     _check_td(td)
+    enforce("alpha", 0, cap_override)  # refuses a malformed override with no bag to measure
     width = td.width()
     independence = 0
     for b in td.bags.values():
         if b:
-            independence = max(independence, alpha_exact(g, b, alpha_cap))
+            independence = max(independence, alpha_exact(g, b, cap_override))
     return width, independence
 
 
@@ -235,12 +238,9 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
     the size of the largest piece, not n: a refusal reports that piece.
     """
     _check_graph(g)
-    limit = cap("tree_alpha", cap_override)
     adj = g._masks
     pieces = _component_masks(adj, _peel_simplicial(adj, (1 << g.n) - 1))
-    size = max((p.bit_count() for p in pieces), default=0)
-    if size > limit:
-        raise CapExceededError("tree_alpha_exact", size, limit, source(cap_override))
+    enforce("tree_alpha", max((p.bit_count() for p in pieces), default=0), cap_override)
     floor = 1 if g.n else 0  # a nonempty graph has a bag, and its alpha is at least 1
     return max([floor] + [_subset_tree_alpha(adj, p) for p in pieces])
 
@@ -314,7 +314,7 @@ class AssembleResult:
 
 
 def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
-                alpha_cap: int | None = None) -> AssembleResult:
+                cap_override: int | None = None) -> AssembleResult:
     """Build a tree decomposition by recursive balanced separation.
 
     Recursion state is (active region, accumulated boundary pieces), all
@@ -326,9 +326,12 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     vertices of heavy, the exact test that uniform rational weights give.
     The resulting decomposition is validated and its independence number
     checked against ceil((3-c)/(1-c)) times the largest oracle-output
-    stability number.
+    stability number. Every alpha, of an oracle output or of a bag, runs
+    under the ``alpha`` cap, with cap_override as its override.
     """
     _check_graph(g)
+    if not callable(sep_oracle):
+        raise PreconditionError(f"sep_oracle {sep_oracle!r} is not callable")
     try:
         c = Fraction(c)
     except (TypeError, ValueError, ArithmeticError) as e:
@@ -355,7 +358,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
         room = c * heavy.bit_count()
         if any((comp & heavy).bit_count() > room for comp in _component_masks(adj, univ & ~x)):
             raise OracleContractError("oracle output is not a balanced separator", (sub, w))
-        oracle_alphas.append(alpha_exact(g, _bits(x), alpha_cap) if x else 0)
+        oracle_alphas.append(alpha_exact(g, _bits(x), cap_override) if x else 0)
         return x
 
     def new_node(bag: int) -> int:
@@ -403,7 +406,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
             "assembled decomposition failed validation", trace=report.violations
         )
     d_realized = max(oracle_alphas, default=0)
-    _, indep = td_stats(g, td, alpha_cap)
+    _, indep = td_stats(g, td, cap_override)
     ratio = (3 - c) / (1 - c)
     bound = -(-ratio.numerator // ratio.denominator) * max(d_realized, 1)
     if indep > bound:
@@ -428,7 +431,7 @@ class MWISInstance:
             raise PreconditionError(f"weights {self.weights!r} is not a mapping")
         check_vertex_set(self.graph, self.weights.keys())
         for v, x in self.weights.items():
-            if not (isinstance(x, Real) and 0 <= x < math.inf):
+            if not (isinstance(x, Real) and type(x) is not bool and 0 <= x < math.inf):
                 raise PreconditionError(f"weight {x!r} at vertex {v} is not a finite number >= 0")
 
     def w(self, v: int):
@@ -438,14 +441,11 @@ class MWISInstance:
         return sum(self.w(v) for v in vs)
 
 
-def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[frozenset[int], object]:
+def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[int, object]:
     g = inst.graph
-    limit = cap("mwis_brute", cap_override)
-    if g.n > limit:
-        raise CapExceededError("mwis brute force", g.n, limit, source(cap_override))
-    weights = [inst.w(v) for v in g.vertices]
-    wit = mask_to_set(_max_weight_stable(g._masks, (1 << g.n) - 1, weights))
-    return wit, inst.total(wit)
+    enforce("mwis_brute", g.n, cap_override)
+    wit = _max_weight_stable(g._masks, (1 << g.n) - 1, [inst.w(v) for v in g.vertices])
+    return wit, inst.total(mask_to_set(wit))
 
 
 def _stable_subsets(masks: tuple[int, ...], bag: int, w, room: int) -> dict[int, object]:
@@ -463,8 +463,9 @@ def _stable_subsets(masks: tuple[int, ...], bag: int, w, room: int) -> dict[int,
 
 
 def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
-             state_cap: int | None) -> tuple[int, object]:
+             cap_override: int | None) -> tuple[int, object]:
     g = inst.graph
+    limit = enforce("mwis_states", 0, cap_override)
     report = validate_td(g, td)
     if not report.ok:
         raise PreconditionError(f"invalid tree decomposition: {report.violations}")
@@ -472,14 +473,13 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         return 0, 0
 
     bags = {t: set_to_mask(b) for t, b in td.bags.items()}
-    limit = cap("mwis_states", state_cap)
     own = {}
     counted = 0
     for t, b in bags.items():
         own[t] = _stable_subsets(g._masks, b, inst.w, limit - counted)
         counted += len(own[t])
-        if counted > limit:
-            raise CapExceededError("mwis td state count", counted, limit, source(state_cap))
+        if counted > limit:  # tested here, so that the gate runs once per call, not per bag
+            enforce("mwis_states", counted, cap_override)
 
     # kids[t]: t's children when the tree hangs from node 0, ascending
     tree = td.tree._masks
@@ -528,16 +528,24 @@ def mwis(instance: MWISInstance, method: str = "brute",
          cap_override: int | None = None) -> tuple[frozenset[int], object]:
     """Exact maximum weight stable set with a witness: a stable set of the
     largest total weight, returned with that weight. A witness may leave out
-    vertices of weight 0: with every weight 0 it may be empty."""
+    vertices of weight 0: with every weight 0 it may be empty. Either
+    method's witness is checked to be stable and to weigh the value
+    returned."""
     _check_graph(getattr(instance, "graph", None), "instance.graph")
     if method == "brute":
-        return _mwis_brute(instance, cap_override)
-    if method == "td":
+        wit, val = _mwis_brute(instance, cap_override)
+    elif method == "td":
         if td is None:
             raise PreconditionError("td method needs a decomposition")
         wit, val = _mwis_td(instance, td, cap_override)
-        masks = instance.graph._masks
-        if any(masks[v] & wit for v in mask_to_set(wit)):
-            raise InvariantViolationError("td DP produced a non-stable witness")
-        return mask_to_set(wit), val
-    raise PreconditionError(f"unknown mwis method {method!r}")
+    else:
+        raise PreconditionError(f"unknown mwis method {method!r}")
+    g = instance.graph
+    found = _stable_witness(g._masks, (1 << g.n) - 1, wit)
+    weight = instance.total(found)
+    # float weights are summed in another order by the DP than here
+    exact = isinstance(weight, Rational) and isinstance(val, Rational)
+    if not (weight == val if exact else math.isclose(weight, val, rel_tol=1e-9, abs_tol=1e-12)):
+        raise InvariantViolationError(f"mwis {method} returned value {val!r} for a witness "
+                                      f"of weight {weight!r}", trace=sorted(found))
+    return found, val

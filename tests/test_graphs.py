@@ -27,7 +27,14 @@ from treealpha.graphs import (
     subdivide,
 )
 from treealpha.patterns import contains_induced
-from treealpha.treedecomp import MWISInstance, TreeDecomposition, mwis, tree_alpha_exact
+from treealpha.treedecomp import (
+    MWISInstance,
+    TreeDecomposition,
+    assemble_td,
+    mwis,
+    td_stats,
+    tree_alpha_exact,
+)
 
 from .oracles import (
     edge_list_adjacency,
@@ -471,15 +478,23 @@ class TestAlphaExact:
 
     def test_non_integer_cap_override_rejected(self):
         # every cap override is a plain int >= 0, refused before any search
+        def everything(sub, w):
+            return sub.vertices
+
         inst = MWISInstance(generate("path", k=3), {0: 1, 1: 1, 2: 1})
         td = TreeDecomposition.single_bag(inst.graph)
+        empty = TreeDecomposition.single_bag(Graph(0))  # no bag to take an alpha of
         for bad in ("5", "3", 2.5, 3.0, True, -1):
             for call in (lambda: alpha_exact(Graph(3), cap_override=bad),
                          lambda: max_stable_set(Graph(3), cap_override=bad),
                          lambda: contains_induced(Graph(3), Graph(2), cap_override=bad),
                          lambda: mwis(inst, "brute", cap_override=bad),
                          lambda: mwis(inst, "td", td=td, cap_override=bad),
-                         lambda: tree_alpha_exact(Graph(3), cap_override=bad)):
+                         lambda: tree_alpha_exact(Graph(3), cap_override=bad),
+                         lambda: td_stats(inst.graph, td, cap_override=bad),
+                         lambda: assemble_td(inst.graph, everything, cap_override=bad),
+                         lambda: td_stats(Graph(0), empty, cap_override=bad),
+                         lambda: assemble_td(Graph(0), everything, cap_override=bad)):
                 with pytest.raises(PreconditionError):
                     call()
         assert alpha_exact(Graph(3), cap_override=3) == 3
@@ -487,33 +502,53 @@ class TestAlphaExact:
             alpha_exact(Graph(1), cap_override=0)
 
     def test_refusal_names_its_cap_source(self, monkeypatch):
-        # every cap refusal says whether its cap was the call's argument or
-        # the default, in its source field and in its message
+        # every cap refusal names its cap by its DEFAULT_CAPS key and says
+        # whether its cap was the call's argument or the default, in its
+        # fields and in its message
         inst = MWISInstance(generate("path", k=3), {0: 1, 1: 1, 2: 1})
         td = TreeDecomposition.single_bag(inst.graph)
         c11 = generate("cycle", k=11)
+        g41 = Graph(41)
+
+        def everything(sub, w):
+            return sub.vertices
+
         # path(3) has five stable sets; a default of 4 refuses them
         monkeypatch.setitem(caps.DEFAULT_CAPS, "mwis_states", 4)
-        cases = [  # (call, size, cap, source)
-            (lambda: alpha_exact(Graph(41)), 41, 40, "default"),
-            (lambda: alpha_exact(Graph(3), cap_override=2), 3, 2, "argument"),
-            (lambda: max_stable_set(Graph(41)), 41, 40, "default"),
-            (lambda: max_stable_set(Graph(3), cap_override=2), 3, 2, "argument"),
-            (lambda: contains_induced(Graph(3), Graph(13)), 13, 12, "default"),
-            (lambda: contains_induced(Graph(3), Graph(2), cap_override=1), 2, 1, "argument"),
-            (lambda: mwis(MWISInstance(Graph(25), {}), "brute"), 25, 24, "default"),
-            (lambda: mwis(inst, "brute", cap_override=2), 3, 2, "argument"),
-            (lambda: mwis(inst, "td", td=td), 5, 4, "default"),
-            (lambda: mwis(inst, "td", td=td, cap_override=3), 5, 3, "argument"),
-            (lambda: tree_alpha_exact(c11), 11, 10, "default"),
-            (lambda: tree_alpha_exact(c11, cap_override=9), 11, 9, "argument"),
+        cases = [  # (call, what, size, cap, source)
+            (lambda: alpha_exact(g41), "alpha", 41, 40, "default"),
+            (lambda: alpha_exact(Graph(3), cap_override=2), "alpha", 3, 2, "argument"),
+            (lambda: max_stable_set(g41), "alpha", 41, 40, "default"),
+            (lambda: max_stable_set(Graph(3), cap_override=2), "alpha", 3, 2, "argument"),
+            (lambda: td_stats(g41, TreeDecomposition.single_bag(g41)), "alpha", 41, 40,
+             "default"),
+            (lambda: td_stats(inst.graph, td, cap_override=2), "alpha", 3, 2, "argument"),
+            (lambda: assemble_td(g41, everything), "alpha", 41, 40, "default"),
+            (lambda: assemble_td(inst.graph, everything, cap_override=2), "alpha", 3, 2,
+             "argument"),
+            (lambda: contains_induced(Graph(3), Graph(13)), "pattern", 13, 12, "default"),
+            (lambda: contains_induced(Graph(3), Graph(2), cap_override=1), "pattern", 2, 1,
+             "argument"),
+            (lambda: mwis(MWISInstance(Graph(25), {}), "brute"), "mwis_brute", 25, 24,
+             "default"),
+            (lambda: mwis(inst, "brute", cap_override=2), "mwis_brute", 3, 2, "argument"),
+            (lambda: mwis(inst, "td", td=td), "mwis_states", 5, 4, "default"),
+            (lambda: mwis(inst, "td", td=td, cap_override=3), "mwis_states", 5, 3, "argument"),
+            (lambda: tree_alpha_exact(c11), "tree_alpha", 11, 10, "default"),
+            (lambda: tree_alpha_exact(c11, cap_override=9), "tree_alpha", 11, 9, "argument"),
         ]
-        for call, size, cap, source in cases:
+        for call, what, size, cap, source in cases:
             with pytest.raises(CapExceededError) as err:
                 call()
-            assert (err.value.size, err.value.cap, err.value.source) == (size, cap, source)
-            assert str(err.value).endswith(f"exceeds cap {cap} ({source})")
+            assert err.value.what in caps.DEFAULT_CAPS
+            got = (err.value.what, err.value.size, err.value.cap, err.value.source)
+            assert got == (what, size, cap, source)
+            assert str(err.value) == f"{what}: size {size} exceeds cap {cap} ({source})"
         assert mwis(inst, "td", td=td, cap_override=5)[1] == 2
+        # an override above the default reaches every alpha that td_stats
+        # and assemble_td take, of an oracle output and of a bag
+        assert td_stats(g41, TreeDecomposition.single_bag(g41), cap_override=41) == (40, 41)
+        assert assemble_td(g41, everything, cap_override=41).oracle_alphas == [41]
 
     def test_matches_naive_on_200_random(self):
         rng = random.Random(424242)

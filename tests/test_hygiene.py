@@ -1,7 +1,7 @@
 """Source hygiene: the package's checks survive ``python -O``, its
-refusals use the package's own error types, it keeps no unused import
-and no private definition without a caller, and the test oracles use none
-of its search kernels."""
+refusals use the package's own error types, one gate raises every cap
+refusal, it keeps no unused import and no private definition without a
+caller, and the test oracles use none of its search kernels."""
 
 from __future__ import annotations
 
@@ -48,6 +48,27 @@ def test_no_environment_reads():
                 [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
             if {"environ", "environb", "getenv", "getenvb"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_caps_is_the_only_cap_gate():
+    # caps.enforce alone reads the default caps and raises a cap refusal: no
+    # other module names DEFAULT_CAPS or CapExceededError, as a name, an
+    # attribute, an import under any alias or a getattr string; errors.py
+    # defines the class, which names neither
+    found = []
+    for path in SOURCES:
+        if path.name == "caps.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Constant):
+                names = {node.value}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names & {"DEFAULT_CAPS", "CapExceededError"}]
     assert found == []
 
 

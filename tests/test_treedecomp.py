@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import treealpha
+from treealpha import graphs, treedecomp
 from treealpha.errors import (
     CapExceededError,
     FormatError,
+    InvariantViolationError,
     OracleContractError,
     PreconditionError,
 )
@@ -30,9 +32,16 @@ from treealpha.graphs import (
     generate,
     line_graph,
     max_stable_set,
+    parse_graph,
     subdivide,
 )
-from treealpha.patterns import PatternSpec, contains_induced, find_pattern, lt_free_upto
+from treealpha.patterns import (
+    Embedding,
+    PatternSpec,
+    contains_induced,
+    find_pattern,
+    lt_free_upto,
+)
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
@@ -553,6 +562,54 @@ class TestMWIS:
         s, val = mwis(inst, "brute")
         assert val == 6 and s == frozenset({3, 4, 5})
 
+    # (module, kernel, stand-in, method or x): each stand-in returns a
+    # witness that is not stable, lies outside the graph or x, or does not
+    # weigh the value, on path(3) with every weight 10**12; integer weights
+    # are compared exactly, so a value off by one out of 2 * 10**12 is refused
+    WRONG_KERNELS = {
+        "td not stable": (treedecomp, "_mwis_td", lambda *args: (0b011, 2 * 10**12), "td"),
+        "td outside": (treedecomp, "_mwis_td", lambda *args: (0b1000, 0), "td"),
+        "td value": (treedecomp, "_mwis_td", lambda *args: (0b101, 2 * 10**12 + 1), "td"),
+        "td empty value": (treedecomp, "_mwis_td", lambda *args: (0, 1), "td"),
+        "brute value": (treedecomp, "_mwis_brute", lambda *args: (0b101, 2 * 10**12 - 1),
+                        "brute"),
+        "brute not stable": (treedecomp, "_max_weight_stable", lambda *args: 0b110, "brute"),
+        "brute outside": (treedecomp, "_max_weight_stable", lambda *args: 0b1001, "brute"),
+        "max_stable_set not stable": (graphs, "_max_weight_stable", lambda *args: 0b011, None),
+        "max_stable_set outside x": (graphs, "_max_weight_stable", lambda *args: 0b001, {1, 2}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_KERNELS))
+    def test_wrong_witness_is_refused(self, case, monkeypatch):
+        module, kernel, stand_in, method = self.WRONG_KERNELS[case]
+        g = generate("path", k=3)
+        inst = MWISInstance(g, {v: 10**12 for v in g.vertices})
+        td = TreeDecomposition.single_bag(g)
+        if module is graphs:
+            def call():
+                return max_stable_set(g, method)
+        else:
+            def call():
+                return mwis(inst, method, td=td)
+        before = call()
+        monkeypatch.setattr(module, kernel, stand_in)
+        with pytest.raises(InvariantViolationError):
+            call()
+        monkeypatch.undo()
+        assert call() == before
+
+    def test_float_weights_pass_the_value_check(self):
+        # the DP adds float weights in another order than the witness sum
+        rng = random.Random(43)
+        for _ in range(40):
+            g = generate("gnp", n=rng.randint(2, 11), p=rng.choice([0.2, 0.4]),
+                         seed=rng.randrange(10**6))
+            inst = MWISInstance(g, {v: rng.random() * 10 ** rng.randint(-3, 3)
+                                    for v in g.vertices})
+            td = assemble_td(g, brute_balanced_separator).td
+            _, val = mwis(inst, "td", td=td)
+            assert val == pytest.approx(mwis(inst, "brute")[1], rel=1e-9)
+
     def test_td_matches_brute_single_bag(self):
         rng = random.Random(37)
         for _ in range(60):
@@ -700,31 +757,45 @@ class TestMWIS:
 
 
 def test_certificate_checks_survive_optimize():
-    # under python -O (asserts stripped) a DP witness that is not stable, an
-    # assembled decomposition that fails validation and a separator whose
-    # largest component holds one vertex of the weight too many, at the first
-    # call or at a forced re-cut (see test_balance_boundary), are still refused
+    # under python -O (asserts stripped) a DP witness that is not stable or
+    # does not weigh the DP's value, a brute-force or max_stable_set witness
+    # that is not stable, an assembled decomposition that fails validation
+    # and a separator whose largest component holds one vertex of the weight
+    # too many, at the first call or at a forced re-cut (see
+    # test_balance_boundary), are still refused
     script = """
-from treealpha import treedecomp
+from treealpha import graphs, treedecomp
 from treealpha.errors import InvariantViolationError, OracleContractError
 from treealpha.graphs import generate
 from treealpha.treedecomp import MWISInstance, TreeDecomposition
 
 assert False, "asserts must be stripped in this run"
 g = generate("path", k=3)
+inst = MWISInstance(g, {v: 1 for v in g.vertices})
+single = TreeDecomposition.single_bag(g)
 validate = treedecomp.validate_td
-treedecomp._mwis_td = lambda *args: (0b011, 2)
-treedecomp.validate_td = lambda g, td: validate(
-    g, TreeDecomposition(td.tree, {**td.bags, 0: frozenset()}))
-calls = (lambda: treedecomp.mwis(MWISInstance(g, {v: 1 for v in g.vertices}), "td",
-                                 td=TreeDecomposition.single_bag(g)),
-         lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices))
-for call in calls:
+cases = [  # (module, name, stand-in, call)
+    (treedecomp, "_mwis_td", lambda *args: (0b011, 2),
+     lambda: treedecomp.mwis(inst, "td", td=single)),
+    (treedecomp, "_mwis_td", lambda *args: (0b101, 3),
+     lambda: treedecomp.mwis(inst, "td", td=single)),
+    (treedecomp, "_max_weight_stable", lambda *args: 0b011,
+     lambda: treedecomp.mwis(inst, "brute")),
+    (graphs, "_max_weight_stable", lambda *args: 0b011, lambda: graphs.max_stable_set(g)),
+    (treedecomp, "validate_td", lambda g, td: validate(
+        g, TreeDecomposition(td.tree, {**td.bags, 0: frozenset()})),
+     lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices)),
+]
+for module, name, stand_in, call in cases:
+    real = getattr(module, name)
+    setattr(module, name, stand_in)
     try:
         call()
     except InvariantViolationError:
         continue
-    raise SystemExit("a wrong certificate was accepted")
+    finally:
+        setattr(module, name, real)
+    raise SystemExit(f"a wrong certificate was accepted: {name}")
 for answers in ([{1, 7}], [{2, 7}, {2, 3}, {3}]):
     try:
         treedecomp.assemble_td(generate("cycle", k=8), lambda sub, w: answers.pop(0))
@@ -759,6 +830,7 @@ NON_GRAPH_CALLS = {
     "emit_graph": lambda x: emit_graph(x, "graph6"),
     "td_stats graph": lambda x: td_stats(x, TreeDecomposition.single_bag(Graph(2))),
     "td_stats td": lambda x: td_stats(Graph(2), x),
+    "TreeDecomposition.single_bag": TreeDecomposition.single_bag,
     "MWISInstance": lambda x: MWISInstance(x, {}),
     "is_chordal": is_chordal,
     "minimal_triangulations": minimal_triangulations,
@@ -771,3 +843,46 @@ NON_GRAPH_CALLS = {
 def test_non_graph_argument_is_precondition_error(entry, bad):
     with pytest.raises(PreconditionError):
         NON_GRAPH_CALLS[entry](bad)
+
+
+P3 = generate("path", k=3)
+
+# a malformed argument other than the graph: each call once raised a bare
+# AttributeError or TypeError, or took a bool as a number
+MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
+    "WeightFn None": (lambda: WeightFn(None), PreconditionError),
+    "WeightFn list": (lambda: WeightFn([0.5]), PreconditionError),
+    "WeightFn bool weight": (lambda: WeightFn({0: True}), PreconditionError),
+    "WeightFn.uniform int": (lambda: WeightFn.uniform(5), PreconditionError),
+    "WeightFn.from_json None": (lambda: WeightFn.from_json(None), FormatError),
+    "WeightFn.from_json bool weight": (lambda: WeightFn.from_json('{"0": true}'), FormatError),
+    "subdivide None": (lambda: subdivide(P3, None), PreconditionError),
+    "parse_graph graph6 None": (lambda: parse_graph(None, "graph6"), FormatError),
+    "parse_graph edgelist int": (lambda: parse_graph(123, "edgelist"), FormatError),
+    "parse_graph n str": (lambda: parse_graph("0 1", "edgelist", n="5"), PreconditionError),
+    "parse_graph n bool": (lambda: parse_graph("0 1", "edgelist", n=True), PreconditionError),
+    "parse_graph n negative": (lambda: parse_graph("", "edgelist", n=-1), PreconditionError),
+    "find_pattern str spec": (lambda: find_pattern(P3, "s_ttt"), PreconditionError),
+    "find_pattern None spec": (lambda: find_pattern(P3, None), PreconditionError),
+    "Embedding.verify pattern None": (lambda: Embedding({}).verify(None, P3), PreconditionError),
+    "Embedding.verify host None": (lambda: Embedding({}).verify(P3, None), PreconditionError),
+    "assemble_td oracle None": (lambda: assemble_td(P3, None), PreconditionError),
+    "MWISInstance bool weight": (lambda: MWISInstance(P3, {0: True}), PreconditionError),
+    "generate gnp bool p": (lambda: generate("gnp", n=4, p=True), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED_ARGUMENT_CALLS))
+def test_malformed_argument_is_typed_refusal(entry):
+    call, error = MALFORMED_ARGUMENT_CALLS[entry]
+    with pytest.raises(error):
+        call()
+
+
+def test_well_formed_neighbours_of_the_malformed_arguments_pass():
+    # the plain-int and plain-text versions of the refused arguments
+    assert WeightFn({0: 1}).total == 1 and WeightFn.uniform(range(2)).total == 1
+    assert parse_graph("0 1", "edgelist", n=5).n == 5
+    assert generate("gnp", n=4, p=1).edge_count() == 6
+    assert MWISInstance(P3, {0: 1, 1: Fraction(1, 2), 2: 0.5}).total(P3.vertices) == 2
+    assert find_pattern(P3, PatternSpec("k_tt", t=1)).verify(Graph(2, [(0, 1)]), P3)
