@@ -243,7 +243,10 @@ class WeightFn:
 
     def weight(self, vs: Iterable[int]) -> Fraction:
         num = self._num
-        return Fraction(sum(num.get(v, 0) for v in vs), self._den)
+        try:
+            return Fraction(sum(num.get(v, 0) for v in vs), self._den)
+        except TypeError:
+            raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
 
     @property
     def total(self) -> Fraction:
@@ -681,6 +684,8 @@ def generate(kind: str, seed: int | None = None, **params) -> Graph:
     """Named graph families; gnp is deterministic per seed."""
     if kind not in _KINDS:
         raise PreconditionError(f"unknown graph kind {kind!r}")
+    if not (seed is None or _is_int(seed)):
+        raise PreconditionError(f"seed={seed!r} is not None or an integer")
     for key in ("k", "t", "a", "b", "gamma", "n"):
         if key in params and not (_is_int(params[key]) and params[key] > 0):
             raise PreconditionError(f"parameter {key}={params[key]!r} must be a positive integer")

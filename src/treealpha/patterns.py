@@ -10,6 +10,7 @@ from line graphs of wall subdivisions through ``lt_free_upto``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ class Embedding:
         _check_graph(pattern, "pattern")
         _check_graph(host, "host")
         m = self.mapping
+        if not isinstance(m, Mapping):
+            raise PreconditionError(f"mapping {m!r} is not a mapping of pattern to host ids")
         if not all(_is_int(a) for a in m) or set(m) != set(pattern.vertices):
             return False
         if not all(_is_int(v) and 0 <= v < host.n for v in m.values()):

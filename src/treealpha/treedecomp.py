@@ -235,7 +235,11 @@ def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:
       over the components.
 
     Each piece runs ``_subset_tree_alpha``, and the ``tree_alpha`` cap bounds
-    the size of the largest piece, not n: a refusal reports that piece.
+    the size of the largest piece, not n: a refusal reports that piece. A
+    greedy elimination bounds each piece's value from above first. A piece
+    has no simplicial vertex, so it is not chordal and its value is at least
+    2, and a bound of 2 is the answer without the recurrence; a larger bound
+    seeds the recurrence, whose values are clipped at it, exactly.
     """
     _check_graph(g)
     adj = g._masks
@@ -270,6 +274,24 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
     one lookup, already reaches the least value found so far for TA(S), v
     cannot lower it and its bag is not built. Neither step changes a value
     the recurrence takes its minimum over, so the answer is the same.
+
+    Before the recurrence, one greedy elimination bounds the answer from
+    above: each step eliminates the vertex whose bag has the least alpha,
+    the lowest such vertex on ties, and ub is the largest alpha of a bag it
+    took. That order is one of those TA(V) minimises over, so
+    tree-alpha <= ub, and when ub <= 2 it is the answer, for any mask:
+    - A chordal piece gives ub = 1. While no step has added fill, the
+      remaining graph is an induced subgraph of the piece, so chordal, and
+      it has a simplicial vertex (Dirac 1961), whose bag is a clique: alpha
+      1, and no fill. So the greedy takes only such bags.
+    - A piece that is not chordal has tree-alpha at least 2, since a
+      decomposition whose bags are all cliques makes it chordal.
+    Otherwise every TA(S) starts at ub instead of at n, and the table holds
+    min(ub, TA(S)). That is exact: min(ub, .) commutes with the minimum over
+    v, and min(ub, max(x, y)) = min(ub, max(min(ub, x), y)), so clipping the
+    values the recurrence reads gives the clipped value of TA(S), and
+    min(ub, TA(V)) = TA(V). Both cuts above compare against a value that is
+    at most ub from the start, and so fire far more often.
     """
     order = _bits(piece)
     n = len(order)
@@ -280,9 +302,18 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
         b = s & -s
         rest = s ^ b
         alpha[s] = max(alpha[rest], 1 + alpha[rest & ~adj[b.bit_length() - 1]])
+    full = (1 << n) - 1
+    ub = before = 0
+    while before != full:
+        a, v = min((alpha[_reach(adj, 1 << v, before) & ~before], v)
+                   for v in _bits(full ^ before))
+        ub = max(ub, a)
+        before |= 1 << v
+    if ub <= 2:
+        return ub
     ta = [0] * (1 << n)
     for s in range(1, 1 << n):
-        best, m = n, s
+        best, m = ub, s
         while m:
             b = m & -m
             m ^= b
@@ -438,7 +469,10 @@ class MWISInstance:
         return self.weights.get(v, 0)
 
     def total(self, vs: Iterable[int]):
-        return sum(self.w(v) for v in vs)
+        try:
+            return sum(self.w(v) for v in vs)
+        except TypeError:
+            raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
 
 
 def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[int, object]:

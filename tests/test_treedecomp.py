@@ -24,6 +24,7 @@ from treealpha.errors import (
 from treealpha.graphs import (
     Graph,
     WeightFn,
+    _reach,
     alpha_exact,
     check_vertex_set,
     closed_nbhd,
@@ -31,6 +32,7 @@ from treealpha.graphs import (
     emit_graph,
     generate,
     line_graph,
+    mask_to_set,
     max_stable_set,
     parse_graph,
     subdivide,
@@ -45,6 +47,7 @@ from treealpha.patterns import (
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
+    _subset_tree_alpha,
     assemble_td,
     is_chordal,
     minimal_triangulations,
@@ -61,6 +64,7 @@ from .oracles import (
     naive_mwis,
     naive_validate_td,
     reference_assemble_td,
+    reference_max_weight_stable,
     reference_subset_tree_alpha,
     reference_tree_alpha,
 )
@@ -143,6 +147,21 @@ def _with_pendant_path(g: Graph, k: int) -> Graph:
     """g with a path of k new vertices hanging from vertex 0."""
     path = [0, *range(g.n, g.n + k)]
     return Graph(g.n + k, g.edges() + list(zip(path, path[1:])))
+
+
+def _greedy_elimination_bound(g: Graph) -> int:
+    """The largest bag alpha of the greedy elimination that
+    ``_subset_tree_alpha`` runs first: each step eliminates the vertex whose
+    bag has the least alpha, the lowest one on ties."""
+    adj, full, unit = g._masks, (1 << g.n) - 1, [1] * g.n
+    bound = before = 0
+    while before != full:
+        a, v = min((reference_max_weight_stable(adj, _reach(adj, 1 << v, before) & ~before,
+                                                unit).bit_count(), v)
+                   for v in mask_to_set(full ^ before))
+        bound = max(bound, a)
+        before |= 1 << v
+    return bound
 
 
 def _random_forest(rng: random.Random, n: int) -> Graph:
@@ -376,6 +395,33 @@ class TestTreeAlpha:
             assert tree_alpha_exact(generate("complete_bipartite", a=t, b=t)) == t
         # the 2-wall has 16 vertices, none simplicial, and is one piece
         assert tree_alpha_exact(generate("wall", t=2), cap_override=16) == 2
+        # so has its line graph, with 19
+        assert tree_alpha_exact(line_graph(generate("wall", t=2))[0], cap_override=19) == 3
+
+    def test_subset_recurrence_on_unpeeled_graphs_and_masks(self):
+        # the greedy bound's early return holds for any mask, not only for
+        # the pieces the reductions leave
+        rng = random.Random(71)
+        cases = [generate("cycle", k=k) for k in range(3, 9)]
+        cases += [_random_chordal(rng, rng.randint(1, 10)) for _ in range(60)]
+        cases += [generate("gnp", n=rng.randint(1, 10), p=rng.choice([0.2, 0.3, 0.5, 0.7]),
+                           seed=rng.randrange(10**6)) for _ in range(300)]
+        for g in cases:
+            full = (1 << g.n) - 1
+            assert _subset_tree_alpha(g._masks, full) == reference_subset_tree_alpha(g), g.edges()
+            keep = rng.randrange(full + 1)
+            sub = g.induced(mask_to_set(keep))[0]
+            assert _subset_tree_alpha(g._masks, keep) == reference_subset_tree_alpha(sub), g.edges()
+
+    def test_greedy_bound_above_the_answer_is_lowered(self):
+        # (n, p, seed, greedy bound, tree-alpha), found by a search over
+        # seeded gnp graphs and the values taken from the reference
+        for n, p, seed, bound, want in [(9, 0.3, 19, 3, 2), (10, 0.5, 11, 3, 2),
+                                        (11, 0.6, 0, 3, 2), (12, 0.3, 5, 3, 2),
+                                        (12, 0.4, 15, 4, 3)]:
+            g = generate("gnp", n=n, p=p, seed=seed)
+            assert _greedy_elimination_bound(g) == bound, (n, p, seed)
+            assert _subset_tree_alpha(g._masks, (1 << n) - 1) == want, (n, p, seed)
 
     def test_matches_triangulation_reference(self):
         rng = random.Random(59)
@@ -866,9 +912,15 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "find_pattern None spec": (lambda: find_pattern(P3, None), PreconditionError),
     "Embedding.verify pattern None": (lambda: Embedding({}).verify(None, P3), PreconditionError),
     "Embedding.verify host None": (lambda: Embedding({}).verify(P3, None), PreconditionError),
+    "Embedding.verify mapping None": (lambda: Embedding(None).verify(P3, P3), PreconditionError),
+    "WeightFn.weight None": (lambda: WeightFn({0: 1}).weight(None), PreconditionError),
+    "MWISInstance.total None": (lambda: MWISInstance(P3, {0: 1}).total(None), PreconditionError),
     "assemble_td oracle None": (lambda: assemble_td(P3, None), PreconditionError),
     "MWISInstance bool weight": (lambda: MWISInstance(P3, {0: True}), PreconditionError),
     "generate gnp bool p": (lambda: generate("gnp", n=4, p=True), PreconditionError),
+    "generate gnp bool seed": (lambda: generate("gnp", n=4, p=0.5, seed=True), PreconditionError),
+    "generate gnp str seed": (lambda: generate("gnp", n=4, p=0.5, seed="x"), PreconditionError),
+    "generate gnp float seed": (lambda: generate("gnp", n=4, p=0.5, seed=1.0), PreconditionError),
 }
 
 
@@ -884,5 +936,7 @@ def test_well_formed_neighbours_of_the_malformed_arguments_pass():
     assert WeightFn({0: 1}).total == 1 and WeightFn.uniform(range(2)).total == 1
     assert parse_graph("0 1", "edgelist", n=5).n == 5
     assert generate("gnp", n=4, p=1).edge_count() == 6
+    assert generate("gnp", n=6, p=0.5, seed=None) == generate("gnp", n=6, p=0.5, seed=0)
+    assert generate("gnp", n=6, p=0.5, seed=-3).n == 6
     assert MWISInstance(P3, {0: 1, 1: Fraction(1, 2), 2: 0.5}).total(P3.vertices) == 2
     assert find_pattern(P3, PatternSpec("k_tt", t=1)).verify(Graph(2, [(0, 1)]), P3)
