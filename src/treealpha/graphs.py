@@ -502,7 +502,7 @@ def _parse_graph6(text: str) -> Graph:
     except UnicodeEncodeError as e:
         raise FormatError("graph6 input is not ASCII") from e
     for byte in data:
-        if byte != 126 and not (63 <= byte <= 126):
+        if not (63 <= byte <= 126):
             raise FormatError(f"invalid graph6 byte {byte}")
     n, rest = _g6_decode_n(data)
     need_bits = n * (n - 1) // 2
@@ -514,8 +514,6 @@ def _parse_graph6(text: str) -> Graph:
     bits = []
     for byte in rest:
         val = byte - 63
-        if not (0 <= val <= 63):
-            raise FormatError(f"invalid graph6 data byte {byte}")
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     for extra in bits[need_bits:]:
         if extra:
@@ -635,34 +633,27 @@ def _gen_k_gamma_2(gamma: int) -> Graph:
 def _gen_wall(t: int) -> Graph:
     """Elementary t-by-t wall.
 
-    Coordinate rule: start from the grid fragment with rows 0..t and columns
-    0..2t+1, keep all horizontal edges, keep the vertical edge between
-    (r, c) and (r+1, c) exactly when r + c is even, then prune degree-one
-    vertices until none remain. Ids are dense in (row, column) order.
+    Coordinate rule: the grid fragment with rows 0..t and columns 0..2t+1,
+    all its horizontal edges, and the vertical edge between (r, c) and
+    (r+1, c) exactly when r + c is even, without its two corners of degree
+    one. A vertex off the end columns has two horizontal edges, and one on
+    an end column strictly between the top and bottom rows has one vertical
+    edge, up or down by the parity of r + c. So degree one falls only on a
+    corner that gets no vertical edge: (0, 2t+1), and (t, 0) for even t or
+    (t, 2t+1) for odd t. Their neighbours (0, 2t) and (t, 1) or (t, 2t)
+    keep a vertical edge, so no vertex reaches degree one once they go.
+    Ids are dense in (row, column) order.
     """
-    rows, cols = t + 1, 2 * t + 2
-    verts = {(r, c) for r in range(rows) for c in range(cols)}
-    edges = set()
-    for r in range(rows):
-        for c in range(cols - 1):
-            edges.add(((r, c), (r, c + 1)))
-    for r in range(rows - 1):
-        for c in range(cols):
-            if (r + c) % 2 == 0:
-                edges.add(((r, c), (r + 1, c)))
-    while True:
-        deg = {v: 0 for v in verts}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        drop = {v for v, d in deg.items() if d <= 1}
-        if not drop:
-            break
-        verts -= drop
-        edges = {(a, b) for a, b in edges if a not in drop and b not in drop}
-    order = sorted(verts)
-    ids = {v: i for i, v in enumerate(order)}
-    return Graph(len(order), [(ids[a], ids[b]) for a, b in edges])
+    corners = {(0, 2 * t + 1), (t, 0 if t % 2 == 0 else 2 * t + 1)}
+    ids = {v: i for i, v in enumerate(
+        (r, c) for r in range(t + 1) for c in range(2 * t + 2) if (r, c) not in corners)}
+    edges = []
+    for (r, c), i in ids.items():
+        if (r, c + 1) in ids:
+            edges.append((i, ids[r, c + 1]))
+        if (r + c) % 2 == 0 and (r + 1, c) in ids:
+            edges.append((i, ids[r + 1, c]))
+    return Graph(len(ids), edges)
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:

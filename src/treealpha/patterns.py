@@ -156,8 +156,6 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
     """
     degrees, in_tri, steps = _pattern_profile(h._masks) if isinstance(h, Graph) else h
     k = len(degrees)
-    if k == 0:
-        return Embedding({})
     if k > g.n:
         return None
     adj, deg_ge, tri = host if host is not None else _host_profile(g, in_tri != 0)

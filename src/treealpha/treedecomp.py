@@ -137,8 +137,7 @@ def td_stats(g: Graph, td: TreeDecomposition,
     width = td.width()
     independence = 0
     for b in td.bags.values():
-        if b:
-            independence = max(independence, alpha_exact(g, b, cap_override))
+        independence = max(independence, alpha_exact(g, b, cap_override))
     return width, independence
 
 
@@ -389,7 +388,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
         room = c * heavy.bit_count()
         if any((comp & heavy).bit_count() > room for comp in _component_masks(adj, univ & ~x)):
             raise OracleContractError("oracle output is not a balanced separator", (sub, w))
-        oracle_alphas.append(alpha_exact(g, _bits(x), cap_override) if x else 0)
+        oracle_alphas.append(alpha_exact(g, _bits(x), cap_override))
         return x
 
     def new_node(bag: int) -> int:

@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive: full enumeration wherever possible,
-no pruning shared with the implementations under test.
+no pruning shared with the implementations under test. Above the sizes
+enumeration reaches, the ``nx_*`` oracles ask networkx, a third party.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+
+import networkx as nx
 
 from treealpha.errors import OracleContractError, PreconditionError
 from treealpha.graphs import (
@@ -478,6 +481,40 @@ def naive_subdivide(g: Graph, counts) -> Graph:
     return Graph(nxt, edges)
 
 
+def reference_wall(t: int) -> Graph:
+    """Elementary t-by-t wall, as ``graphs._gen_wall`` built it before it
+    dropped the two degree-one corners by rule.
+
+    Coordinate rule: start from the grid fragment with rows 0..t and columns
+    0..2t+1, keep all horizontal edges, keep the vertical edge between
+    (r, c) and (r+1, c) exactly when r + c is even, then prune degree-one
+    vertices until none remain. Ids are dense in (row, column) order.
+    """
+    rows, cols = t + 1, 2 * t + 2
+    verts = {(r, c) for r in range(rows) for c in range(cols)}
+    edges = set()
+    for r in range(rows):
+        for c in range(cols - 1):
+            edges.add(((r, c), (r, c + 1)))
+    for r in range(rows - 1):
+        for c in range(cols):
+            if (r + c) % 2 == 0:
+                edges.add(((r, c), (r + 1, c)))
+    while True:
+        deg = {v: 0 for v in verts}
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        drop = {v for v, d in deg.items() if d <= 1}
+        if not drop:
+            break
+        verts -= drop
+        edges = {(a, b) for a, b in edges if a not in drop and b not in drop}
+    order = sorted(verts)
+    ids = {v: i for i, v in enumerate(order)}
+    return Graph(len(order), [(ids[a], ids[b]) for a, b in edges])
+
+
 def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     """``patterns._pattern_profile`` as it was before it read each step's
     later neighbours and non-neighbours off the masks: every later id is
@@ -723,3 +760,33 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
     decompose(frozenset(g.vertices), [])
     td = TreeDecomposition(Graph(len(bags), tree_edges), dict(bags))
     return AssembleResult(td, oracle_alphas, max(oracle_alphas, default=0), max_pieces)
+
+
+# -- networkx: an independent third party at 30-40 vertices --------------------
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    """g as a networkx graph on the nodes 0..n-1."""
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def nx_mwis(g: Graph, weights: dict[int, int]) -> int:
+    """Maximum weight of a stable set, as networkx's maximum weight clique
+    of the complement; the weights are integers >= 0, 0 where absent."""
+    comp = nx.complement(nx_graph(g))
+    nx.set_node_attributes(comp, {v: weights.get(v, 0) for v in range(g.n)}, "weight")
+    return nx.max_weight_clique(comp, weight="weight")[1]
+
+
+def nx_alpha(g: Graph) -> int:
+    """Stability number, as networkx's maximum clique of the complement."""
+    return nx_mwis(g, {v: 1 for v in range(g.n)})
+
+
+def nx_contains_induced(g: Graph, h: Graph) -> bool:
+    """Whether h is an induced subgraph of g, by networkx's node-induced
+    VF2 subgraph isomorphism."""
+    return nx.isomorphism.GraphMatcher(nx_graph(g), nx_graph(h)).subgraph_is_isomorphic()

@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from treealpha.graphs import (
     generate,
     line_graph,
     max_stable_set,
+    norm_edge,
     parse_graph,
     subdivide,
 )
@@ -42,7 +44,10 @@ from .oracles import (
     naive_components,
     naive_line_graph,
     naive_subdivide,
+    nx_alpha,
+    nx_graph,
     reference_max_weight_stable,
+    reference_wall,
 )
 
 
@@ -211,14 +216,51 @@ class TestFormats:
             assert parse_graph(emit_graph(g, fmt), fmt) == g
 
     def test_graph6_matches_networkx(self):
-        nx = pytest.importorskip("networkx")
         for seed in range(12):
             g = generate("gnp", n=11, p=0.35, seed=seed)
-            nxg = nx.Graph()
-            nxg.add_nodes_from(g.vertices)
-            nxg.add_edges_from(g.edges())
-            theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+            theirs = nx.to_graph6_bytes(nx_graph(g), header=False).decode().strip()
             assert emit_graph(g, "graph6") == theirs
+
+    def test_graph6_long_form_matches_networkx(self):
+        # n >= 63 takes the four-byte vertex count; both directions
+        for n in (63, 64, 100, 300):
+            g = generate("gnp", n=n, p=0.1, seed=n)
+            ours = emit_graph(g, "graph6")
+            assert ours.startswith("~")
+            theirs = nx.to_graph6_bytes(nx_graph(g), header=False).decode().strip()
+            assert ours == theirs
+            back = nx.from_graph6_bytes(ours.encode())
+            assert sorted(back.nodes) == list(range(n))
+            assert Graph(n, back.edges) == g
+            assert parse_graph(theirs, "graph6") == g
+
+    def test_graph6_long_headers_of_a_small_graph(self):
+        # the four- and eight-byte vertex counts also parse for a small n,
+        # as networkx reads them
+        for text in ("~??DQc", "~~?????DQc"):
+            want = nx.from_graph6_bytes(text.encode())
+            assert parse_graph(text, "graph6") == Graph(5, want.edges) == parse_graph("DQc", "graph6")
+
+    # one malformed text per FormatError raise of the text boundary, with
+    # the message that names the fault
+    @pytest.mark.parametrize("call, message", [
+        (lambda: parse_graph("", "graph6"), "empty graph6 string"),
+        (lambda: parse_graph("D?\u00e9", "graph6"), "not ASCII"),
+        (lambda: parse_graph("D?>", "graph6"), "invalid graph6 byte 62"),
+        (lambda: parse_graph("A@", "graph6"), "nonzero padding bits"),
+        (lambda: parse_graph("~?", "graph6"), "truncated graph6 vertex count"),
+        (lambda: parse_graph("~??", "graph6"), "truncated graph6 vertex count"),
+        (lambda: parse_graph("~~??", "graph6"), "truncated graph6 vertex count"),
+        (lambda: parse_graph("0 1 2", "edgelist"), "expected 'u v'"),
+        (lambda: parse_graph("0 -1", "edgelist"), "negative vertex id"),
+        (lambda: parse_graph("A_", "dot"), "unknown graph format"),
+        (lambda: emit_graph(Graph(2), "dot"), "unknown graph format"),
+        (lambda: WeightFn.from_json("[1]"), "must be an object"),
+    ], ids=["empty", "non-ascii", "byte-below-63", "padding", "header-~?", "header-~??",
+            "header-~~??", "three-tokens", "negative-id", "parse-fmt", "emit-fmt", "json-list"])
+    def test_malformed_text_is_format_error(self, call, message):
+        with pytest.raises(FormatError, match=message):
+            call()
 
 
 class TestGenerators:
@@ -241,6 +283,10 @@ class TestGenerators:
             g = generate("wall", t=t)
             assert max(g.degree(v) for v in g.vertices) <= 3
             assert _girth(g) == 6
+
+    def test_wall_matches_prune_loop_builder(self):
+        for t in range(1, 11):
+            assert generate("wall", t=t) == reference_wall(t)
 
     def test_wall_2_counts(self):
         g = generate("wall", t=2)
@@ -317,6 +363,19 @@ class TestLineGraphSubdivide:
                         seed=rng.randrange(10**6)) for _ in range(150)]
         for g in gs:
             assert line_graph(g) == naive_line_graph(g)
+
+    def test_matches_networkx_line_graph(self):
+        # the edge-to-id map is an isomorphism onto networkx's line graph
+        rng = random.Random(89)
+        gs = [generate("wall", t=3), subdivide(generate("wall", t=2), {(0, 1): 2})]
+        gs += [generate("gnp", n=rng.randint(1, 16), p=rng.choice([0.1, 0.3, 0.6]),
+                        seed=rng.randrange(10**6)) for _ in range(40)]
+        for g in gs:
+            lg, ids = line_graph(g)
+            theirs = nx.line_graph(nx_graph(g))
+            to_id = {e: ids[norm_edge(*e)] for e in theirs.nodes}
+            assert sorted(to_id.values()) == list(range(lg.n))
+            assert {norm_edge(to_id[a], to_id[b]) for a, b in theirs.edges} == set(lg.edges())
 
     def test_subdivide_k2_once(self):
         g = subdivide(Graph(2, [(0, 1)]), {(0, 1): 1})
@@ -556,6 +615,13 @@ class TestAlphaExact:
             n = rng.randint(1, 16)
             g = generate("gnp", n=n, p=rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(10**6))
             assert alpha_exact(g) == naive_alpha(g)
+
+    def test_matches_networkx_at_30_to_40(self):
+        for n in (30, 35, 40):
+            for p in (0.1, 0.3, 0.5):
+                for seed in (1, 2):
+                    g = generate("gnp", n=n, p=p, seed=seed)
+                    assert alpha_exact(g) == nx_alpha(g)
 
     def test_max_stable_set_is_maximum_cardinality(self):
         # unit weights are all positive, so no vertex is left out that a

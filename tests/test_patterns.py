@@ -27,6 +27,7 @@ from treealpha.patterns import (
 
 from .oracles import (
     naive_contains_induced,
+    nx_contains_induced,
     reference_backtrack_induced,
     reference_find_k_tt,
     reference_find_s_ttt,
@@ -144,6 +145,10 @@ class TestContainsInduced:
         with pytest.raises(CapExceededError):
             contains_induced(Graph(15), Graph(13), cap_override=12)
 
+    def test_empty_pattern_embeds_in_any_host(self):
+        assert contains_induced(generate("cycle", k=5), Graph(0)) == Embedding({})
+        assert contains_induced(Graph(0), Graph(0)) == Embedding({})
+
     def test_matches_reference_matcher(self):
         # the same first embedding (or None) as the forward-checking matcher
         # the mask-driven one replaced, on hosts and patterns with and
@@ -228,6 +233,22 @@ class TestFindPattern:
                 assert got.mapping == want.mapping
             outcomes.add((kind, t, got is not None))
         assert len(outcomes) == 12  # hits and misses for every kind and t
+
+    def test_matches_networkx_on_30_vertex_hosts(self):
+        specs = [PatternSpec("s_ttt", t=3), PatternSpec("k_tt", t=3),
+                 PatternSpec("k_gamma_2", gamma=3)]
+        # a miss of networkx's on a dense host takes seconds, so the larger
+        # patterns run on the sparse hosts only
+        sparse = [PatternSpec("s_ttt", t=5), PatternSpec("k_gamma_2", gamma=4)]
+        outcomes = set()
+        for p in (0.1, 0.3):
+            for seed in (1, 2, 3):
+                g = generate("gnp", n=30, p=p, seed=seed)
+                for spec in specs + (sparse if p == 0.1 else []):
+                    got = find_pattern(g, spec)
+                    assert (got is not None) == nx_contains_induced(g, spec.realize())
+                    outcomes.add((spec.kind, got is not None))
+        assert len(outcomes) == 6  # hits and misses for every kind
 
     def test_embedding_verify_rejects_bad(self):
         g = generate("cycle", k=4)

@@ -63,6 +63,7 @@ from .oracles import (
     naive_is_chordal,
     naive_mwis,
     naive_validate_td,
+    nx_mwis,
     reference_assemble_td,
     reference_max_weight_stable,
     reference_subset_tree_alpha,
@@ -678,6 +679,14 @@ class TestMWIS:
             wit, td_val = mwis(inst, "td", td=td)
             assert brute_val == td_val
             assert inst.total(wit) == td_val
+
+    def test_brute_matches_networkx(self):
+        rng = random.Random(43)
+        for n in range(16, 25):
+            for p in (0.1, 0.3, 0.5):
+                g = generate("gnp", n=n, p=p, seed=rng.randrange(10**6))
+                inst = MWISInstance(g, {v: rng.randint(0, 20) for v in g.vertices})
+                assert mwis(inst, "brute")[1] == nx_mwis(g, inst.weights)
 
     def test_brute_cap(self):
         g = Graph(30)
