@@ -359,16 +359,12 @@ def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
     heavier set replaces the best, so a witness may leave out vertices of
     weight 0.
     """
-    verts = _bits(mask)
-    order = sorted(verts, key=lambda v: (masks[v] & mask).bit_count())
-    relabel = order != verts
-    if relabel:
-        to = [0] * len(masks)
-        for i, v in enumerate(order):
-            to[v] = i
-        masks = tuple(_remap(masks[v] & mask, to) for v in order)
-        weights = [weights[v] for v in order]
-        mask = (1 << len(order)) - 1
+    order = sorted(_bits(mask), key=lambda v: (masks[v] & mask).bit_count())
+    to = [0] * len(masks)
+    for i, v in enumerate(order):
+        to[v] = i
+    masks = tuple(_remap(masks[v] & mask, to) for v in order)
+    weights = [weights[v] for v in order]
     best, best_val = 0, 0
 
     def expand(p: int, cur: int, cur_val) -> None:
@@ -399,15 +395,11 @@ def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
                 b = q & -q
                 q ^= b
                 v = b.bit_length() - 1
-                rest = p & ~(masks[v] | b)
-                if rest:
-                    expand(rest, cur | b, cur_val + weights[v])
-                elif cur_val + weights[v] > best_val:  # a leaf, without the call
-                    best, best_val = cur | b, cur_val + weights[v]
+                expand(p & ~(masks[v] | b), cur | b, cur_val + weights[v])
                 p ^= b
 
-    expand(mask, 0, 0)
-    return _remap(best, order) if relabel else best
+    expand((1 << len(order)) - 1, 0, 0)
+    return _remap(best, order)
 
 
 def max_stable_set(g: Graph, x: Iterable[int] | None = None,

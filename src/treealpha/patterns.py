@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 from .caps import enforce
 from .errors import InvariantViolationError, PreconditionError
@@ -131,17 +132,16 @@ def _pattern_profile(adj: tuple[int, ...]) -> tuple:
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
 
 
-def _backtrack_induced(g: Graph, h: Graph | tuple,
-                       host: tuple | None = None) -> Embedding | None:
-    """The lexicographically first induced embedding of h into g, or None.
+def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
+    """The lexicographically first induced embedding of a pattern into a
+    host, or None, from the host's ``_host_profile``, with triangles if the
+    pattern has one, and the pattern's ``_pattern_profile``.
 
-    h is the pattern, as a Graph or as its ``_pattern_profile``; host is
-    ``_host_profile(g)``, built here when not given. Pattern vertices are
-    assigned in id order and host candidates tried in ascending order, so a
-    self-match yields the identity. Assigning u to v intersects the domain
-    of each later neighbour of u with v's neighbourhood, then that of each
-    later non-neighbour with v's other non-neighbours, and drops v as soon
-    as a domain empties.
+    Pattern vertices are assigned in id order and host candidates tried in
+    ascending order, so a self-match yields the identity. Assigning u to v
+    intersects the domain of each later neighbour of u with v's
+    neighbourhood, then that of each later non-neighbour with v's other
+    non-neighbours, and drops v as soon as a domain empties.
 
     Every other rule prunes only branches that hold no embedding or only
     later ones, so the answer is the one the plain search would return:
@@ -154,11 +154,11 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
       hold a host vertex per class member: none is assigned yet, so all
       share that domain and need distinct images in it.
     """
-    degrees, in_tri, steps = _pattern_profile(h._masks) if isinstance(h, Graph) else h
-    k = len(degrees)
-    if k > g.n:
+    adj, deg_ge, tri = host
+    degrees, in_tri, steps = pattern
+    n, k = len(adj), len(degrees)
+    if k > n:
         return None
-    adj, deg_ge, tri = host if host is not None else _host_profile(g, in_tri != 0)
     doms = []
     for u, d in enumerate(degrees):
         dom = deg_ge[d] if d < len(deg_ge) else 0
@@ -167,7 +167,7 @@ def _backtrack_induced(g: Graph, h: Graph | tuple,
         if not dom:
             return None
         doms.append(dom)
-    full = (1 << g.n) - 1
+    full = (1 << n) - 1
     assign = [0] * k
 
     def rec(u: int, doms: list[int]) -> bool:
@@ -211,7 +211,14 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
     _check_graph(g)
     _check_graph(h, "h")
     enforce("pattern", h.n, cap_override)
-    return _certified(_backtrack_induced(g, h), h, g)
+    return _first_embedding(g, h)
+
+
+def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
+    """``_backtrack_induced`` of h into g, certified: both profiles are built
+    here, the host's triangles only when h has one."""
+    pattern = _pattern_profile(h._masks)
+    return _certified(_backtrack_induced(_host_profile(g, pattern[1] != 0), pattern), h, g)
 
 
 def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
@@ -233,8 +240,7 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     # this module was imported again still passes
     if not all(hasattr(spec, f) for f in ("kind", "t", "gamma", "realize")):
         raise PreconditionError(f"spec is {spec!r}, not a PatternSpec")
-    pattern = spec.realize()
-    return _certified(_backtrack_induced(g, pattern), pattern, g)
+    return _first_embedding(g, spec.realize())
 
 
 # -- wall line-graph freeness (bounded) -----------------------------------------
@@ -255,13 +261,12 @@ class LtVerdict:
 
 
 def _distributions(total: int, bins: int):
-    """All ways to split `total` across `bins` nonnegative counts."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _distributions(total - first, bins - 1):
-            yield (first,) + rest
+    """All ways to split `total` across `bins` nonnegative counts, in
+    lexicographic order: stars and bars, each choice of bins - 1 bar slots
+    among total + bins - 1, in the order ``combinations`` takes them."""
+    slots = total + bins - 1
+    for bars in combinations(range(slots), bins - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +355,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
             tested += 1
-            emb = _backtrack_induced(g, _member_profile(t, split), host)
+            emb = _backtrack_induced(host, _member_profile(t, split))
             if emb is not None:
                 return LtVerdict(
                     status="witness",

@@ -268,11 +268,6 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
     alpha. With v the lowest vertex of S, a stable subset of S either avoids
     v or holds v and nothing of N(v), so
     alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])), exactly.
-    A second cut skips the walk that builds a bag. The bag of v after the set
-    B = S - v holds N[v] - B, and alpha is monotone, so when alpha(N[v] - B),
-    one lookup, already reaches the least value found so far for TA(S), v
-    cannot lower it and its bag is not built. Neither step changes a value
-    the recurrence takes its minimum over, so the answer is the same.
 
     Before the recurrence, one greedy elimination bounds the answer from
     above: each step eliminates the vertex whose bag has the least alpha,
@@ -289,8 +284,10 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
     min(ub, TA(S)). That is exact: min(ub, .) commutes with the minimum over
     v, and min(ub, max(x, y)) = min(ub, max(min(ub, x), y)), so clipping the
     values the recurrence reads gives the clipped value of TA(S), and
-    min(ub, TA(V)) = TA(V). Both cuts above compare against a value that is
-    at most ub from the start, and so fire far more often.
+    min(ub, TA(V)) = TA(V). A candidate v whose TA(S - v) already reaches
+    the least value found so far for TA(S) cannot lower it, so its bag is
+    not built; that value is at most ub from the start, so the skip fires
+    far more often.
     """
     order = _bits(piece)
     n = len(order)
@@ -317,7 +314,7 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
             b = m & -m
             m ^= b
             before = s ^ b
-            if ta[before] >= best or alpha[(adj[b.bit_length() - 1] | b) & ~before] >= best:
+            if ta[before] >= best:
                 continue
             # ta[before] < best, so max(ta[before], a) < best exactly when a < best
             a = alpha[_reach(adj, b, before) & ~before]

@@ -536,12 +536,14 @@ def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
 
 
-def _distributions(total: int, bins: int):
+def reference_distributions(total: int, bins: int):
+    """``patterns._distributions`` as it was before stars and bars: every
+    split of total over bins nonnegative counts, first count outermost."""
     if bins == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _distributions(total - first, bins - 1):
+        for rest in reference_distributions(total - first, bins - 1):
             yield (first,) + rest
 
 
@@ -560,7 +562,7 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
     tested = 0
     s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for dist in _distributions(s, len(edges)):
+        for dist in reference_distributions(s, len(edges)):
             if tested >= member_budget:
                 return LtVerdict(
                     status="inconclusive",
@@ -790,3 +792,10 @@ def nx_contains_induced(g: Graph, h: Graph) -> bool:
     """Whether h is an induced subgraph of g, by networkx's node-induced
     VF2 subgraph isomorphism."""
     return nx.isomorphism.GraphMatcher(nx_graph(g), nx_graph(h)).subgraph_is_isomorphic()
+
+
+def nx_components(g: Graph, removed=frozenset()) -> set[frozenset[int]]:
+    """The connected components of g minus removed, by networkx."""
+    rest = nx_graph(g)
+    rest.remove_nodes_from(removed)
+    return {frozenset(c) for c in nx.connected_components(rest)}

@@ -45,6 +45,7 @@ from .oracles import (
     naive_line_graph,
     naive_subdivide,
     nx_alpha,
+    nx_components,
     nx_graph,
     reference_max_weight_stable,
     reference_wall,
@@ -463,6 +464,19 @@ class TestSetPrimitives:
             g = generate("gnp", n=9, p=0.3, seed=rng.randrange(10**6))
             removed = frozenset(v for v in g.vertices if rng.random() < 0.3)
             assert set(components(g, removed)) == naive_components(g, removed)
+
+    def test_components_match_networkx_at_30_to_40(self):
+        rng = random.Random(13)
+        counts = set()
+        for _ in range(40):
+            g = generate("gnp", n=rng.randint(30, 40), p=rng.choice([0.03, 0.06, 0.1]),
+                         seed=rng.randrange(10**6))
+            share = rng.choice([0, 0.2, 0.5])
+            removed = frozenset(v for v in g.vertices if rng.random() < share)
+            comps = components(g, removed)
+            assert set(comps) == nx_components(g, removed) and len(comps) == len(set(comps))
+            counts.add(len(comps))
+        assert len(counts) > 10
 
     def test_components_pairwise_anticomplete(self):
         g = generate("gnp", n=12, p=0.25, seed=9)

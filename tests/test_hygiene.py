@@ -1,11 +1,13 @@
 """Source hygiene: the package's checks survive ``python -O``, its
 refusals use the package's own error types, one gate raises every cap
 refusal, it keeps no unused import and no private definition without a
-caller, and the test oracles use none of its search kernels."""
+caller, the test oracles use none of its search kernels, and every
+function the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import treealpha
@@ -13,6 +15,7 @@ import treealpha
 SOURCES = sorted(Path(treealpha.__file__).resolve().parent.glob("*.py"))
 BUILTIN_RAISES = {"ValueError", "TypeError", "KeyError", "IndexError"}
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
                   "_peel_simplicial", "is_chordal", "minimal_triangulations"}
 
@@ -127,3 +130,17 @@ def test_oracles_use_no_search_kernel():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)
     assert SEARCH_KERNELS & named == set()
+
+
+def test_traced_names_exist():
+    # bench/tracing.TRACED maps a package module to the functions the traced
+    # run wraps, and Tracer.install fails on a name the module lacks; TRACED
+    # is read from the file, so that this test runs nothing of bench/
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    missing = [f"{home}.{name}" for home, names in traced.items() for name in names
+               if not hasattr(importlib.import_module(f"treealpha.{home}"), name)]
+    assert missing == []

@@ -29,6 +29,7 @@ from .oracles import (
     naive_contains_induced,
     nx_contains_induced,
     reference_backtrack_induced,
+    reference_distributions,
     reference_find_k_tt,
     reference_find_s_ttt,
     reference_lt_free_upto,
@@ -158,7 +159,7 @@ class TestContainsInduced:
         for _ in range(1200):
             g, h = _random_pair(rng)
             want = reference_backtrack_induced(g, h)
-            got = patterns._backtrack_induced(g, h)
+            got = patterns._first_embedding(g, h)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.mapping == want.mapping
@@ -340,7 +341,7 @@ class TestTwinBreaking:
             for i, h in enumerate(self.PATTERNS):
                 g = _random_host(rng, h, 9)
                 want = reference_backtrack_induced(g, h)
-                got = patterns._backtrack_induced(g, h)
+                got = patterns._first_embedding(g, h)
                 assert (got is None) == (want is None) == (not naive_contains_induced(g, h))
                 if got is not None:
                     assert got.mapping == want.mapping
@@ -466,8 +467,15 @@ class TestLtFree:
                     member, _ = line_graph(subdivide(wall, dict(zip(edges, dist))))
                     cls = patterns._member(t, tuple(rep[i] for i in heads))
                     assert (member.n, member.edge_count()) == (cls.n, cls.edge_count())
-                    emb = patterns._backtrack_induced(cls, member)
+                    emb = patterns._first_embedding(cls, member)
                     assert emb is not None and emb.verify(member, cls)
+
+    def test_distributions_match_recursive_reference(self):
+        # stars and bars yields the splits in the recursive generator's order
+        for bins in range(1, 11):
+            for total in range(6):
+                assert (list(patterns._distributions(total, bins))
+                        == list(reference_distributions(total, bins))), (total, bins)
 
     def test_one_member_per_class(self):
         # 1 + 9 + 45 splits over the 2-wall's nine branch paths for s <= 2,

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import treealpha
@@ -63,6 +64,7 @@ from .oracles import (
     naive_is_chordal,
     naive_mwis,
     naive_validate_td,
+    nx_graph,
     nx_mwis,
     reference_assemble_td,
     reference_max_weight_stable,
@@ -186,6 +188,31 @@ def _random_chordal(rng: random.Random, n: int) -> Graph:
     return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if subtrees[u] & subtrees[v]])
 
 
+def _elimination_fill(g: Graph) -> Graph:
+    """g with the fill of eliminating 0, 1, ..., n - 1 in turn: each vertex's
+    later neighbours made a clique. That order is a perfect elimination
+    order of the result, so the result is chordal."""
+    nbrs = [set(g.neighbors(v)) for v in g.vertices]
+    for v in g.vertices:
+        later = sorted(u for u in nbrs[v] if u > v)
+        for a, b in combinations(later, 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return Graph(g.n, [(u, v) for u in g.vertices for v in nbrs[u] if u < v])
+
+
+def _grid_strip(k: int, length: int) -> tuple[Graph, TreeDecomposition]:
+    """The k-by-length grid, ids column-major, with its sliding-window path
+    decomposition: bag i holds ids i..i+k."""
+    n = k * length
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % k]
+    edges += [(v, v + k) for v in range(n - k)]
+    nodes = max(n - k, 1)
+    return Graph(n, edges), TreeDecomposition(
+        Graph(nodes, [(i, i + 1) for i in range(nodes - 1)]),
+        {i: frozenset(range(i, min(i + k + 1, n))) for i in range(nodes)})
+
+
 class TestValidate:
     def test_indexed_matches_quadratic_oracle(self):
         rng = random.Random(43)
@@ -305,6 +332,20 @@ class TestChordality:
             chordal += want
         assert 0 < chordal < len(cases)
 
+    def test_matches_networkx_at_30_to_40(self):
+        # G(n, p) hosts, rarely chordal, and the fill of each, always chordal;
+        # networkx is called here, as the oracles may not name is_chordal
+        rng = random.Random(73)
+        answers = []
+        for _ in range(20):
+            g = generate("gnp", n=rng.randint(30, 40), p=rng.choice([0.03, 0.06, 0.1, 0.3]),
+                         seed=rng.randrange(10**6))
+            for h in (g, _elimination_fill(g)):
+                want = nx.is_chordal(nx_graph(h))
+                assert is_chordal(h) == want, h.edges()
+                answers.append(want)
+        assert 0 < sum(answers) < len(answers)
+
 
 class TestTreeAlpha:
     def test_chordal_graphs_give_1(self):
@@ -413,6 +454,24 @@ class TestTreeAlpha:
             keep = rng.randrange(full + 1)
             sub = g.induced(mask_to_set(keep))[0]
             assert _subset_tree_alpha(g._masks, keep) == reference_subset_tree_alpha(sub), g.edges()
+
+    def test_subset_recurrence_where_the_greedy_bound_is_above_two(self):
+        # graphs whose greedy bound is 3 or more, so the recurrence runs,
+        # clipped at that bound; on some the answer is 2, below it
+        rng = random.Random(3)
+        cases = []
+        while len(cases) < 30:
+            g = generate("gnp", n=rng.randint(9, 10), p=rng.choice([0.4, 0.5, 0.6]),
+                         seed=rng.randrange(10**6))
+            bound = _greedy_elimination_bound(g)
+            if bound >= 3:
+                cases.append((g, bound))
+        below = 0
+        for g, bound in cases:
+            want = reference_subset_tree_alpha(g)
+            assert _subset_tree_alpha(g._masks, (1 << g.n) - 1) == want, g.edges()
+            below += want < bound
+        assert below > 0
 
     def test_greedy_bound_above_the_answer_is_lowered(self):
         # (n, p, seed, greedy bound, tree-alpha), found by a search over
@@ -687,6 +746,22 @@ class TestMWIS:
                 g = generate("gnp", n=n, p=p, seed=rng.randrange(10**6))
                 inst = MWISInstance(g, {v: rng.randint(0, 20) for v in g.vertices})
                 assert mwis(inst, "brute")[1] == nx_mwis(g, inst.weights)
+
+    def test_td_matches_networkx_on_grid_strips(self):
+        rng = random.Random(47)
+        for k, length in ((5, 6), (6, 6), (4, 10), (5, 8)):
+            g, td = _grid_strip(k, length)
+            inst = MWISInstance(g, {v: rng.randint(0, 20) for v in g.vertices})
+            assert mwis(inst, "td", td=td)[1] == nx_mwis(g, inst.weights), (k, length)
+
+    def test_td_matches_networkx_single_bag_at_30_to_36(self):
+        rng = random.Random(53)
+        for n in (30, 33, 36):
+            for p in (0.3, 0.5):
+                g = generate("gnp", n=n, p=p, seed=rng.randrange(10**6))
+                inst = MWISInstance(g, {v: rng.randint(0, 20) for v in g.vertices})
+                got = mwis(inst, "td", td=TreeDecomposition.single_bag(g))[1]
+                assert got == nx_mwis(g, inst.weights), (n, p)
 
     def test_brute_cap(self):
         g = Graph(30)
