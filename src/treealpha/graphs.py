@@ -207,8 +207,10 @@ class WeightFn:
     Keys are vertex ids, so nonnegative ints. Weights are exact rationals,
     held as integer numerators over one common denominator; floats given by
     the caller are converted to their exact binary value, and ``float_mode``,
-    set when any given weight is a float, switches the normality test and
-    balance comparisons to a 1e-9 tolerance.
+    set when any given weight is a float, switches the total's cap and the
+    normality test to a 1e-9 tolerance, ``tol``. ``assemble_td`` tests
+    balance by counting vertices, so ``tol`` is for a caller's own balance
+    test, such as a separator oracle's, not the package's.
     """
 
     __slots__ = ("_num", "_den", "float_mode")
@@ -258,7 +260,7 @@ class WeightFn:
     @classmethod
     def uniform(cls, vs: Iterable[int]) -> "WeightFn":
         try:
-            vs = list(vs)
+            vs = list(dict.fromkeys(vs))
         except TypeError:
             raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
         if not vs:
@@ -280,7 +282,13 @@ class WeightFn:
         if not isinstance(raw, dict):
             raise FormatError("weight JSON must be an object")
         try:
-            return cls({int(k): v for k, v in raw.items()})
+            weights = {}
+            for key, x in raw.items():
+                v = int(key)
+                if v in weights:  # keys such as "1", "01" and " 1" name one vertex
+                    raise FormatError(f"bad weight JSON: vertex {v} is keyed twice")
+                weights[v] = x
+            return cls(weights)
         except (ValueError, PreconditionError) as e:
             raise FormatError(f"bad weight JSON: {e}") from e
 
@@ -713,7 +721,10 @@ def subdivide(g: Graph, counts: Mapping[Edge, int]) -> Graph:
             raise PreconditionError(f"unknown edge key {e!r}")
         if not (_is_int(c) and c >= 0):
             raise PreconditionError(f"subdivision count {c!r} for {e} is not an integer >= 0")
-        norm_counts[norm_edge(*e)] = c
+        key = norm_edge(*e)
+        if key in norm_counts:
+            raise PreconditionError(f"edge {key} is keyed twice")
+        norm_counts[key] = c
     for (u, v), c in sorted(norm_counts.items()):
         if c == 0:
             continue

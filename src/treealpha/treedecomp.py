@@ -62,7 +62,12 @@ class TreeDecomposition:
         try:
             raw = json.loads(text)
             tree = Graph(len(raw["nodes"]), [tuple(e) for e in raw["edges"]])
-            bags = {int(t): frozenset(b) for t, b in raw["bags"].items()}
+            bags = {}
+            for key, b in raw["bags"].items():
+                t = int(key)
+                if t in bags:  # keys such as "1", "01" and " 1" name one node
+                    raise FormatError(f"bad tree decomposition JSON: node {t} has two bags")
+                bags[t] = frozenset(b)
         except (ValueError, KeyError, TypeError, AttributeError, PreconditionError) as e:
             raise FormatError(f"bad tree decomposition JSON: {e!r}") from e
         if not all(_is_int(v) for b in bags.values() for v in b):
@@ -141,7 +146,7 @@ def td_stats(g: Graph, td: TreeDecomposition,
     return width, independence
 
 
-# -- simplicial elimination: chordality, minimal triangulations, tree-alpha --
+# -- simplicial elimination: chordality, tree-alpha ---------------------------
 
 
 def _peel_simplicial(adj, keep: int) -> int:
@@ -174,49 +179,39 @@ def is_chordal(g: Graph) -> bool:
 def minimal_triangulations(g: Graph) -> set[frozenset]:
     """All minimal chordal completions, as sets of fill edges.
 
-    Enumerates elimination orderings depth-first, deduplicating on the
-    (eliminated set, fill set) state. Each ordering's filled graph is
-    chordal, and it is kept when no single fill edge can be dropped with the
-    graph staying chordal, which is exactly when the completion is minimal
-    (Rose 1976).
+    Enumerates elimination orders depth-first, deduplicating on the
+    (eliminated set, fill) state; the fill is an int whose bit a * n + c
+    marks the fill edge (a, c), a < c. Eliminating v after the set S joins
+    every two vertices of its bag {v} + Q(S, v), as in _subset_tree_alpha.
+    Every order's filled graph is a triangulation, and a minimal
+    triangulation H is the filled graph of its own perfect elimination
+    order, which lies inside H and is chordal, so equals H (Rose, Tarjan and
+    Lueker 1976). So the minimal triangulations are the order fills that
+    contain no other fill.
     """
     _check_graph(g)
-    full = (1 << g.n) - 1
-    seen: set[tuple[int, frozenset]] = set()
-    minimal: set[frozenset] = set()
+    n, adj = g.n, g._masks
+    full = (1 << n) - 1
+    seen: set[tuple[int, int]] = set()
+    fills: set[int] = set()
 
-    def rec(remaining: int, adj: list[int], fill: frozenset):
-        state = (remaining, fill)
-        if state in seen:
+    def rec(before: int, fill: int):
+        if (before, fill) in seen:
             return
-        seen.add(state)
-        if remaining == 0:
-            for a, c in fill:
-                drop = list(adj)
-                drop[a] ^= 1 << c
-                drop[c] ^= 1 << a
-                if not _peel_simplicial(drop, full):
-                    return
-            minimal.add(fill)
-            return
-        m = remaining
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            filled = list(adj)
-            new_fill = set()
-            nbs = _bits(adj[v] & remaining & ~b)
-            for i, a in enumerate(nbs):
-                for c in nbs[i + 1:]:
-                    if not (filled[a] >> c) & 1:
-                        filled[a] |= 1 << c
-                        filled[c] |= 1 << a
-                        new_fill.add((min(a, c), max(a, c)))
-            rec(remaining & ~b, filled, fill | frozenset(new_fill))
+        seen.add((before, fill))
+        if before == full:
+            fills.add(fill)
+        for v in _bits(full ^ before):
+            q = _reach(adj, 1 << v, before) & ~before ^ 1 << v
+            child = fill
+            for a in _bits(q):
+                # the non-neighbours c > a of a in Q(S, v), at bits a * n + c
+                child |= (q & ~adj[a] & -(2 << a)) << a * n
+            rec(before | 1 << v, child)
 
-    rec(full, list(g._masks), frozenset())
-    return minimal
+    rec(0, 0)
+    return {frozenset(divmod(i, n) for i in _bits(f))
+            for f in fills if not any(o & f == o != f for o in fills)}
 
 
 def tree_alpha_exact(g: Graph, cap_override: int | None = None) -> int:

@@ -466,6 +466,8 @@ def naive_subdivide(g: Graph, counts) -> Graph:
             raise PreconditionError(f"unknown edge key {e!r}")
         if not (type(c) is int and c >= 0):
             raise PreconditionError(f"subdivision count {c!r} for {e} is not an integer >= 0")
+        if ne in norm_counts:
+            raise PreconditionError(f"edge {ne} is keyed twice")
         norm_counts[ne] = c
     edges = []
     nxt = g.n

@@ -257,8 +257,10 @@ class TestFormats:
         (lambda: parse_graph("A_", "dot"), "unknown graph format"),
         (lambda: emit_graph(Graph(2), "dot"), "unknown graph format"),
         (lambda: WeightFn.from_json("[1]"), "must be an object"),
+        (lambda: WeightFn.from_json('{"0": "1/2", "00": "1/4"}'), "vertex 0 is keyed twice"),
     ], ids=["empty", "non-ascii", "byte-below-63", "padding", "header-~?", "header-~??",
-            "header-~~??", "three-tokens", "negative-id", "parse-fmt", "emit-fmt", "json-list"])
+            "header-~~??", "three-tokens", "negative-id", "parse-fmt", "emit-fmt", "json-list",
+            "json-key-twice"])
     def test_malformed_text_is_format_error(self, call, message):
         with pytest.raises(FormatError, match=message):
             call()
@@ -401,9 +403,11 @@ class TestLineGraphSubdivide:
             subdivide(Graph(3, [(0, 1)]), {(1, 2): 1})
         with pytest.raises(PreconditionError):
             subdivide(Graph(3, [(0, 1)]), {(0, 1): -1})
-        # counts that are not plain ints, and keys that are not pairs of ids
+        # counts that are not plain ints, keys that are not pairs of ids, and
+        # an edge keyed in both orientations
         for counts in ({(0, 1): 1.5}, {(0, 1): "2"}, {(0, 1): True}, {(0, 1): None}, {5: 1},
-                       {(0, 1, 2): 1}, {(0,): 1}, {("0", 1): 1}, {(0, True): 1}, {(0, 1.0): 1}):
+                       {(0, 1, 2): 1}, {(0,): 1}, {("0", 1): 1}, {(0, True): 1}, {(0, 1.0): 1},
+                       {(0, 1): 1, (1, 0): 2}, {(1, 0): 2, (0, 1): 1}):
             with pytest.raises(PreconditionError):
                 subdivide(Graph(3, [(0, 1)]), counts)
 
@@ -742,6 +746,9 @@ class TestWeightFn:
         w = WeightFn.uniform(range(5))
         assert w.is_normal()
         assert not WeightFn({0: Fraction(1, 2)}).is_normal()
+        # a repeated member is one member
+        assert WeightFn.uniform([0, 0, 1]).items() == WeightFn.uniform([0, 1]).items()
+        assert WeightFn.uniform([0, 0, 1]).is_normal()
 
     def test_json_roundtrip(self):
         w = WeightFn({0: Fraction(1, 3), 2: Fraction(1, 6)})

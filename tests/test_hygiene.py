@@ -1,13 +1,14 @@
 """Source hygiene: the package's checks survive ``python -O``, its
 refusals use the package's own error types, one gate raises every cap
-refusal, it keeps no unused import and no private definition without a
-caller, the test oracles use none of its search kernels, and every
-function the benchmark's tracer wraps exists."""
+refusal, it keeps no unused import, no private definition without a caller
+and no public name without a reader, the test oracles use none of its
+search kernels, and every function the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import treealpha
@@ -15,6 +16,7 @@ import treealpha
 SOURCES = sorted(Path(treealpha.__file__).resolve().parent.glob("*.py"))
 BUILTIN_RAISES = {"ValueError", "TypeError", "KeyError", "IndexError"}
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
                   "_peel_simplicial", "is_chordal", "minimal_triangulations"}
@@ -79,10 +81,16 @@ def _module_trees():
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
 
 
+def _name_reads(node: ast.AST) -> Counter:
+    """How many times each name is read under node, as a name or an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def _used_names(node: ast.AST) -> set[str]:
     """Every name read under node, and every attribute name."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    return set(_name_reads(node))
 
 
 def test_no_unused_imports():
@@ -115,6 +123,33 @@ def test_private_definitions_have_callers():
                 continue
             if not any(node.name in used for stmt, used in reads if stmt is not node):
                 found.append(f"{name}:{node.lineno}: {node.name}")
+    assert found == []
+
+
+def test_public_definitions_have_readers():
+    # a public function or class, and a public method, is read in the
+    # package outside its own body, or named in the tests or their oracles
+    trees = _module_trees()
+    package_reads = Counter()
+    for tree in trees.values():
+        package_reads.update(_name_reads(tree))
+    named_in_tests = set()
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named_in_tests |= _used_names(tree)
+        named_in_tests.update(a.name for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) for a in node.names)
+    found = []
+    for name, tree in trees.items():
+        defs = [(node, "") for node in tree.body]
+        defs += [(item, f"{node.name}.") for node in tree.body if isinstance(node, ast.ClassDef)
+                 for item in node.body]
+        for node, owner in defs:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            outside = package_reads[node.name] - _name_reads(node)[node.name]
+            if not outside and node.name not in named_in_tests:
+                found.append(f"{name}:{node.lineno}: {owner}{node.name}")
     assert found == []
 
 

@@ -470,6 +470,22 @@ class TestLtFree:
                     emb = patterns._first_embedding(cls, member)
                     assert emb is not None and emb.verify(member, cls)
 
+    def test_e2e1_classes_absent_by_networkx(self):
+        # E2E-1 is lt_free_upto(gnp(30, 0.1, seed=3), 2, 30), free after
+        # every class with s <= 11; a seeded sample of those classes, each
+        # absent by the package's matcher and by networkx's
+        host = generate("gnp", n=30, p=0.1, seed=3)
+        wall, lowest = patterns._wall(2)
+        assert host.n - wall.edge_count() == 11
+        rng = random.Random(31)
+        for _ in range(20):
+            split = [0] * len(lowest)
+            for _ in range(rng.randint(0, 11)):
+                split[rng.randrange(len(lowest))] += 1
+            member = patterns._member(2, tuple(split))
+            assert contains_induced(host, member, cap_override=host.n) is None, split
+            assert not nx_contains_induced(host, member), split
+
     def test_distributions_match_recursive_reference(self):
         # stars and bars yields the splits in the recursive generator's order
         for bins in range(1, 11):

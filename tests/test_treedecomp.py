@@ -245,7 +245,8 @@ class TestValidate:
                      '{"nodes": [0], "edges": [], "bags": {"x": [0]}}',
                      '{"nodes": [0], "edges": [], "bags": {"0": ["a"]}}',
                      '{"nodes": [0], "edges": [], "bags": {"0": [0, true]}}',
-                     '{"nodes": [0, 1], "edges": [[0, true]], "bags": {}}'):
+                     '{"nodes": [0, 1], "edges": [[0, true]], "bags": {}}',
+                     '{"nodes": [0], "edges": [], "bags": {"0": [0], "00": [0]}}'):
             with pytest.raises(FormatError):
                 TreeDecomposition.from_json(text)
 
@@ -502,6 +503,9 @@ class TestTreeAlpha:
     def test_minimal_triangulations_match_branching_oracle(self):
         rng = random.Random(17)
         cases = [generate("cycle", k=k) for k in range(4, 9)]
+        # the empty graph, and hosts of two components
+        cases += [Graph(0), _union(generate("cycle", k=4), generate("cycle", k=4)),
+                  _union(generate("cycle", k=5), generate("complete", k=3))]
         cases += [
             generate("gnp", n=rng.randint(3, 6), p=rng.choice([0.3, 0.5, 0.7]),
                      seed=rng.randrange(10**6))
