@@ -17,8 +17,8 @@ from itertools import combinations
 
 from .caps import enforce
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, generate, line_graph,
-                     norm_edge, subdivide)
+from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, _remap, generate,
+                     line_graph, norm_edge, subdivide)
 
 
 @dataclass
@@ -39,11 +39,10 @@ class Embedding:
             return False
         if len(set(m.values())) != len(m):
             return False
-        for a in pattern.vertices:
-            for b in range(a + 1, pattern.n):
-                if pattern.has_edge(a, b) != host.has_edge(m[a], m[b]):
-                    return False
-        return True
+        # induced: a's neighbours map onto m[a]'s neighbours within the image
+        image = _remap((1 << pattern.n) - 1, m)
+        return all(_remap(pattern._masks[a], m) == host._masks[m[a]] & image
+                   for a in pattern.vertices)
 
 
 @dataclass(frozen=True)

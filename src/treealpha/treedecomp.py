@@ -61,7 +61,10 @@ class TreeDecomposition:
     def from_json(cls, text: str) -> "TreeDecomposition":
         try:
             raw = json.loads(text)
-            tree = Graph(len(raw["nodes"]), [tuple(e) for e in raw["edges"]])
+            nodes = raw["nodes"]  # plain ints 0..k-1, tested by type: [False, True] == [0, 1]
+            if nodes != list(range(len(nodes))) or not all(map(_is_int, nodes)):
+                raise FormatError(f"bad tree decomposition JSON: nodes {nodes!r} are not 0..k-1")
+            tree = Graph(len(nodes), [tuple(e) for e in raw["edges"]])
             bags = {}
             for key, b in raw["bags"].items():
                 t = int(key)
@@ -88,12 +91,13 @@ class TDReport:
 
 def _check_td(td) -> None:
     """Refuse with PreconditionError a decomposition whose tree is not a
-    graph or whose bags are not a mapping to collections. Bag members are
-    left to validate_td, which reports those that are not vertex ids."""
+    graph or whose bags are not a mapping from plain ints to collections. Bag
+    members are left to validate_td, which reports those that are not ids."""
     _check_graph(getattr(td, "tree", None), "td.tree")
     bags = getattr(td, "bags", None)
-    # one ABC test per bag type, as one per bag slows validate_td on long paths
-    if not (isinstance(bags, Mapping)
+    # _is_int's test per key type and one ABC test per bag type, as a test per
+    # bag slows validate_td on long paths; a bool or a float key is no node
+    if not (isinstance(bags, Mapping) and set(map(type, bags)) <= {int}
             and all(issubclass(t, Collection) for t in set(map(type, bags.values())))):
         raise PreconditionError(f"td.bags is {bags!r}, not a mapping from tree nodes to bags")
 
@@ -498,14 +502,6 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         return 0, 0
 
     bags = {t: set_to_mask(b) for t, b in td.bags.items()}
-    own = {}
-    counted = 0
-    for t, b in bags.items():
-        own[t] = _stable_subsets(g._masks, b, inst.w, limit - counted)
-        counted += len(own[t])
-        if counted > limit:  # tested here, so that the gate runs once per call, not per bag
-            enforce("mwis_states", counted, cap_override)
-
     # kids[t]: t's children when the tree hangs from node 0, ascending
     tree = td.tree._masks
     kids, order, seen = {}, [0], 1
@@ -521,9 +517,13 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     # selects, counting the shared weight once.
     value: dict[int, dict[int, object]] = {}
     pick: dict[int, dict[int, tuple[object, int]]] = {}
+    counted = 0
     for t in reversed(order):
-        own_t = own.pop(t)
-        table = dict(own_t)
+        own = _stable_subsets(g._masks, bags[t], inst.w, limit - counted)
+        counted += len(own)
+        if counted > limit:  # tested here, so that the gate runs once per call, not per bag
+            enforce("mwis_states", counted, cap_override)
+        table = dict(own)
         for u in kids[t]:
             shared = bags[t] & bags[u]
             best: dict[int, tuple[object, int]] = {}
@@ -533,18 +533,17 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
                     best[key] = (val, s)
             for s in table:
                 key = s & shared
-                table[s] += best[key][0] - own_t[key]
+                table[s] += best[key][0] - own[key]
             pick[u] = best
         value[t] = table
 
     top = value[0]
     chosen = {0: max(top, key=top.__getitem__)}
+    wit = chosen[0]
     for t in order:
         for u in kids[t]:
-            chosen[u] = pick[u][chosen[t] & bags[t] & bags[u]][1]
-    wit = 0
-    for s in chosen.values():
-        wit |= s
+            chosen[u] = pick[u][chosen[t] & bags[u]][1]  # chosen[t] lies in bag t
+            wit |= chosen[u]
     return wit, top[chosen[0]]
 
 

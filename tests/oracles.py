@@ -12,18 +12,21 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
+from treealpha.caps import enforce
 from treealpha.errors import OracleContractError, PreconditionError
 from treealpha.graphs import (
     Graph,
     WeightFn,
+    _bits,
     _reach,
     _remap,
     components,
     generate,
     norm_edge,
+    set_to_mask,
 )
 from treealpha.patterns import Embedding, LtVerdict, _triangle_mask
-from treealpha.treedecomp import AssembleResult, TreeDecomposition
+from treealpha.treedecomp import AssembleResult, TreeDecomposition, validate_td
 
 
 def edge_list_adjacency(n: int, edges) -> list[frozenset[int]]:
@@ -380,6 +383,108 @@ def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
         if seen != hold:
             violations.append(("subtree-connectivity", (v, sorted(hold))))
     return violations
+
+
+def naive_stable_subset_count(g: Graph, bag) -> int:
+    """How many subsets of the bag are stable, the empty one included, by
+    testing every subset pair by pair."""
+    return sum(all(not g.has_edge(a, b) for a, b in combinations(sub, 2))
+               for r in range(len(bag) + 1) for sub in combinations(sorted(bag), r))
+
+
+def _reference_stable_subsets(masks: tuple[int, ...], bag: int, w, room: int) -> dict[int, object]:
+    """Every stable subset of the bag, as a mask, with its weight; stops
+    adding vertices once there are more than room subsets, so a bag past
+    the room is built to at most twice it."""
+    out = {0: 0}
+    while bag and len(out) <= room:
+        b = bag & -bag
+        v = b.bit_length() - 1
+        bag ^= b
+        wv = w(v)
+        out.update([(s | b, val + wv) for s, val in out.items() if not s & masks[v]])
+    return out
+
+
+def reference_mwis_td(inst, td: TreeDecomposition,
+                      cap_override: int | None) -> tuple[int, object]:
+    """The decomposition DP before it built each bag's states where its
+    bottom-up walk reaches the bag: every bag's stable subsets are built and
+    counted against the ``mwis_states`` cap up front, the tables are joined
+    bottom-up, and a last loop unions the chosen states into the witness.
+    Returns the witness mask and its value, as ``treedecomp._mwis_td``."""
+    g = inst.graph
+    limit = enforce("mwis_states", 0, cap_override)
+    report = validate_td(g, td)
+    if not report.ok:
+        raise PreconditionError(f"invalid tree decomposition: {report.violations}")
+    if not td.bags:
+        return 0, 0
+
+    bags = {t: set_to_mask(b) for t, b in td.bags.items()}
+    own = {}
+    counted = 0
+    for t, b in bags.items():
+        own[t] = _reference_stable_subsets(g._masks, b, inst.w, limit - counted)
+        counted += len(own[t])
+        if counted > limit:  # tested here, so that the gate runs once per call, not per bag
+            enforce("mwis_states", counted, cap_override)
+
+    # kids[t]: t's children when the tree hangs from node 0, ascending
+    tree = td.tree._masks
+    kids, order, seen = {}, [0], 1
+    for t in order:
+        kids[t] = _bits(tree[t] & ~seen)
+        seen |= tree[t]
+        order.extend(kids[t])
+
+    # value[t][s]: the best weight in the subtree of t among stable sets that
+    # meet bag t in s. A child's table is forgotten down to the part of its
+    # bag it shares with the parent, keeping the best child state per
+    # projection; each parent state joins the child state its own projection
+    # selects, counting the shared weight once.
+    value: dict[int, dict[int, object]] = {}
+    pick: dict[int, dict[int, tuple[object, int]]] = {}
+    for t in reversed(order):
+        own_t = own.pop(t)
+        table = dict(own_t)
+        for u in kids[t]:
+            shared = bags[t] & bags[u]
+            best: dict[int, tuple[object, int]] = {}
+            for s, val in value.pop(u).items():
+                key = s & shared
+                if key not in best or val > best[key][0]:
+                    best[key] = (val, s)
+            for s in table:
+                key = s & shared
+                table[s] += best[key][0] - own_t[key]
+            pick[u] = best
+        value[t] = table
+
+    top = value[0]
+    chosen = {0: max(top, key=top.__getitem__)}
+    for t in order:
+        for u in kids[t]:
+            chosen[u] = pick[u][chosen[t] & bags[t] & bags[u]][1]
+    wit = 0
+    for s in chosen.values():
+        wit |= s
+    return wit, top[chosen[0]]
+
+
+def naive_is_embedding(mapping, pattern: Graph, host: Graph) -> bool:
+    """Whether mapping is an induced embedding of pattern into host: its
+    keys are pattern's ids, its values distinct host ids, and every pair of
+    pattern vertices is adjacent exactly when its images are."""
+    m = mapping
+    if not all(type(a) is int for a in m) or set(m) != set(pattern.vertices):
+        return False
+    if not all(type(v) is int and 0 <= v < host.n for v in m.values()):
+        return False
+    if len(set(m.values())) != len(m):
+        return False
+    return all(pattern.has_edge(a, b) == host.has_edge(m[a], m[b])
+               for a, b in combinations(pattern.vertices, 2))
 
 
 def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:

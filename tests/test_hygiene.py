@@ -19,7 +19,8 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
-                  "_peel_simplicial", "is_chordal", "minimal_triangulations"}
+                  "_peel_simplicial", "is_chordal", "minimal_triangulations",
+                  "_mwis_td", "_stable_subsets"}
 
 
 def _raised_name(node: ast.Raise) -> str | None:
@@ -167,15 +168,51 @@ def test_oracles_use_no_search_kernel():
     assert SEARCH_KERNELS & named == set()
 
 
+def _traced() -> dict[str, tuple[str, ...]]:
+    """bench/tracing.TRACED, read from the file, so that no test runs
+    anything of bench/."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+
+
 def test_traced_names_exist():
     # bench/tracing.TRACED maps a package module to the functions the traced
-    # run wraps, and Tracer.install fails on a name the module lacks; TRACED
-    # is read from the file, so that this test runs nothing of bench/
-    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    # run wraps, and Tracer.install fails on a name the module lacks
+    traced = _traced()
     assert traced
     missing = [f"{home}.{name}" for home, names in traced.items() for name in names
                if not hasattr(importlib.import_module(f"treealpha.{home}"), name)]
     assert missing == []
+
+
+def test_tree_alpha_exact_calls_no_traced_function():
+    # the traced run wraps each TRACED name wherever a module binds it, so a
+    # traced function that tree_alpha_exact reaches would add spans to every
+    # traced tree_alpha round, and bench/run.py's per_layer scans the spans
+    # once per round. Walk the module-level functions that tree_alpha_exact
+    # calls, following the package's own imports. This test can go once
+    # that scan is linear in the spans.
+    trees = _module_trees()
+    defs = {(name, node.name): node for name, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    imported = {name: {a.asname or a.name: f"{node.module}.py" for node in tree.body
+                       if isinstance(node, ast.ImportFrom) and node.level == 1
+                       for a in node.names}
+                for name, tree in trees.items()}
+    reached, todo = set(), [("treedecomp.py", "tree_alpha_exact")]
+    while todo:
+        home, fn = todo.pop()
+        for node in ast.walk(defs[(home, fn)]):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            callee = node.func.id
+            key = (imported[home].get(callee, home), callee)
+            if key in defs and key not in reached:
+                reached.add(key)
+                todo.append(key)
+    names = {fn for _, fn in reached}
+    assert {"_subset_tree_alpha", "_reach", "enforce"} <= names  # the walk follows imports
+    traced = {fn for fns in _traced().values() for fn in fns}
+    assert sorted(names & traced) == []

@@ -27,6 +27,7 @@ from treealpha.patterns import (
 
 from .oracles import (
     naive_contains_induced,
+    naive_is_embedding,
     nx_contains_induced,
     reference_backtrack_induced,
     reference_distributions,
@@ -265,6 +266,29 @@ class TestFindPattern:
         assert Embedding({0: 0, 1: 1}).verify(p2, p3)
         assert not Embedding({0: 0, 1: True}).verify(p2, p3)  # a bool is not an id
         assert not Embedding({0: 1, True: 0}).verify(p2, p3)
+
+    def test_embedding_verify_matches_pairwise_definition(self):
+        # verify compares each pattern vertex's neighbourhood mask with its
+        # image's within the image; the pairwise definition tests every pair.
+        # Maps are random (mostly not injective or not induced) or an induced
+        # copy with one image moved, so both answers occur
+        rng = random.Random(67)
+        answers = Counter()
+        for _ in range(3000):
+            host = generate("gnp", n=rng.randint(1, 9), p=rng.choice([0.2, 0.5, 0.8]),
+                            seed=rng.randrange(10**6))
+            k = rng.randint(1, min(6, host.n))
+            image = rng.sample(range(host.n), k)
+            pattern = Graph(k, [(a, b) for a in range(k) for b in range(a + 1, k)
+                                if host.has_edge(image[a], image[b])])
+            if rng.random() < 0.5:
+                image[rng.randrange(k)] = rng.randrange(host.n)
+            else:
+                image = [rng.randrange(host.n) for _ in range(k)]
+            want = naive_is_embedding(dict(enumerate(image)), pattern, host)
+            assert Embedding(dict(enumerate(image))).verify(pattern, host) == want
+            answers[want] += 1
+        assert answers[True] > 300 and answers[False] > 300
 
     def test_k_tt_needs_no_alpha_search(self, monkeypatch):
         # a stable pair among 50 common neighbours, with the alpha search

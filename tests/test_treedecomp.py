@@ -63,11 +63,13 @@ from .oracles import (
     minimal_triangulations_by_branching,
     naive_is_chordal,
     naive_mwis,
+    naive_stable_subset_count,
     naive_validate_td,
     nx_graph,
     nx_mwis,
     reference_assemble_td,
     reference_max_weight_stable,
+    reference_mwis_td,
     reference_subset_tree_alpha,
     reference_tree_alpha,
 )
@@ -213,6 +215,40 @@ def _grid_strip(k: int, length: int) -> tuple[Graph, TreeDecomposition]:
         {i: frozenset(range(i, min(i + k + 1, n))) for i in range(nodes)})
 
 
+def _shuffled_path(rng: random.Random) -> tuple[Graph, TreeDecomposition]:
+    """A random graph whose edges join ids at most k apart, k from 1 to 3,
+    with its sliding-window path decomposition, bag i holding ids i..i+k,
+    under shuffled node labels: each child bag both loses and gains a vertex
+    against its parent, and the root lands anywhere on the path."""
+    k = rng.randint(1, 3)
+    n = rng.randint(k + 2, 11)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(u + k + 1, n))
+                  if rng.random() < 0.6])
+    nodes = n - k
+    label = list(range(nodes))
+    rng.shuffle(label)
+    return g, TreeDecomposition(
+        Graph(nodes, [(label[i], label[i + 1]) for i in range(nodes - 1)]),
+        {label[i]: frozenset(range(i, i + k + 1)) for i in range(nodes)},
+    )
+
+
+def _dp_cases(rng: random.Random) -> list[tuple[Graph, TreeDecomposition]]:
+    """Seeded graphs with a decomposition of every shape the DP is tested
+    on: single bags, elimination orders, assemble_td's, sliding-window paths
+    with shuffled node labels, and grid strips."""
+    cases = []
+    for _ in range(20):
+        g = generate("gnp", n=rng.randint(1, 10), p=rng.choice([0.2, 0.4, 0.6]),
+                     seed=rng.randrange(10**6))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        cases += [(g, TreeDecomposition.single_bag(g)), (g, elimination_td(g, order)),
+                  (g, assemble_td(g, brute_balanced_separator).td), _shuffled_path(rng)]
+    cases += [_grid_strip(k, length) for k, length in ((2, 7), (3, 5), (5, 6), (6, 6))]
+    return cases
+
+
 class TestValidate:
     def test_indexed_matches_quadratic_oracle(self):
         rng = random.Random(43)
@@ -246,7 +282,15 @@ class TestValidate:
                      '{"nodes": [0], "edges": [], "bags": {"0": ["a"]}}',
                      '{"nodes": [0], "edges": [], "bags": {"0": [0, true]}}',
                      '{"nodes": [0, 1], "edges": [[0, true]], "bags": {}}',
-                     '{"nodes": [0], "edges": [], "bags": {"0": [0], "00": [0]}}'):
+                     '{"nodes": [0], "edges": [], "bags": {"0": [0], "00": [0]}}',
+                     # the node list must read 0..k-1 in plain ints
+                     '{"nodes": ["x", 7], "edges": [[0, 1]], "bags": {"0": [0], "1": [0]}}',
+                     '{"nodes": {"0": 0}, "edges": [], "bags": {"0": [0]}}',
+                     '{"nodes": "0", "edges": [], "bags": {"0": [0]}}',
+                     '{"nodes": [false, true], "edges": [[0, 1]], "bags": {"0": [0], "1": [0]}}',
+                     '{"nodes": [0.0], "edges": [], "bags": {"0": [0]}}',
+                     '{"nodes": [1, 0], "edges": [[0, 1]], "bags": {"0": [0], "1": [0]}}',
+                     '{"nodes": [0, 0], "edges": [[0, 1]], "bags": {"0": [0], "1": [0]}}'):
             with pytest.raises(FormatError):
                 TreeDecomposition.from_json(text)
 
@@ -767,6 +811,38 @@ class TestMWIS:
                 got = mwis(inst, "td", td=TreeDecomposition.single_bag(g))[1]
                 assert got == nx_mwis(g, inst.weights), (n, p)
 
+    def test_td_matches_the_up_front_dp(self):
+        # the same witness and value as the DP that built and counted every
+        # bag's states before its bottom-up walk, with int, Fraction and
+        # float weights
+        rng = random.Random(59)
+        for g, td in _dp_cases(rng):
+            for weight in (lambda: rng.randint(0, 30),
+                           lambda: Fraction(rng.randint(0, 30), rng.randint(1, 7)),
+                           lambda: rng.uniform(0, 30)):
+                inst = MWISInstance(g, {v: weight() for v in g.vertices})
+                want = reference_mwis_td(inst, td, None)
+                assert treedecomp._mwis_td(inst, td, None) == want
+                assert mwis(inst, "td", td=td) == (mask_to_set(want[0]), want[1])
+
+    def test_td_state_cap_decision_matches_the_up_front_dp(self):
+        # both DPs refuse exactly when the states of all bags outnumber the
+        # cap, and refuse within twice the cap
+        rng = random.Random(61)
+        for g, td in _dp_cases(rng):
+            inst = MWISInstance(g, {v: rng.randint(0, 30) for v in g.vertices})
+            total = sum(naive_stable_subset_count(g, b) for b in td.bags.values())
+            for cap in (0, total // 2, total - 1, total, total + 1):
+                got = []
+                for dp in (treedecomp._mwis_td, reference_mwis_td):
+                    try:
+                        got.append(dp(inst, td, cap))
+                    except CapExceededError as err:
+                        assert cap < err.size <= max(2 * cap, cap + 1)
+                        got.append("refused")
+                assert got[0] == got[1]
+                assert (got[0] == "refused") == (cap < total), (cap, total)
+
     def test_brute_cap(self):
         g = Graph(30)
         with pytest.raises(CapExceededError):
@@ -818,7 +894,10 @@ class TestMWIS:
         g = Graph(2)
         inst = MWISInstance(g, {0: 1, 1: 1})
         for bags in (None, [frozenset({0, 1})], frozenset({0}), {0: None}, {0: 1},
-                     {0: iter([0, 1])}):
+                     {0: iter([0, 1])},
+                     # a key that is not a plain int is no tree node, even one equal to 0
+                     {0.0: frozenset({0, 1})}, {False: frozenset({0, 1})},
+                     {"0": frozenset({0, 1})}):
             td = TreeDecomposition(Graph(1), bags)
             for call in (lambda: validate_td(g, td), lambda: td_stats(g, td),
                          lambda: mwis(inst, "td", td=td)):
@@ -866,21 +945,9 @@ class TestMWIS:
             assert not any(g.has_edge(a, b) for a, b in combinations(wit, 2))
 
     def test_td_matches_brute_on_path_decompositions(self):
-        # sliding windows i..i+k: each child bag both loses and gains a
-        # vertex against its parent, and the root lands anywhere on the path
         rng = random.Random(53)
         for _ in range(40):
-            k = rng.randint(1, 3)
-            n = rng.randint(k + 2, 11)
-            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, min(u + k + 1, n))
-                          if rng.random() < 0.6])
-            nodes = n - k
-            label = list(range(nodes))
-            rng.shuffle(label)
-            td = TreeDecomposition(
-                Graph(nodes, [(label[i], label[i + 1]) for i in range(nodes - 1)]),
-                {label[i]: frozenset(range(i, i + k + 1)) for i in range(nodes)},
-            )
+            g, td = _shuffled_path(rng)
             weights = {v: rng.choice([0, 2, Fraction(5, 3), rng.randint(0, 30)])
                        for v in g.vertices}
             inst = MWISInstance(g, weights)
