@@ -21,7 +21,7 @@ from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, _remap, generate
                      line_graph, norm_edge, subdivide)
 
 
-@dataclass
+@dataclass(slots=True)
 class Embedding:
     """Injective map from pattern vertices to host vertices, induced."""
 
@@ -106,12 +106,17 @@ def _triangle_mask(adj: tuple[int, ...]) -> int:
 
 def _pattern_profile(adj: tuple[int, ...]) -> tuple:
     """What the matcher needs of a pattern with adjacency masks adj: each
-    vertex's degree, the mask of vertices that lie in a triangle, and per
-    vertex u a step ``(later neighbours, later non-neighbours, twin, runs)``:
-    the ids above u adjacent and not adjacent to u, read off u's mask, u's
-    latest earlier twin (or -1), and ``(head, size)`` for each twin class of
-    two or more whose first vertex, its head, lies above u. Pattern vertices p < u are twins
-    when N(p) minus u equals N(u) minus p; twinship is an equivalence."""
+    vertex's degree, the mask of vertices that lie in a triangle, per
+    vertex u a step ``(later neighbours, later non-neighbours, twin, runs)``,
+    and the need ``(d, count, in triangles)`` per vertex degree d, highest
+    first: how many vertices have degree >= d, and how many of those lie in
+    a triangle.
+
+    A step lists the ids above u adjacent and not adjacent to u, read off
+    u's mask, u's latest earlier twin (or -1), and ``(head, size)`` for each
+    twin class of two or more whose first vertex, its head, lies above u.
+    Pattern vertices p < u are twins when N(p) minus u equals N(u) minus p;
+    twinship is an equivalence."""
     k = len(adj)
     twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -128,7 +133,14 @@ def _pattern_profile(adj: tuple[int, ...]) -> tuple:
     steps = tuple((tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))),
                    twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
                   for u, m in enumerate(adj))
-    return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
+    degrees = tuple(m.bit_count() for m in adj)
+    tri = _triangle_mask(adj)
+    tri_degrees = [degrees[u] for u in _bits(tri)]
+    need, count, in_tri = [], 0, 0
+    for d in sorted(set(degrees), reverse=True):
+        count, in_tri = count + degrees.count(d), in_tri + tri_degrees.count(d)
+        need.append((d, count, in_tri))
+    return degrees, tri, steps, tuple(need)
 
 
 def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
@@ -146,6 +158,11 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
     later ones, so the answer is the one the plain search would return:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
       and one in a triangle only host vertices in a triangle.
+    - Before the search, the pattern vertices of degree >= d need as many
+      host vertices of degree >= d, and those among them in a triangle as
+      many such host vertices in a triangle, for each pattern degree d: an
+      embedding maps them injectively there (Hall's condition). This also
+      refuses a pattern larger than the host, or with an empty domain.
     - A vertex with an earlier twin maps only above that twin's image.
       Swapping two twins' images gives another embedding, so the first
       embedding maps each twin class in ascending order.
@@ -154,19 +171,14 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
       share that domain and need distinct images in it.
     """
     adj, deg_ge, tri = host
-    degrees, in_tri, steps = pattern
-    n, k = len(adj), len(degrees)
-    if k > n:
-        return None
-    doms = []
-    for u, d in enumerate(degrees):
+    degrees, in_tri, steps, need = pattern
+    for d, c, c_tri in need:
         dom = deg_ge[d] if d < len(deg_ge) else 0
-        if in_tri >> u & 1:
-            dom &= tri
-        if not dom:
+        if dom.bit_count() < c or (dom & tri).bit_count() < c_tri:
             return None
-        doms.append(dom)
-    full = (1 << n) - 1
+    doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d] for u, d in enumerate(degrees)]
+    k = len(degrees)
+    full = (1 << len(adj)) - 1
     assign = [0] * k
 
     def rec(u: int, doms: list[int]) -> bool:
@@ -245,7 +257,7 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
 # -- wall line-graph freeness (bounded) -----------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class LtVerdict:
     """Semi-decision outcome; certified_cap is the largest host size the
     enumeration can definitively clear at the requested size cap.

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,11 +96,21 @@ def _check_td(td) -> None:
     members are left to validate_td, which reports those that are not ids."""
     _check_graph(getattr(td, "tree", None), "td.tree")
     bags = getattr(td, "bags", None)
+    if not isinstance(bags, Mapping):
+        raise PreconditionError(f"td.bags is of type {type(bags).__name__}, "
+                                "not a mapping from tree nodes to bags")
     # _is_int's test per key type and one ABC test per bag type, as a test per
-    # bag slows validate_td on long paths; a bool or a float key is no node
-    if not (isinstance(bags, Mapping) and set(map(type, bags)) <= {int}
-            and all(issubclass(t, Collection) for t in set(map(type, bags.values())))):
-        raise PreconditionError(f"td.bags is {bags!r}, not a mapping from tree nodes to bags")
+    # bag slows validate_td on long paths; a bool or a float key is no node.
+    # A refusal names the first offender, not the whole mapping.
+    if set(map(type, bags)) - {int}:
+        key = next(k for k in bags if type(k) is not int)
+        raise PreconditionError(f"td.bags has the key {reprlib.repr(key)} of type "
+                                f"{type(key).__name__}; tree nodes are ints")
+    for kind in set(map(type, bags.values())):
+        if not issubclass(kind, Collection):
+            node = next(t for t, b in bags.items() if type(b) is kind)
+            raise PreconditionError(f"td.bags[{node}] is of type {kind.__name__}, "
+                                    "not a collection of vertex ids")
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:

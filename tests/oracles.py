@@ -643,6 +643,36 @@ def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
 
 
+def naive_triangle_vertices(g: Graph) -> set[int]:
+    """The vertices of g that lie in a triangle, every pair of neighbours
+    tested."""
+    return {u for u in g.vertices
+            if any(g.has_edge(a, b) for a, b in combinations(sorted(g.neighbors(u)), 2))}
+
+
+def naive_pattern_need(h: Graph) -> tuple:
+    """``patterns._pattern_profile``'s need, counted vertex by vertex: per
+    degree d of h, highest first, the vertices of degree >= d and those of
+    them in a triangle."""
+    tri = naive_triangle_vertices(h)
+    return tuple((d, sum(h.degree(u) >= d for u in h.vertices),
+                  sum(h.degree(u) >= d for u in tri))
+                 for d in sorted({h.degree(u) for u in h.vertices}, reverse=True))
+
+
+def naive_hall_refuses(g: Graph, h: Graph) -> bool:
+    """Whether some degree d of h has more vertices of degree >= d than g
+    has, or more of them in a triangle than g has such vertices in a
+    triangle: then no injective map, and so no embedding, respects the
+    matcher's degree and triangle domains."""
+    g_tri = naive_triangle_vertices(g)
+    for d, need, need_tri in naive_pattern_need(h):
+        supply = [v for v in g.vertices if g.degree(v) >= d]
+        if len(supply) < need or len(g_tri.intersection(supply)) < need_tri:
+            return True
+    return False
+
+
 def reference_distributions(total: int, bins: int):
     """``patterns._distributions`` as it was before stars and bars: every
     split of total over bins nonnegative counts, first count outermost."""

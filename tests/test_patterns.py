@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,10 @@ from treealpha.patterns import (
 
 from .oracles import (
     naive_contains_induced,
+    naive_hall_refuses,
     naive_is_embedding,
+    naive_pattern_need,
+    naive_triangle_vertices,
     nx_contains_induced,
     reference_backtrack_induced,
     reference_distributions,
@@ -341,7 +345,7 @@ class TestTwinBreaking:
             earlier = [[p for p in range(u) if adj[p] & ~(1 << u) == adj[u] & ~(1 << p)]
                        for u in range(h.n)]
             sizes = Counter(min(ps + [u]) for u, ps in enumerate(earlier))
-            _, _, steps = patterns._pattern_profile(adj)
+            steps = patterns._pattern_profile(adj)[2]
             for u, (_, _, twin, runs) in enumerate(steps):
                 assert twin == max(earlier[u], default=-1)
                 assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
@@ -356,7 +360,9 @@ class TestTwinBreaking:
                         seed=rng.randrange(10**6)) for _ in range(150)]
         hs += [patterns._member(2, (0, 1, 0, 0, 2, 0, 0, 0, 1))]
         for h in hs:
-            assert patterns._pattern_profile(h._masks) == reference_pattern_profile(h._masks)
+            got = patterns._pattern_profile(h._masks)
+            assert got[:3] == reference_pattern_profile(h._masks)
+            assert got[3] == naive_pattern_need(h)
 
     def test_matches_reference_and_naive(self):
         rng = random.Random(19)
@@ -390,6 +396,154 @@ class TestTwinBreaking:
                 ref = reference_find_k_tt(g, t)
                 assert (None if emb is None else emb.mapping) == (
                     None if ref is None else ref.mapping)
+
+
+def _gnm(rng: random.Random, n: int, m: int) -> Graph:
+    """A uniform graph on n vertices with exactly m edges."""
+    return Graph(n, rng.sample(list(combinations(range(n), 2)), m))
+
+
+def _relabel(g: Graph, rng: random.Random, extra: int = 0) -> Graph:
+    """g with extra isolated vertices added, under a random relabelling."""
+    perm = list(range(g.n + extra))
+    rng.shuffle(perm)
+    return Graph(g.n + extra, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestHallBound:
+    """The matcher's root counting rule: the pattern vertices of degree >= d,
+    and those of them in a triangle, need as many such host vertices. Every
+    answer is checked mapping for mapping against the reference matcher,
+    which has no such rule."""
+
+    @staticmethod
+    def _members() -> list[Graph]:
+        # the classes lt_free_upto tests with s <= 3 on the 6-cycle and
+        # s <= 2 on the 2-wall
+        return [patterns._member(t, split) for t, top in ((1, 3), (2, 2))
+                for s in range(top + 1)
+                for split in patterns._distributions(s, len(patterns._wall(t)[1]))]
+
+    @staticmethod
+    def _check(g: Graph, h: Graph) -> Embedding | None:
+        want = reference_backtrack_induced(g, h)
+        got = patterns._first_embedding(g, h)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.mapping == want.mapping
+        return got
+
+    @staticmethod
+    def _refused_at_root(g: Graph, h: Graph) -> bool:
+        # the matcher run on g's profile with its adjacency masks hidden:
+        # True when it returns None without reading them, before the search
+        class Hidden:
+            def __len__(self):
+                raise LookupError("adjacency read")
+
+            __getitem__ = __len__
+
+        pattern = patterns._pattern_profile(h._masks)
+        _, deg_ge, tri = patterns._host_profile(g, pattern[1] != 0)
+        try:
+            return patterns._backtrack_induced((Hidden(), deg_ge, tri), pattern) is None
+        except LookupError:
+            return False
+
+    def test_refuses_where_supply_falls_short(self):
+        # a member with one edge removed, padded with isolated vertices: its
+        # host keeps triangle and high-degree vertices, but one or two
+        # fewer than the member needs; and G(21, 25) hosts, the bench's free
+        # hosts, which hold a few triangles
+        rng = random.Random(41)
+        members = self._members()
+        fired = 0
+        for h in members:
+            for e in rng.sample(h.edges(), 3):
+                g = _relabel(Graph(h.n, [f for f in h.edges() if f != e]), rng, 2)
+                refused = naive_hall_refuses(g, h)
+                assert self._refused_at_root(g, h) == refused
+                assert self._check(g, h) is None
+                fired += refused
+        assert fired == 3 * len(members)
+        # a triangle edge (a, b) replaced by a path a-x-b keeps every degree,
+        # so only the triangle count can fall short
+        by_triangles, with_triangles = 0, [h for h in members if naive_triangle_vertices(h)]
+        for h in with_triangles:
+            a, b = next((a, b) for a, b in h.edges() if h.neighbors(a) & h.neighbors(b))
+            g = Graph(h.n + 1, [e for e in h.edges() if e != (a, b)] + [(a, h.n), (b, h.n)])
+            g = _relabel(g, rng)
+            assert all(sum(g.degree(v) >= d for v in g.vertices) >= need
+                       for d, need, _ in naive_pattern_need(h))
+            refused = naive_hall_refuses(g, h)
+            assert self._refused_at_root(g, h) == refused
+            assert self._check(g, h) is None
+            by_triangles += refused
+        assert by_triangles == len(with_triangles) > 0
+        for _ in range(3):
+            g = _gnm(rng, 21, 25)
+            assert 0 < len(naive_triangle_vertices(g)) < 12
+            for h in members:
+                refused = naive_hall_refuses(g, h)
+                assert self._refused_at_root(g, h) == refused
+                if refused:
+                    assert self._check(g, h) is None
+                    fired += 1
+        assert fired > 3 * len(members) + 100
+
+    def test_supply_exactly_meets_need(self):
+        # a member, or a random pattern with no isolated vertex, with
+        # isolated vertices added: at every degree of the pattern the host
+        # has exactly the vertices of degree >= d, and in a triangle, that
+        # the pattern needs, and an embedding exists
+        rng = random.Random(42)
+        hs = self._members()
+        while len(hs) < 160:
+            h = generate("gnp", n=rng.randint(2, 9), p=rng.choice([0.3, 0.5, 0.8]),
+                         seed=rng.randrange(10**6))
+            if all(h.degree(u) for u in h.vertices):
+                hs.append(h)
+        for h in hs:
+            g = _relabel(h, rng, rng.randint(0, 3))
+            g_tri = naive_triangle_vertices(g)
+            for d, need, need_tri in naive_pattern_need(h):
+                supply = {v for v in g.vertices if g.degree(v) >= d}
+                assert (len(supply), len(supply & g_tri)) == (need, need_tri)
+            assert not naive_hall_refuses(g, h) and not self._refused_at_root(g, h)
+            assert self._check(g, h) is not None
+
+    def test_lt_free_upto_on_gnm_hosts(self):
+        # the verdict against reference_lt_free_upto, which counts members
+        # per wall edge (210 with s <= 2), and members_tested and the
+        # witness against the reference matcher run on each class member in
+        # turn, on G(21, 25) hosts, planted 21-vertex hosts, and planted
+        # ones with one edge added, which are free but let members past
+        # the rule
+        rng = random.Random(43)
+        hosts = [_gnm(rng, 21, 25) for _ in range(4)]
+        hosts += [_planted(2, s, 2 - s, rng) for s in (0, 1, 2)]
+        for _ in range(2):
+            g = _planted(2, 2, 0, rng)
+            u, v = rng.choice([e for e in combinations(g.vertices, 2) if not g.has_edge(*e)])
+            hosts.append(Graph(g.n, g.edges() + [(u, v)]))
+        _, lowest = patterns._wall(2)
+        passed, statuses = 0, Counter()
+        for g in hosts:
+            got = lt_free_upto(g, 2, g.n)
+            want = reference_lt_free_upto(g, 2, g.n)
+            assert (got.status, got.certified_cap) == (want.status, want.certified_cap)
+            tested, first = 0, None
+            for s in range(3):
+                for split in patterns._distributions(s, len(lowest)):
+                    if first is None:
+                        tested += 1
+                        h = patterns._member(2, split)
+                        first = reference_backtrack_induced(g, h)
+                        passed += not naive_hall_refuses(g, h)
+            assert got.members_tested == tested
+            assert got.witness == first
+            statuses[got.status] += 1
+        assert statuses == {"free": 6, "witness": 3} and passed > 20
 
 
 class TestLtFree:

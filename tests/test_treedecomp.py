@@ -904,6 +904,26 @@ class TestMWIS:
                 with pytest.raises(PreconditionError):
                     call()
 
+    def test_malformed_bags_refusal_names_the_offender(self):
+        # on a 2 000-bag path decomposition the refusal names the first bad
+        # key or bag in a short message, not the whole mapping
+        g = generate("path", k=2001)
+        tree = generate("path", k=2000)
+        bags = {t: frozenset({t, t + 1}) for t in range(2000)}
+        float_key, str_key, int_bag = dict(bags), dict(bags), dict(bags)
+        float_key[1234.5] = float_key.pop(1234)
+        str_key["7"] = str_key.pop(7)
+        int_bag[77] = 77
+        for bad, names in ((float_key, "key 1234.5 of type float"),
+                           (str_key, "key '7' of type str"),
+                           (int_bag, "td.bags[77] is of type int"),
+                           (list(bags.values()), "td.bags is of type list")):
+            td = TreeDecomposition(tree, bad)
+            for call in (lambda: validate_td(g, td), lambda: td_stats(g, td)):
+                with pytest.raises(PreconditionError) as err:
+                    call()
+                assert names in str(err.value) and len(str(err.value)) < 100
+
     def test_unknown_method_rejected(self):
         with pytest.raises(PreconditionError):
             mwis(MWISInstance(generate("path", k=3), {0: 1}), "greedy")
