@@ -1,5 +1,5 @@
-"""Immutable simple graphs, weight functions, generators, neighbourhoods and
-components, and exact stability number.
+"""Immutable simple graphs, the balance weight of a separator oracle,
+generators, neighbourhoods and components, and exact stability number.
 
 Vertices are dense ids ``0..n-1``. A graph is held in one representation:
 one adjacency bitmask per vertex, bit u of vertex v's mask set when uv is
@@ -12,8 +12,6 @@ across concurrent tasks.
 
 from __future__ import annotations
 
-import json
-import math
 import random
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -23,8 +21,6 @@ from .caps import enforce
 from .errors import FormatError, InvariantViolationError, PreconditionError
 
 Edge = tuple[int, int]
-
-FLOAT_TOL = Fraction(1, 10**9)
 
 
 def _is_int(x) -> bool:
@@ -185,121 +181,42 @@ def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     return s
 
 
-# -- weight functions ---------------------------------------------------------
-
-
-def _to_fraction(x) -> Fraction:
-    """x, an int, float, Fraction or numeric string, as an exact finite
-    rational; a bool is not a weight."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float, str)) and type(x) is not bool:
-        try:
-            return Fraction(x)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            pass
-    raise PreconditionError(f"cannot interpret weight {x!r} as a finite number")
+# -- the balance weight of a separator oracle ---------------------------------
 
 
 class WeightFn:
-    """Nonnegative vertex weights with total at most 1.
+    """The weight a separator oracle balances: uniform on ``heavy``, a
+    nonempty set of vertex ids, so a vertex set weighs the share of heavy it
+    holds. ``assemble_td`` builds one for each oracle call and re-checks the
+    answer by counting heavy vertices in each component, the same test."""
 
-    Keys are vertex ids, so nonnegative ints. Weights are exact rationals,
-    held as integer numerators over one common denominator; floats given by
-    the caller are converted to their exact binary value, and ``float_mode``,
-    set when any given weight is a float, switches the total's cap and the
-    normality test to a 1e-9 tolerance, ``tol``. ``assemble_td`` tests
-    balance by counting vertices, so ``tol`` is for a caller's own balance
-    test, such as a separator oracle's, not the package's.
-    """
+    __slots__ = ("heavy",)
 
-    __slots__ = ("_num", "_den", "float_mode")
-
-    def __init__(self, weights: Mapping[int, object]):
-        if not isinstance(weights, Mapping):
-            raise PreconditionError(f"weights {weights!r} is not a mapping")
-        w: dict[int, Fraction] = {}
-        saw_float = False
-        for v, x in weights.items():
+    def __init__(self, heavy: Iterable[int]):
+        # a mapping would otherwise become uniform on its keys, dropping
+        # the weights it was given
+        if isinstance(heavy, Mapping):
+            raise PreconditionError("a balance weight is uniform on a vertex set, not a mapping")
+        try:
+            heavy = frozenset(heavy)
+        except TypeError:
+            raise PreconditionError(f"heavy set {heavy!r} is not a set of vertex ids") from None
+        if not heavy:
+            raise PreconditionError("a balance weight needs a nonempty heavy set")
+        for v in heavy:
             if not (_is_int(v) and v >= 0):
-                raise PreconditionError(f"weight key {v!r} is not a vertex id")
-            if isinstance(x, float):
-                saw_float = True
-            fx = _to_fraction(x)
-            if fx < 0 or fx > 1:
-                raise PreconditionError(f"weight of {v} is {fx}, outside [0,1]")
-            if fx:
-                w[v] = fx
-        self._den = math.lcm(*(x.denominator for x in w.values()))
-        self._num = {v: x.numerator * (self._den // x.denominator) for v, x in w.items()}
-        self.float_mode = saw_float
-        if self.total > 1 + self.tol:
-            raise PreconditionError(f"total weight {self.total} exceeds 1")
-
-    @property
-    def tol(self) -> Fraction:
-        return FLOAT_TOL if self.float_mode else Fraction(0)
-
-    def of(self, v: int) -> Fraction:
-        return Fraction(self._num.get(v, 0), self._den)
+                raise PreconditionError(f"heavy member {v!r} is not a vertex id")
+        self.heavy = heavy
 
     def weight(self, vs: Iterable[int]) -> Fraction:
-        num = self._num
+        """|heavy & vs| / |heavy|; a repeated member of vs counts once."""
         try:
-            return Fraction(sum(num.get(v, 0) for v in vs), self._den)
+            return Fraction(len(self.heavy.intersection(vs)), len(self.heavy))
         except TypeError:
             raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
-
-    @property
-    def total(self) -> Fraction:
-        return Fraction(sum(self._num.values()), self._den)
-
-    def is_normal(self) -> bool:
-        return abs(self.total - 1) <= self.tol
-
-    @classmethod
-    def uniform(cls, vs: Iterable[int]) -> "WeightFn":
-        try:
-            vs = list(dict.fromkeys(vs))
-        except TypeError:
-            raise PreconditionError(f"{vs!r} is not a set of vertex ids") from None
-        if not vs:
-            raise PreconditionError("uniform weight function needs a nonempty set")
-        share = Fraction(1, len(vs))
-        return cls({v: share for v in vs})
-
-    def items(self):
-        return sorted((v, Fraction(x, self._den)) for v, x in self._num.items())
-
-    # -- JSON boundary: {"vertex": "num/den" | float} ----------------------
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightFn":
-        try:
-            raw = json.loads(text)
-        except (json.JSONDecodeError, TypeError) as e:  # TypeError: text is not a string
-            raise FormatError(f"bad weight JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise FormatError("weight JSON must be an object")
-        try:
-            weights = {}
-            for key, x in raw.items():
-                v = int(key)
-                if v in weights:  # keys such as "1", "01" and " 1" name one vertex
-                    raise FormatError(f"bad weight JSON: vertex {v} is keyed twice")
-                weights[v] = x
-            return cls(weights)
-        except (ValueError, PreconditionError) as e:
-            raise FormatError(f"bad weight JSON: {e}") from e
-
-    def to_json(self) -> str:
-        out = {}
-        for v, x in self.items():
-            out[str(v)] = f"{x.numerator}/{x.denominator}" if not self.float_mode else float(x)
-        return json.dumps(out, sort_keys=True)
 
     def __repr__(self) -> str:
-        return f"WeightFn(total={self.total}, support={len(self._num)})"
+        return f"WeightFn(|heavy|={len(self.heavy)})"
 
 
 # -- neighborhoods and components ---------------------------------------------
@@ -542,12 +459,13 @@ def _parse_edgelist(text: str, n: int | None = None) -> Graph:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)
         if len(line) == 2 and declared is None:
-            comment = line[1].strip()
-            if comment.startswith("n="):
-                try:
-                    declared = int(comment[2:])
-                except ValueError:
-                    pass
+            # the header comment "n=<count>", with spaces allowed around "="
+            key, eq, value = line[1].partition("=")
+            if eq and key.strip() == "n":
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise FormatError(f"line {lineno}: vertex count {value!r} is not an integer >= 0")
+                declared = int(value)
         body = line[0].strip()
         if not body:
             continue
@@ -664,7 +582,8 @@ def _gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-# kind -> (builder, the parameters it takes, in order); gnp also takes the seed
+# kind -> (builder, the parameters it takes, in order); gnp also takes the seed,
+# and every parameter but gnp's p is a positive integer
 _KINDS = {"path": (_gen_path, "k"), "cycle": (_gen_cycle, "k"),
           "complete": (_gen_complete, "k"), "complete_bipartite": (_gen_complete_bipartite, "a b"),
           "s_ttt": (_gen_s_ttt, "t"), "k_gamma_2": (_gen_k_gamma_2, "gamma"),
@@ -677,12 +596,15 @@ def generate(kind: str, seed: int | None = None, **params) -> Graph:
         raise PreconditionError(f"unknown graph kind {kind!r}")
     if not (seed is None or _is_int(seed)):
         raise PreconditionError(f"seed={seed!r} is not None or an integer")
-    for key in ("k", "t", "a", "b", "gamma", "n"):
-        if key in params and not (_is_int(params[key]) and params[key] > 0):
-            raise PreconditionError(f"parameter {key}={params[key]!r} must be a positive integer")
     build, names = _KINDS[kind]
+    names = names.split()
+    for key in params:
+        if key not in names:
+            raise PreconditionError(f"graph kind {kind!r} takes no parameter {key!r}")
+        if key != "p" and not (_is_int(params[key]) and params[key] > 0):
+            raise PreconditionError(f"parameter {key}={params[key]!r} must be a positive integer")
     try:
-        args = [params[key] for key in names.split()]
+        args = [params[key] for key in names]
     except KeyError as e:
         raise PreconditionError(f"graph kind {kind!r} needs parameter {e.args[0]!r}") from None
     return build(*args, seed or 0) if kind == "gnp" else build(*args)

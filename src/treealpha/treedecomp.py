@@ -356,11 +356,11 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
 
     Recursion state is (active region, accumulated boundary pieces), all
     vertex masks. Each oracle call gets G[boundary + region], in sub ids, and
-    a weight uniform on a mask heavy: the whole of boundary plus region, or
-    the region alone for the forced re-cut when the first separator missed
-    it. Every oracle output X is re-checked for (w,c)-balance on host masks:
-    each component of G[boundary + region] - X may hold at most c * |heavy|
-    vertices of heavy, the exact test that uniform rational weights give.
+    ``WeightFn(heavy)``, uniform on heavy: the whole of boundary plus region,
+    or the region alone for the forced re-cut when the first separator
+    missed it. Every oracle output X is re-checked for (w,c)-balance on host
+    masks by counting: each component of G[boundary + region] - X may hold
+    at most c * |heavy| vertices of heavy, which is w.weight(component) <= c.
     The resulting decomposition is validated and its independence number
     checked against ceil((3-c)/(1-c)) times the largest oracle-output
     stability number. Every alpha, of an oracle output or of a bag, runs
@@ -384,7 +384,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     def call_oracle(univ: int, heavy: int) -> int:
         # the oracle's instance is G[univ] with weight uniform on heavy
         sub, to_sub, to_host = g.induced(_bits(univ))
-        w = WeightFn.uniform(to_sub[v] for v in _bits(heavy))
+        w = WeightFn(to_sub[v] for v in _bits(heavy))
         out = sep_oracle(sub, w)
         try:
             x = set_to_mask(to_host[v] for v in check_vertex_set(sub, out))

@@ -855,12 +855,11 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
     def comps(removed):
         return sorted(naive_components(g, removed), key=min)
 
-    def call_oracle(univ, w):
+    def call_oracle(univ, heavy):
         sub, to_sub, to_host = g.induced(univ)
-        w_sub = WeightFn({to_sub[v]: x for v, x in w.items()})
-        x_sub = frozenset(sep_oracle(sub, w_sub))
-        if not all(w_sub.weight(comp) <= c + w_sub.tol
-                   for comp in naive_components(sub, x_sub)):
+        w = WeightFn(to_sub[v] for v in heavy)
+        x_sub = frozenset(sep_oracle(sub, w))
+        if not all(w.weight(comp) <= c for comp in naive_components(sub, x_sub)):
             raise OracleContractError("oracle output is not a balanced separator", (sub, w))
         x = frozenset(to_host[v] for v in x_sub)
         oracle_alphas.append(naive_alpha(g, x))
@@ -876,12 +875,12 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
         if not region:
             return new_node(bverts)
         univ = region | bverts
-        x = call_oracle(univ, WeightFn.uniform(univ))
+        x = call_oracle(univ, univ)
         pieces = len([p for p in boundary if p]) + (1 if x else 0)
         outside = frozenset(g.vertices) - region
         rest = comps(outside | x)
         if len(rest) == 1 and rest[0] == region:
-            x = x | call_oracle(univ, WeightFn.uniform(region))
+            x = x | call_oracle(univ, region)
             pieces += 1
             rest = comps(outside | x)
         max_pieces = max(max_pieces, pieces)

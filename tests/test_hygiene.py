@@ -2,7 +2,8 @@
 refusals use the package's own error types, one gate raises every cap
 refusal, it keeps no unused import, no private definition without a caller
 and no public name without a reader, the test oracles use none of its
-search kernels, and every function the benchmark's tracer wraps exists."""
+search kernels, every function the benchmark's tracer wraps exists, and
+the benchmark's separator oracle reads only what WeightFn has."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ BUILTIN_RAISES = {"ValueError", "TypeError", "KeyError", "IndexError"}
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
                   "_peel_simplicial", "is_chordal", "minimal_triangulations",
                   "_mwis_td", "_stable_subsets"}
@@ -216,3 +218,19 @@ def test_tree_alpha_exact_calls_no_traced_function():
     assert {"_subset_tree_alpha", "_reach", "enforce"} <= names  # the walk follows imports
     traced = {fn for fns in _traced().values() for fn in fns}
     assert sorted(names & traced) == []
+
+
+def test_bench_sep_oracle_reads_only_weightfn_attributes():
+    # bench/workloads.Bench.sep_oracle is the benchmark's separator oracle;
+    # assemble_td hands it a WeightFn, so every attribute it reads on that
+    # argument must exist on the class. Read from the file, as _traced does.
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    bench = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "Bench")
+    oracle = next(node for node in bench.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "sep_oracle")
+    w = oracle.args.args[2].arg  # after self and the graph
+    read = {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == w}
+    assert read  # today, weight
+    assert sorted(a for a in read if not hasattr(treealpha.WeightFn, a)) == []

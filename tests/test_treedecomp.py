@@ -88,10 +88,10 @@ def brute_balanced_separator(g: Graph, w: WeightFn, c=Fraction(1, 2)):
 
 def logged(log: list, answers=(), c=Fraction(1, 2)):
     """An oracle that appends each instance it gets to log, as (sub.n,
-    sub.edges(), w.items()), and answers its i-th call with answers[i], or
+    sub.edges(), sorted(w.heavy)), and answers its i-th call with answers[i], or
     past their end as brute_balanced_separator."""
     def oracle(sub, w):
-        log.append((sub.n, sub.edges(), w.items()))
+        log.append((sub.n, sub.edges(), sorted(w.heavy)))
         i = len(log) - 1
         return answers[i] if i < len(answers) else brute_balanced_separator(sub, w, c)
     return oracle
@@ -627,7 +627,7 @@ class TestAssemble:
                     log = []
 
                     def oracle(sub, w, bad=bad, breach_at=breach_at, log=log):
-                        log.append((sub, w.items()))
+                        log.append((sub, w.heavy))
                         if len(log) > breach_at:
                             return bad(sub)
                         return brute_balanced_separator(sub, w)
@@ -635,7 +635,7 @@ class TestAssemble:
                     with pytest.raises(OracleContractError) as err:
                         assemble_td(g, oracle)
                     sub, w = err.value.instance
-                    assert len(log) == breach_at + 1 and (sub, w.items()) == log[-1]
+                    assert len(log) == breach_at + 1 and (sub, w.heavy) == log[-1]
 
     def test_balance_boundary(self):
         # on C_8 with c = 1/2: {2, 7} leaves 4 of 8 vertices in {3..6}; the
@@ -647,9 +647,7 @@ class TestAssemble:
         log = []
         result = assemble_td(g, logged(log, [{2, 7}, {2, 3}, {0}]))
         assert validate_td(g, result.td).ok
-        half = Fraction(1, 2)
-        assert [entry[2] for entry in log[1:3]] == [[(v, Fraction(1, 4)) for v in range(4)],
-                                                    [(0, half), (1, half)]]
+        assert [entry[2] for entry in log[1:3]] == [[0, 1, 2, 3], [0, 1]]
         # one vertex of the weight more in a component, at each of the three calls
         for answers in ([{1, 7}], [{2, 7}, {3}], [{2, 7}, {2, 3}, {3}]):
             log = []
@@ -1074,9 +1072,11 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "WeightFn None": (lambda: WeightFn(None), PreconditionError),
     "WeightFn list": (lambda: WeightFn([0.5]), PreconditionError),
     "WeightFn bool weight": (lambda: WeightFn({0: True}), PreconditionError),
-    "WeightFn.uniform int": (lambda: WeightFn.uniform(5), PreconditionError),
-    "WeightFn.from_json None": (lambda: WeightFn.from_json(None), FormatError),
-    "WeightFn.from_json bool weight": (lambda: WeightFn.from_json('{"0": true}'), FormatError),
+    "WeightFn int": (lambda: WeightFn(5), PreconditionError),
+    "WeightFn mapping": (lambda: WeightFn({0: Fraction(1, 2)}), PreconditionError),
+    "WeightFn empty": (lambda: WeightFn(()), PreconditionError),
+    "WeightFn bool id": (lambda: WeightFn([True]), PreconditionError),
+    "WeightFn negative id": (lambda: WeightFn([0, -1]), PreconditionError),
     "subdivide None": (lambda: subdivide(P3, None), PreconditionError),
     "parse_graph graph6 None": (lambda: parse_graph(None, "graph6"), FormatError),
     "parse_graph edgelist int": (lambda: parse_graph(123, "edgelist"), FormatError),
@@ -1088,7 +1088,7 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "Embedding.verify pattern None": (lambda: Embedding({}).verify(None, P3), PreconditionError),
     "Embedding.verify host None": (lambda: Embedding({}).verify(P3, None), PreconditionError),
     "Embedding.verify mapping None": (lambda: Embedding(None).verify(P3, P3), PreconditionError),
-    "WeightFn.weight None": (lambda: WeightFn({0: 1}).weight(None), PreconditionError),
+    "WeightFn.weight None": (lambda: WeightFn({0}).weight(None), PreconditionError),
     "MWISInstance.total None": (lambda: MWISInstance(P3, {0: 1}).total(None), PreconditionError),
     "assemble_td oracle None": (lambda: assemble_td(P3, None), PreconditionError),
     "MWISInstance bool weight": (lambda: MWISInstance(P3, {0: True}), PreconditionError),
@@ -1096,6 +1096,10 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "generate gnp bool seed": (lambda: generate("gnp", n=4, p=0.5, seed=True), PreconditionError),
     "generate gnp str seed": (lambda: generate("gnp", n=4, p=0.5, seed="x"), PreconditionError),
     "generate gnp float seed": (lambda: generate("gnp", n=4, p=0.5, seed=1.0), PreconditionError),
+    "generate cycle extra n": (lambda: generate("cycle", k=5, n=7), PreconditionError),
+    "generate path extra kk": (lambda: generate("path", k=3, kk=4), PreconditionError),
+    "generate gnp extra k": (lambda: generate("gnp", n=4, p=0.5, k=2), PreconditionError),
+    "mwis td without td": (lambda: mwis(MWISInstance(P3, {0: 1}), "td"), PreconditionError),
 }
 
 
@@ -1108,7 +1112,8 @@ def test_malformed_argument_is_typed_refusal(entry):
 
 def test_well_formed_neighbours_of_the_malformed_arguments_pass():
     # the plain-int and plain-text versions of the refused arguments
-    assert WeightFn({0: 1}).total == 1 and WeightFn.uniform(range(2)).total == 1
+    assert WeightFn({0}).weight([0]) == 1 and WeightFn(range(2)).weight(range(2)) == 1
+    assert generate("cycle", k=5, seed=3) == generate("cycle", k=5)
     assert parse_graph("0 1", "edgelist", n=5).n == 5
     assert generate("gnp", n=4, p=1).edge_count() == 6
     assert generate("gnp", n=6, p=0.5, seed=None) == generate("gnp", n=6, p=0.5, seed=0)
