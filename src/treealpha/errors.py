@@ -29,7 +29,7 @@ class CapExceededError(TreealphaError):
 
 
 class FormatError(TreealphaError):
-    """Malformed textual graph or weight input."""
+    """Malformed graph text (graph6 or edge list) or decomposition JSON."""
 
 
 class PreconditionError(TreealphaError):

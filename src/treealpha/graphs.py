@@ -452,10 +452,10 @@ def _emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_edgelist(text: str, n: int | None = None) -> Graph:
+def _parse_edgelist(text: str) -> Graph:
     edges = []
     max_v = -1
-    declared = n
+    declared = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)
         if len(line) == 2 and declared is None:
@@ -488,17 +488,15 @@ def _parse_edgelist(text: str, n: int | None = None) -> Graph:
     return Graph(count, edges)
 
 
-def parse_graph(text: str, fmt: str, n: int | None = None) -> Graph:
-    """Parse graph6 (bit-exact) or whitespace edge-list text; n, when
-    given, is the edge list's vertex count."""
+def parse_graph(text: str, fmt: str) -> Graph:
+    """Parse graph6 (bit-exact) or whitespace edge-list text; an edge list's
+    vertex count is its first "# n=<count>" comment, else its largest id + 1."""
     if not isinstance(text, str):
         raise FormatError(f"graph text {text!r} is not a string")
-    if not (n is None or (_is_int(n) and n >= 0)):
-        raise PreconditionError(f"vertex count n={n!r} is not an integer >= 0")
     if fmt == "graph6":
         return _parse_graph6(text)
     if fmt == "edgelist":
-        return _parse_edgelist(text, n)
+        return _parse_edgelist(text)
     raise FormatError(f"unknown graph format {fmt!r}")
 
 

@@ -347,24 +347,24 @@ class AssembleResult:
     td: TreeDecomposition
     oracle_alphas: list[int]
     d_realized: int
-    max_pieces: int
 
 
 def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
                 cap_override: int | None = None) -> AssembleResult:
     """Build a tree decomposition by recursive balanced separation.
 
-    Recursion state is (active region, accumulated boundary pieces), all
-    vertex masks. Each oracle call gets G[boundary + region], in sub ids, and
-    ``WeightFn(heavy)``, uniform on heavy: the whole of boundary plus region,
-    or the region alone for the forced re-cut when the first separator
+    Recursion state is two vertex masks: the active region and its boundary,
+    the part of the parent's bag adjacent to it; a node's bag is its boundary
+    plus its separator. Each oracle call gets G[boundary + region], in sub
+    ids, and ``WeightFn(heavy)``, uniform on heavy: the whole of boundary plus
+    region, or the region alone for the forced re-cut when the first separator
     missed it. Every oracle output X is re-checked for (w,c)-balance on host
-    masks by counting: each component of G[boundary + region] - X may hold
-    at most c * |heavy| vertices of heavy, which is w.weight(component) <= c.
-    The resulting decomposition is validated and its independence number
-    checked against ceil((3-c)/(1-c)) times the largest oracle-output
-    stability number. Every alpha, of an oracle output or of a bag, runs
-    under the ``alpha`` cap, with cap_override as its override.
+    masks by counting: each component of G[boundary + region] - X may hold at
+    most c * |heavy| vertices of heavy, which is w.weight(component) <= c. The
+    resulting decomposition is validated and its independence number checked
+    against ceil((3-c)/(1-c)) times the largest oracle-output stability
+    number. Every alpha, of an oracle output or of a bag, runs under the
+    ``alpha`` cap, with cap_override as its override.
     """
     _check_graph(g)
     if not callable(sep_oracle):
@@ -379,7 +379,6 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
     bags: dict[int, frozenset[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     oracle_alphas: list[int] = []
-    max_pieces = 0
 
     def call_oracle(univ: int, heavy: int) -> int:
         # the oracle's instance is G[univ] with weight uniform on heavy
@@ -403,38 +402,26 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
         bags[node] = mask_to_set(bag)
         return node
 
-    def decompose(region: int, boundary: list[int]) -> int:
-        # boundary pieces are nonempty, and each child's region is one
-        # component of region minus the separator x
-        nonlocal max_pieces
-        bverts = 0
-        for p in boundary:
-            bverts |= p
+    def decompose(region: int, boundary: int) -> int:
+        # each child's region is one component of region minus the separator x
         if not region:
-            return new_node(bverts)
-        univ = region | bverts
+            return new_node(boundary)
+        univ = region | boundary
         x = call_oracle(univ, univ)
-        pieces = len(boundary) + (1 if x else 0)
         rest = _component_masks(adj, region & ~x)
         if rest == [region]:
             # the separator missed the active region; force a cut of it
             x |= call_oracle(univ, region)
-            pieces += 1
             rest = _component_masks(adj, region & ~x)
-        max_pieces = max(max_pieces, pieces)
-        bag = bverts | x
+        bag = boundary | x
         node = new_node(bag)
         for comp in rest:
             # comp and bag are disjoint, so N[comp] & bag is bag & N(comp)
-            nb = _reach(adj, comp, 0) & bag
-            child_boundary = [p & nb for p in boundary if p & nb]
-            if x & nb:
-                child_boundary.append(x & nb)
-            child = decompose(comp, child_boundary)
+            child = decompose(comp, _reach(adj, comp, 0) & bag)
             tree_edges.append((node, child))
         return node
 
-    decompose((1 << g.n) - 1, [])
+    decompose((1 << g.n) - 1, 0)
     td = TreeDecomposition(Graph(len(bags), tree_edges), dict(bags))
 
     report = validate_td(g, td)
@@ -451,7 +438,7 @@ def assemble_td(g: Graph, sep_oracle: SepOracle, c: Fraction = Fraction(1, 2),
             f"bag independence {indep} exceeds bound {bound}",
             trace={"d_realized": d_realized, "c": str(c)},
         )
-    return AssembleResult(td, oracle_alphas, d_realized, max_pieces)
+    return AssembleResult(td, oracle_alphas, d_realized)
 
 
 # -- MWIS ----------------------------------------------------------------------
@@ -568,6 +555,8 @@ def mwis(instance: MWISInstance, method: str = "brute",
     returned."""
     _check_graph(getattr(instance, "graph", None), "instance.graph")
     if method == "brute":
+        if td is not None:
+            raise PreconditionError("only the td method takes a decomposition")
         wit, val = _mwis_brute(instance, cap_override)
     elif method == "td":
         if td is None:

@@ -850,7 +850,6 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
     bags: dict[int, frozenset[int]] = {}
     tree_edges: list[tuple[int, int]] = []
     oracle_alphas: list[int] = []
-    max_pieces = 0
 
     def comps(removed):
         return sorted(naive_components(g, removed), key=min)
@@ -870,20 +869,16 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
         return len(bags) - 1
 
     def decompose(region, boundary):
-        nonlocal max_pieces
         bverts = frozenset().union(*boundary) if boundary else frozenset()
         if not region:
             return new_node(bverts)
         univ = region | bverts
         x = call_oracle(univ, univ)
-        pieces = len([p for p in boundary if p]) + (1 if x else 0)
         outside = frozenset(g.vertices) - region
         rest = comps(outside | x)
         if len(rest) == 1 and rest[0] == region:
             x = x | call_oracle(univ, region)
-            pieces += 1
             rest = comps(outside | x)
-        max_pieces = max(max_pieces, pieces)
         bag = bverts | x
         node = new_node(bag)
         for comp in rest:
@@ -897,7 +892,7 @@ def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleRes
 
     decompose(frozenset(g.vertices), [])
     td = TreeDecomposition(Graph(len(bags), tree_edges), dict(bags))
-    return AssembleResult(td, oracle_alphas, max(oracle_alphas, default=0), max_pieces)
+    return AssembleResult(td, oracle_alphas, max(oracle_alphas, default=0))
 
 
 # -- networkx: an independent third party at 30-40 vertices --------------------

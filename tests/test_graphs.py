@@ -185,7 +185,7 @@ class TestFormats:
 
     def test_edgelist_declared_n_too_small(self):
         with pytest.raises(FormatError):
-            parse_graph("0 5", "edgelist", n=3)
+            parse_graph("# n=3\n0 5", "edgelist")
 
     def test_empty_graph_roundtrip(self):
         g = Graph(0)
@@ -205,10 +205,9 @@ class TestFormats:
         g = Graph(5, [(0, 1)])
         assert parse_graph(emit_graph(g, "edgelist"), "edgelist") == g
         # the "# n=" header may carry spaces around "="; the first one counts,
-        # other comments are not headers, and a caller's n overrides it
+        # and other comments are not headers
         for text in ("# n = 5\n0 1\n", "#n=5\n0 1  # n=9\n", "# n=5\n# nodes=x\n# m = y\n0 1\n"):
             assert parse_graph(text, "edgelist") == g
-        assert parse_graph("# n=abc\n0 1\n", "edgelist", n=5) == g
 
     def test_graph6_bad_length(self):
         with pytest.raises(FormatError):

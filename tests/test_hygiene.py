@@ -2,8 +2,9 @@
 refusals use the package's own error types, one gate raises every cap
 refusal, it keeps no unused import, no private definition without a caller
 and no public name without a reader, the test oracles use none of its
-search kernels, every function the benchmark's tracer wraps exists, and
-the benchmark's separator oracle reads only what WeightFn has."""
+search kernels, every function the benchmark's tracer wraps exists, the
+benchmark's separator oracle reads only what WeightFn has, and every
+dataclass field has a reader."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").rglob("*.py"))
 SEARCH_KERNELS = {"_max_weight_stable", "_subset_tree_alpha", "_backtrack_induced",
                   "_peel_simplicial", "is_chordal", "minimal_triangulations",
                   "_mwis_td", "_stable_subsets"}
@@ -234,3 +236,33 @@ def test_bench_sep_oracle_reads_only_weightfn_attributes():
             and isinstance(node.value, ast.Name) and node.value.id == w}
     assert read  # today, weight
     assert sorted(a for a in read if not hasattr(treealpha.WeightFn, a)) == []
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How many times each attribute name is read under node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_dataclass_fields_have_readers():
+    # every field of a package dataclass is read as an attribute outside its
+    # own class body, in the package, the tests or the benchmark; the files
+    # are read by AST, as _traced does, so nothing of bench/ runs
+    reads = Counter()
+    for path in SOURCES + TESTS + BENCH:
+        reads.update(_attribute_reads(ast.parse(path.read_text(), filename=str(path))))
+    fields, found = set(), []
+    for name, tree in _module_trees().items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in _used_names(d) for d in cls.decorator_list)):
+                continue
+            own = _attribute_reads(cls)
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    field = item.target.id
+                    fields.add(f"{cls.name}.{field}")
+                    if reads[field] == own[field]:
+                        found.append(f"{name}:{item.lineno}: {cls.name}.{field}")
+    assert {"AssembleResult.td", "LtVerdict.notes", "MWISInstance.weights"} <= fields
+    assert found == []

@@ -574,6 +574,18 @@ class TestLtFree:
         assert verdict.status == "inconclusive"
         assert verdict.certified_cap == 6
 
+    def test_notes_name_only_a_budget_stop(self):
+        # C9 holds the t = 1 member with s = 3; a budget of b members stops
+        # at s = b, the first level it cannot start
+        c9 = generate("cycle", k=9)
+        for budget in (0, 1, 3):
+            verdict = lt_free_upto(c9, 1, 9, budget)
+            assert verdict.status == "inconclusive"
+            assert verdict.notes == [f"member budget {budget} exhausted at s={budget}"]
+        for g, t, status in ((c9, 1, "witness"), (generate("path", k=10), 2, "free")):
+            verdict = lt_free_upto(g, t, g.n)
+            assert verdict.status == status and verdict.notes == []
+
     def test_t_below_one_is_precondition_error(self):
         for t in (0, -1):
             with pytest.raises(PreconditionError):

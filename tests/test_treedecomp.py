@@ -676,9 +676,10 @@ class TestAssemble:
             assert got == assemble_td(g, brute_balanced_separator, c=exact)
 
     def test_matches_set_based_reference(self):
-        # the mask recursion against the set-based one it replaced: the same
-        # bags, tree edges, oracle alphas, d_realized and max_pieces, and the
-        # same subgraph and weight handed to the oracle at every call
+        # the mask recursion, which hands each child one boundary mask, against
+        # the set-based one it replaced, which hands down a list of boundary
+        # pieces: the same bags, tree edges, oracle alphas and d_realized, and
+        # the same subgraph and weight handed to the oracle at every call
         rng = random.Random(59)
         for _ in range(100):
             n = rng.randint(0, 12)
@@ -736,7 +737,7 @@ class TestMWIS:
         module, kernel, stand_in, method = self.WRONG_KERNELS[case]
         g = generate("path", k=3)
         inst = MWISInstance(g, {v: 10**12 for v in g.vertices})
-        td = TreeDecomposition.single_bag(g)
+        td = TreeDecomposition.single_bag(g) if method == "td" else None
         if module is graphs:
             def call():
                 return max_stable_set(g, method)
@@ -1080,9 +1081,6 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "subdivide None": (lambda: subdivide(P3, None), PreconditionError),
     "parse_graph graph6 None": (lambda: parse_graph(None, "graph6"), FormatError),
     "parse_graph edgelist int": (lambda: parse_graph(123, "edgelist"), FormatError),
-    "parse_graph n str": (lambda: parse_graph("0 1", "edgelist", n="5"), PreconditionError),
-    "parse_graph n bool": (lambda: parse_graph("0 1", "edgelist", n=True), PreconditionError),
-    "parse_graph n negative": (lambda: parse_graph("", "edgelist", n=-1), PreconditionError),
     "find_pattern str spec": (lambda: find_pattern(P3, "s_ttt"), PreconditionError),
     "find_pattern None spec": (lambda: find_pattern(P3, None), PreconditionError),
     "Embedding.verify pattern None": (lambda: Embedding({}).verify(None, P3), PreconditionError),
@@ -1100,6 +1098,8 @@ MALFORMED_ARGUMENT_CALLS = {  # name: (call, error)
     "generate path extra kk": (lambda: generate("path", k=3, kk=4), PreconditionError),
     "generate gnp extra k": (lambda: generate("gnp", n=4, p=0.5, k=2), PreconditionError),
     "mwis td without td": (lambda: mwis(MWISInstance(P3, {0: 1}), "td"), PreconditionError),
+    "mwis brute with td": (lambda: mwis(MWISInstance(P3, {0: 1}), "brute",
+                                        td=TreeDecomposition.single_bag(Graph(1))), PreconditionError),
 }
 
 
@@ -1114,7 +1114,7 @@ def test_well_formed_neighbours_of_the_malformed_arguments_pass():
     # the plain-int and plain-text versions of the refused arguments
     assert WeightFn({0}).weight([0]) == 1 and WeightFn(range(2)).weight(range(2)) == 1
     assert generate("cycle", k=5, seed=3) == generate("cycle", k=5)
-    assert parse_graph("0 1", "edgelist", n=5).n == 5
+    assert parse_graph("# n=5\n0 1", "edgelist").n == 5
     assert generate("gnp", n=4, p=1).edge_count() == 6
     assert generate("gnp", n=6, p=0.5, seed=None) == generate("gnp", n=6, p=0.5, seed=0)
     assert generate("gnp", n=6, p=0.5, seed=-3).n == 6
