@@ -29,6 +29,12 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
+def _is_numeral(text: str) -> bool:
+    """text is an ASCII decimal numeral, which int() alone does not test: it
+    also takes a sign, spaces, "_" and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def norm_edge(u: int, v: int) -> Edge:
     """Normalize an undirected edge to (min, max) form."""
     return (u, v) if u < v else (v, u)
@@ -362,52 +368,26 @@ def alpha_exact(g: Graph, x: Iterable[int] | None = None,
 _G6_HEADER = ">>graph6<<"
 
 
-def _g6_encode_n(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)])
-    raise FormatError(f"graph too large for graph6: n={n}")
+# graph6's vertex-count forms: the prefix, the number of 6-bit groups after
+# it, and the largest n the form holds
+_G6_SIZES = ((b"", 1, 62), (b"~", 3, 258047), (b"~~", 6, 68719476735))
 
 
-def _g6_decode_n(data: bytes) -> tuple[int, bytes]:
-    if not data:
-        raise FormatError("empty graph6 string")
-    if data[0] != 126:
-        return data[0] - 63, data[1:]
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise FormatError("truncated graph6 vertex count")
-        n = 0
-        for byte in data[1:4]:
-            n = (n << 6) | (byte - 63)
-        return n, data[4:]
-    if len(data) < 8:
-        raise FormatError("truncated graph6 vertex count")
-    n = 0
-    for byte in data[2:8]:
-        n = (n << 6) | (byte - 63)
-    return n, data[8:]
+def _sextets(x: int, count: int) -> bytes:
+    """x as count graph6 bytes, six bits each, the high group first."""
+    return bytes((x >> 6 * k & 63) + 63 for k in range(count - 1, -1, -1))
 
 
 def _emit_graph6(g: Graph) -> str:
-    n = g.n
-    bits = []
-    for j in range(1, n):
-        col = g.adj_mask(j)
-        for i in range(j):
-            bits.append(1 if (col >> i) & 1 else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    payload = bytearray(_g6_encode_n(n))
-    for k in range(0, len(bits), 6):
-        byte = 0
-        for b in bits[k:k + 6]:
-            byte = (byte << 1) | b
-        payload.append(byte + 63)
-    return payload.decode("ascii")
+    forms = [form for form in _G6_SIZES if g.n <= form[2]]
+    if not forms:
+        raise FormatError(f"graph too large for graph6: n={g.n}")
+    prefix, count, _ = forms[0]
+    # the upper triangle in column order: column j holds the bits i < j, i rising
+    bits = "".join(format(g.adj_mask(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[k:k + 6], 2) + 63 for k in range(0, len(bits), 6))
+    return (prefix + _sextets(g.n, count) + body).decode("ascii")
 
 
 def _parse_graph6(text: str) -> Graph:
@@ -421,28 +401,22 @@ def _parse_graph6(text: str) -> Graph:
     for byte in data:
         if not (63 <= byte <= 126):
             raise FormatError(f"invalid graph6 byte {byte}")
-    n, rest = _g6_decode_n(data)
+    if not data:
+        raise FormatError("empty graph6 string")
+    prefix, count, _ = [form for form in _G6_SIZES if data.startswith(form[0])][-1]
+    bits = "".join(format(byte - 63, "06b") for byte in data[len(prefix):])
+    if len(bits) < 6 * count:
+        raise FormatError("truncated graph6 vertex count")
+    n, body = int(bits[:6 * count], 2), bits[6 * count:]
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(rest) != need_bytes:
+    if len(body) != 6 * need_bytes:
         raise FormatError(
-            f"graph6 body has {len(rest)} bytes, expected {need_bytes} for n={n}"
-        )
-    bits = []
-    for byte in rest:
-        val = byte - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    for extra in bits[need_bits:]:
-        if extra:
-            raise FormatError("nonzero padding bits in graph6 body")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+            f"graph6 body has {len(body) // 6} bytes, expected {need_bytes} for n={n}")
+    if "1" in body[need_bits:]:
+        raise FormatError("nonzero padding bits in graph6 body")
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(n, [pair for pair, bit in zip(pairs, body) if bit == "1"])
 
 
 def _emit_edgelist(g: Graph) -> str:
@@ -463,7 +437,7 @@ def _parse_edgelist(text: str) -> Graph:
             key, eq, value = line[1].partition("=")
             if eq and key.strip() == "n":
                 value = value.strip()
-                if not (value.isascii() and value.isdigit()):
+                if not _is_numeral(value):
                     raise FormatError(f"line {lineno}: vertex count {value!r} is not an integer >= 0")
                 declared = int(value)
         body = line[0].strip()
@@ -472,12 +446,11 @@ def _parse_edgelist(text: str) -> Graph:
         parts = body.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as e:
-            raise FormatError(f"line {lineno}: non-integer endpoint in {raw!r}") from e
-        if u < 0 or v < 0:
-            raise FormatError(f"line {lineno}: negative vertex id in {raw!r}")
+        if not all(map(_is_numeral, parts)):
+            signed = all(_is_numeral(part.removeprefix("-")) for part in parts)
+            fault = "negative vertex id" if signed else "non-integer endpoint"
+            raise FormatError(f"line {lineno}: {fault} in {raw!r}")
+        u, v = map(int, parts)
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
         edges.append((u, v))

@@ -27,6 +27,7 @@ from .graphs import (
     _check_graph,
     _component_masks,
     _is_int,
+    _is_numeral,
     _max_weight_stable,
     _reach,
     _remap,
@@ -68,8 +69,10 @@ class TreeDecomposition:
             tree = Graph(len(nodes), [tuple(e) for e in raw["edges"]])
             bags = {}
             for key, b in raw["bags"].items():
+                if not _is_numeral(key):  # to_json writes str(t), ASCII digits only
+                    raise FormatError(f"bad tree decomposition JSON: key {key!r} is not a node id")
                 t = int(key)
-                if t in bags:  # keys such as "1", "01" and " 1" name one node
+                if t in bags:  # "1" and "01" name one node
                     raise FormatError(f"bad tree decomposition JSON: node {t} has two bags")
                 bags[t] = frozenset(b)
         except (ValueError, KeyError, TypeError, AttributeError, PreconditionError) as e:

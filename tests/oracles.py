@@ -157,29 +157,6 @@ def mcs_chordal(n: int, adj: list[int]) -> bool:
     return True
 
 
-def naive_induced_trees_with_terminals(g: Graph, z: frozenset[int], want: int) -> bool:
-    """Is there a subset S with G[S] a tree containing >= want vertices of z?"""
-    n = g.n
-    for mask in range(1, 1 << n):
-        sub = [v for v in range(n) if mask >> v & 1]
-        if len(set(sub) & z) < want:
-            continue
-        edges = sum(1 for a, b in combinations(sub, 2) if g.has_edge(a, b))
-        if edges != len(sub) - 1:
-            continue
-        comp = {sub[0]}
-        stack = [sub[0]]
-        while stack:
-            u = stack.pop()
-            for w in sub:
-                if w not in comp and g.has_edge(u, w):
-                    comp.add(w)
-                    stack.append(w)
-        if len(comp) == len(sub):
-            return True
-    return False
-
-
 def minimal_triangulations_by_branching(g: Graph) -> set[frozenset]:
     """All minimal chordal completions, by branching on chordless cycles.
 

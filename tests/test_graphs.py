@@ -220,8 +220,9 @@ class TestFormats:
             assert parse_graph(emit_graph(g, fmt), fmt) == g
 
     def test_graph6_matches_networkx(self):
-        for seed in range(12):
-            g = generate("gnp", n=11, p=0.35, seed=seed)
+        # n = 62 is the last count that one byte holds
+        for n, seed in [(11, seed) for seed in range(12)] + [(62, 0)]:
+            g = generate("gnp", n=n, p=0.35, seed=seed)
             theirs = nx.to_graph6_bytes(nx_graph(g), header=False).decode().strip()
             assert emit_graph(g, "graph6") == theirs
 
@@ -255,8 +256,19 @@ class TestFormats:
         (lambda: parse_graph("~?", "graph6"), "truncated graph6 vertex count"),
         (lambda: parse_graph("~??", "graph6"), "truncated graph6 vertex count"),
         (lambda: parse_graph("~~??", "graph6"), "truncated graph6 vertex count"),
+        # the largest n of the one- and four-byte counts and the smallest of
+        # the eight-byte count, with no body, so no graph is built
+        (lambda: parse_graph("}", "graph6"), "0 bytes, expected 316 for n=62$"),
+        (lambda: parse_graph("~}~~", "graph6"), "0 bytes, expected 5548999681 for n=258047$"),
+        (lambda: parse_graph("~~???~??", "graph6"), "0 bytes, expected 5549042688 for n=258048$"),
         (lambda: parse_graph("0 1 2", "edgelist"), "expected 'u v'"),
         (lambda: parse_graph("0 -1", "edgelist"), "negative vertex id"),
+        (lambda: parse_graph("0 x", "edgelist"), "line 1: non-integer endpoint"),
+        # int() reads each of these as a vertex id; an endpoint is ASCII digits
+        (lambda: parse_graph("0 1\n0 1_0", "edgelist"), "line 2: non-integer endpoint"),
+        (lambda: parse_graph("0 +3", "edgelist"), "line 1: non-integer endpoint"),
+        (lambda: parse_graph("0 \u0663", "edgelist"), "line 1: non-integer endpoint"),
+        (lambda: parse_graph("0 \uff13", "edgelist"), "line 1: non-integer endpoint"),
         (lambda: parse_graph("A_", "dot"), "unknown graph format"),
         (lambda: emit_graph(Graph(2), "dot"), "unknown graph format"),
         (lambda: parse_graph("# n=abc\n0 1\n", "edgelist"), "line 1: vertex count 'abc'"),
@@ -264,8 +276,10 @@ class TestFormats:
         (lambda: parse_graph("# n=-3\n", "edgelist"), "line 1: vertex count '-3'"),
         (lambda: parse_graph("# n=\n", "edgelist"), "line 1: vertex count ''"),
     ], ids=["empty", "non-ascii", "byte-below-63", "padding", "header-~?", "header-~??",
-            "header-~~??", "three-tokens", "negative-id", "parse-fmt", "emit-fmt", "n-header-abc",
-            "n-header-float", "n-header-negative", "n-header-empty"])
+            "header-~~??", "body-n62", "body-n258047", "body-n258048", "three-tokens",
+            "negative-id", "non-integer-id", "underscore-id", "plus-id", "arabic-indic-id",
+            "fullwidth-id", "parse-fmt", "emit-fmt", "n-header-abc", "n-header-float",
+            "n-header-negative", "n-header-empty"])
     def test_malformed_text_is_format_error(self, call, message):
         with pytest.raises(FormatError, match=message):
             call()

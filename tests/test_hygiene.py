@@ -2,9 +2,9 @@
 refusals use the package's own error types, one gate raises every cap
 refusal, it keeps no unused import, no private definition without a caller
 and no public name without a reader, the test oracles use none of its
-search kernels, every function the benchmark's tracer wraps exists, the
-benchmark's separator oracle reads only what WeightFn has, and every
-dataclass field has a reader."""
+search kernels and each has a reader, every function the benchmark's tracer
+wraps exists, the benchmark's separator oracle reads only what WeightFn has,
+and every dataclass field has a reader."""
 
 from __future__ import annotations
 
@@ -170,6 +170,20 @@ def test_oracles_use_no_search_kernel():
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)
     assert SEARCH_KERNELS & named == set()
+
+
+def test_oracles_have_readers():
+    # every public function of tests/oracles.py is named in a test module,
+    # read by AST, as _traced reads bench/tracing.py
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    named = set()
+    for path in TESTS:
+        if path.name.startswith("test_"):
+            named |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    unread = [f"oracles.py:{node.lineno}: {node.name}" for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in named]
+    assert unread == []
 
 
 def _traced() -> dict[str, tuple[str, ...]]:

@@ -283,6 +283,13 @@ class TestValidate:
                      '{"nodes": [0], "edges": [], "bags": {"0": [0, true]}}',
                      '{"nodes": [0, 1], "edges": [[0, true]], "bags": {}}',
                      '{"nodes": [0], "edges": [], "bags": {"0": [0], "00": [0]}}',
+                     # to_json writes each bag key as ASCII digits, which int()
+                     # alone does not require
+                     '{"nodes": [0], "edges": [], "bags": {"0_0": [0]}}',
+                     '{"nodes": [0], "edges": [], "bags": {" 0": [0]}}',
+                     '{"nodes": [0], "edges": [], "bags": {"+0": [0]}}',
+                     '{"nodes": [0], "edges": [], "bags": {"-0": [0]}}',
+                     '{"nodes": [0], "edges": [], "bags": {"\u0660": [0]}}',
                      # the node list must read 0..k-1 in plain ints
                      '{"nodes": ["x", 7], "edges": [[0, 1]], "bags": {"0": [0], "1": [0]}}',
                      '{"nodes": {"0": 0}, "edges": [], "bags": {"0": [0]}}',
