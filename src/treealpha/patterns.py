@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .caps import enforce
 from .errors import InvariantViolationError, PreconditionError
@@ -105,18 +106,46 @@ def _triangle_mask(adj: tuple[int, ...]) -> int:
 
 
 def _pattern_profile(adj: tuple[int, ...]) -> tuple:
-    """What the matcher needs of a pattern with adjacency masks adj: each
-    vertex's degree, the mask of vertices that lie in a triangle, per
-    vertex u a step ``(later neighbours, later non-neighbours, twin, runs)``,
-    and the need ``(d, count, in triangles)`` per vertex degree d, highest
-    first: how many vertices have degree >= d, and how many of those lie in
-    a triangle.
+    """What the matcher needs of a pattern with adjacency masks adj: its
+    ``_pattern_need`` with the steps of ``_pattern_steps`` put third,
+    ``(degrees, triangle mask, steps, need)``."""
+    degrees, tri, need = _pattern_need(adj)
+    return degrees, tri, _pattern_steps(adj), need
 
-    A step lists the ids above u adjacent and not adjacent to u, read off
-    u's mask, u's latest earlier twin (or -1), and ``(head, size)`` for each
-    twin class of two or more whose first vertex, its head, lies above u.
-    Pattern vertices p < u are twins when N(p) minus u equals N(u) minus p;
-    twinship is an equivalence."""
+
+def _pattern_need(adj: tuple[int, ...]) -> tuple:
+    """What the Hall check needs of a pattern with adjacency masks adj: each
+    vertex's degree, the mask of vertices that lie in a triangle, and the
+    ``_need`` of those degrees."""
+    degrees = tuple(m.bit_count() for m in adj)
+    tri = _triangle_mask(adj)
+    tri_degrees = [degrees[u] for u in _bits(tri)]
+    return degrees, tri, _need({d: (degrees.count(d), tri_degrees.count(d))
+                                for d in set(degrees)})
+
+
+def _need(counts: dict[int, tuple[int, int]]) -> tuple:
+    """The need ``(d, count, in triangles)`` per degree d with
+    ``counts[d] = (vertices of degree d, those of them in a triangle)``,
+    highest first: how many vertices have degree >= d, and how many of
+    those lie in a triangle. A degree no vertex has gets no entry; the next
+    higher entry's counts stand for it."""
+    need, count, in_tri = [], 0, 0
+    for d in sorted(counts, reverse=True):
+        c, c_tri = counts[d]
+        if c:
+            count, in_tri = count + c, in_tri + c_tri
+            need.append((d, count, in_tri))
+    return tuple(need)
+
+
+def _pattern_steps(adj: tuple[int, ...]) -> tuple:
+    """Per pattern vertex u, the matcher's step ``(later neighbours, later
+    non-neighbours, twin, runs)``: the ids above u adjacent and not
+    adjacent to u, read off u's mask, u's latest earlier twin (or -1), and
+    ``(head, size)`` for each twin class of two or more whose first vertex,
+    its head, lies above u. Pattern vertices p < u are twins when N(p)
+    minus u equals N(u) minus p; twinship is an equivalence."""
     k = len(adj)
     twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -130,17 +159,23 @@ def _pattern_profile(adj: tuple[int, ...]) -> tuple:
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
     full = (1 << k) - 1
-    steps = tuple((tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))),
-                   twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                  for u, m in enumerate(adj))
-    degrees = tuple(m.bit_count() for m in adj)
-    tri = _triangle_mask(adj)
-    tri_degrees = [degrees[u] for u in _bits(tri)]
-    need, count, in_tri = [], 0, 0
-    for d in sorted(set(degrees), reverse=True):
-        count, in_tri = count + degrees.count(d), in_tri + tri_degrees.count(d)
-        need.append((d, count, in_tri))
-    return degrees, tri, steps, tuple(need)
+    return tuple((tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))),
+                  twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                 for u, m in enumerate(adj))
+
+
+def _hall_refuses(host: tuple, need: tuple) -> bool:
+    """Whether a host's ``_host_profile`` falls short of a need: for some
+    ``(d, count, in triangles)`` it has fewer vertices of degree >= d, or
+    fewer of them in a triangle. Then no injective map into the matcher's
+    degree and triangle domains exists (Hall's condition), and so no
+    embedding. This also refuses a pattern larger than the host."""
+    _, deg_ge, tri = host
+    for d, c, c_tri in need:
+        dom = deg_ge[d] if d < len(deg_ge) else 0
+        if dom.bit_count() < c or (dom & tri).bit_count() < c_tri:
+            return True
+    return False
 
 
 def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
@@ -158,11 +193,11 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
     later ones, so the answer is the one the plain search would return:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
       and one in a triangle only host vertices in a triangle.
-    - Before the search, the pattern vertices of degree >= d need as many
-      host vertices of degree >= d, and those among them in a triangle as
-      many such host vertices in a triangle, for each pattern degree d: an
-      embedding maps them injectively there (Hall's condition). This also
-      refuses a pattern larger than the host, or with an empty domain.
+    - Before the search, ``_hall_refuses`` compares the pattern's need with
+      the host: the pattern vertices of degree >= d need as many host
+      vertices of degree >= d, and those among them in a triangle as many
+      such host vertices in a triangle, for each pattern degree d. This
+      also refuses a pattern larger than the host, or with an empty domain.
     - A vertex with an earlier twin maps only above that twin's image.
       Swapping two twins' images gives another embedding, so the first
       embedding maps each twin class in ascending order.
@@ -172,10 +207,8 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
     """
     adj, deg_ge, tri = host
     degrees, in_tri, steps, need = pattern
-    for d, c, c_tri in need:
-        dom = deg_ge[d] if d < len(deg_ge) else 0
-        if dom.bit_count() < c or (dom & tri).bit_count() < c_tri:
-            return None
+    if _hall_refuses(host, need):
+        return None
     doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d] for u, d in enumerate(degrees)]
     k = len(degrees)
     full = (1 << len(adj)) - 1
@@ -227,9 +260,15 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
 
 def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
     """``_backtrack_induced`` of h into g, certified: both profiles are built
-    here, the host's triangles only when h has one."""
-    pattern = _pattern_profile(h._masks)
-    return _certified(_backtrack_induced(_host_profile(g, pattern[1] != 0), pattern), h, g)
+    here, the host's triangles only when h has one. The Hall check runs on
+    h's degrees and triangles before its steps are built, which take time
+    quadratic in h's size."""
+    degrees, tri, need = _pattern_need(h._masks)
+    host = _host_profile(g, tri != 0)
+    if _hall_refuses(host, need):
+        return None
+    pattern = degrees, tri, _pattern_steps(h._masks), need
+    return _certified(_backtrack_induced(host, pattern), h, g)
 
 
 def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
@@ -259,10 +298,20 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
 
 @dataclass(slots=True)
 class LtVerdict:
-    """Semi-decision outcome; certified_cap is the largest host size the
-    enumeration can definitively clear at the requested size cap.
-    members_tested counts isomorphism classes of members, one per split of
-    the subdivisions over the wall's branch paths."""
+    """Semi-decision outcome. members_tested counts isomorphism classes of
+    members, one per split of the subdivisions over the wall's branch
+    paths. With s subdivisions a member has E + s vertices, E the wall's
+    edge count. certified_cap is a member size; with V the wall's vertex
+    count, it is:
+    - free: max(E + size_cap - V, |V(g)|). Every member that fits in g was
+      tested.
+    - witness: E + max(size_cap - V, 0), the largest member size the cap
+      lets the enumeration reach, whatever the host's size.
+    - inconclusive, with the note "member budget B exhausted at s=S":
+      E + S - 1, the largest member size whose level was tested in full.
+    - inconclusive with no note: E + size_cap - V, the largest member size
+      the cap lets the enumeration reach, below the largest that fits in g.
+    """
 
     status: str  # free | witness | inconclusive
     certified_cap: int
@@ -281,19 +330,20 @@ def _distributions(total: int, bins: int):
 
 
 @lru_cache(maxsize=None)
-def _wall(t: int) -> tuple[Graph, tuple[Edge, ...]]:
+def _wall(t: int) -> tuple[Graph, tuple[Edge, ...], tuple[int, ...]]:
     """The t-wall and, for each of its branch paths, the path's lowest
-    edge, ascending. A branch path is a maximal path whose inner vertices
-    have degree 2; the t = 1 wall, a 6-cycle, is one branch path. A split
-    of s subdivisions over the branch paths lists one count per path, in
-    this order."""
+    edge, ascending, and its length in edges. A branch path is a maximal
+    path whose inner vertices have degree 2; the t = 1 wall, a 6-cycle, is
+    one branch path. A split of s subdivisions over the branch paths lists
+    one count per path, in this order."""
     wall = generate("wall", t=t)
     adj = wall._masks
     seen: set[Edge] = set()
-    lowest = []
+    lowest, lengths = [], []
     for u, v in wall.edges():
         if (u, v) in seen:
             continue
+        before = len(seen)
         lowest.append((u, v))
         seen.add((u, v))
         for prev, cur in ((u, v), (v, u)):
@@ -304,19 +354,53 @@ def _wall(t: int) -> tuple[Graph, tuple[Edge, ...]]:
                     break
                 seen.add(e)
                 prev, cur = cur, nxt
-    return wall, tuple(lowest)
+        lengths.append(len(seen) - before)
+    return wall, tuple(lowest), tuple(lengths)
 
 
-# Member profiles kept, keyed by (t, split): room for every split of at most
-# three subdivisions over the 2-wall's branch paths (220) and of at most two
-# over the 3-wall's (325), at about 4 kB each.
+def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
+    """The least ``_need`` of the members with s subdivisions whose splits
+    leave at least few and at most many branch paths of one edge.
+
+    A member vertex is an edge xy of the subdivided wall. It has degree
+    deg x + deg y - 2, and lies in a triangle exactly when x or y has
+    degree 3, as a subdivided wall has no triangle. For t >= 2 every branch
+    path joins two wall vertices of degree 3: a path of one edge gives one
+    vertex of degree 4, a longer one two vertices of degree 3 at its ends
+    and vertices of degree 2 between them. The 6-cycle of t = 1 gives
+    vertices of degree 2 only."""
+    lengths = _wall(t)[2]
+    ends = 2 * len(lengths) - many if t > 1 else 0  # vertices of degree >= 3
+    return _need({4: (few, few), 3: (ends - few, ends - few),
+                  2: (sum(lengths) + s - ends, 0)})
+
+
+# Member profiles and split needs kept, keyed by (t, split): room for every
+# split of at most three subdivisions over the 2-wall's branch paths (220)
+# and of at most two over the 3-wall's (325), at about 4 kB a profile.
 _MEMBER_CACHE = 2048
+
+
+@lru_cache(maxsize=_MEMBER_CACHE)
+def _split_need(t: int, split: tuple[int, ...]) -> tuple:
+    """The need of ``_pattern_profile(_member(t, split)._masks)``, read off
+    the branch paths' lengths without building the member."""
+    single = sum(length + c == 1 for length, c in zip(_wall(t)[2], split))
+    return _wall_need(t, sum(split), single, single)
+
+
+def _level_need(t: int, s: int) -> tuple:
+    """A need at most that of every split of s subdivisions, entry by
+    entry: a path of one edge keeps it only without a subdivision, so at
+    least single - s of the wall's single paths stay so, and at most all."""
+    single = _wall(t)[2].count(1)
+    return _wall_need(t, s, max(single - s, 0), single)
 
 
 def _member(t: int, split: tuple[int, ...]) -> Graph:
     """L(the t-wall with split[i] subdivisions on the lowest edge of its
     i-th branch path), the one member tested for split's class."""
-    wall, lowest = _wall(t)
+    wall, lowest, _ = _wall(t)
     member, _ = line_graph(subdivide(wall, dict(zip(lowest, split))))
     return member
 
@@ -339,6 +423,17 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     the one with each path's whole total on the path's lowest wall edge.
     member_budget and members_tested count these classes. A witness is
     checked against the member it embeds.
+
+    Levels s go in ascending order, and a level's splits in
+    ``_distributions`` order. A member is built only if g meets its need
+    (``_split_need``); otherwise the matcher's root would refuse it. If g
+    falls short of the level's least need (``_level_need``), which no
+    split's need is below, the whole level is refused, and its
+    C(s + m - 1, m - 1) classes, m the number of branch paths, count as
+    tested at once. A budget that ends inside such a level stops at the
+    class count, note and certified_cap of a split-by-split walk, which
+    would find no witness there. So every field of the verdict is the
+    walk's.
     """
     _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
@@ -348,24 +443,30 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
         raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
     if member_budget < 0:
         raise PreconditionError(f"member_budget must be >= 0, got {member_budget}")
-    wall, lowest = _wall(t)
-    v_wall, e_wall = wall.n, wall.edge_count()
+    wall, lowest, _ = _wall(t)
+    v_wall, e_wall, m = wall.n, wall.edge_count(), len(lowest)
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
     host = _host_profile(g)
 
+    def exhausted(s: int) -> LtVerdict:
+        return LtVerdict(status="inconclusive", certified_cap=e_wall + s - 1,
+                         members_tested=member_budget,
+                         notes=[f"member budget {member_budget} exhausted at s={s}"])
+
     tested = 0
-    s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for split in _distributions(s, len(lowest)):
+        if _hall_refuses(host, _level_need(t, s)):
+            tested += comb(s + m - 1, m - 1)
+            if tested > member_budget:
+                return exhausted(s)
+            continue
+        for split in _distributions(s, m):
             if tested >= member_budget:
-                return LtVerdict(
-                    status="inconclusive",
-                    certified_cap=e_wall + s_complete,
-                    members_tested=tested,
-                    notes=[f"member budget {member_budget} exhausted at s={s}"],
-                )
+                return exhausted(s)
             tested += 1
+            if _hall_refuses(host, _split_need(t, split)):
+                continue
             emb = _backtrack_induced(host, _member_profile(t, split))
             if emb is not None:
                 return LtVerdict(
@@ -374,10 +475,9 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                     witness=_certified(emb, _member(t, split), g),
                     members_tested=tested,
                 )
-        s_complete = s
 
     certified_cap = e_wall + s_enum
-    if s_fit < 0 or s_complete >= s_fit:
+    if s_fit < 0 or s_enum >= s_fit:
         return LtVerdict(status="free", certified_cap=max(certified_cap, g.n),
                          members_tested=tested)
     return LtVerdict(status="inconclusive", certified_cap=certified_cap,

@@ -25,7 +25,7 @@ from treealpha.graphs import (
     norm_edge,
     set_to_mask,
 )
-from treealpha.patterns import Embedding, LtVerdict, _triangle_mask
+from treealpha.patterns import Embedding, LtVerdict, _triangle_mask, _wall
 from treealpha.treedecomp import AssembleResult, TreeDecomposition, validate_td
 
 
@@ -668,15 +668,37 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
     ``naive_line_graph``/``naive_subdivide`` and matched by
     ``reference_backtrack_induced``, in the same order."""
     wall = generate("wall", t=t)
+    return _wall_sweep(g, wall, wall.edges(), size_cap, member_budget,
+                       lambda member: reference_backtrack_induced(g, member))
+
+
+def reference_class_lt_free_upto(g: Graph, t: int, size_cap: int,
+                                 member_budget: int = 200_000) -> LtVerdict:
+    """``patterns.lt_free_upto`` as it ran before it refused whole levels:
+    one member per split over the wall's branch paths, on each path's lowest
+    edge, built with ``naive_line_graph``/``naive_subdivide``, refused by
+    ``naive_hall_refuses`` as the matcher's root refused it, and otherwise
+    matched by ``reference_backtrack_induced``, in the same order."""
+    wall, lowest, _ = _wall(t)
+    return _wall_sweep(g, wall, lowest, size_cap, member_budget,
+                       lambda member: None if naive_hall_refuses(g, member)
+                       else reference_backtrack_induced(g, member))
+
+
+def _wall_sweep(g: Graph, wall: Graph, keys, size_cap: int, member_budget: int,
+                match) -> LtVerdict:
+    """The verdict of matching, level by level, one member per split of s
+    subdivisions over the wall edges keys, in ``reference_distributions``
+    order, until match returns a witness or member_budget members are
+    tested."""
     v_wall, e_wall = wall.n, wall.edge_count()
-    edges = wall.edges()
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
 
     tested = 0
     s_complete = -1
     for s in range(0, min(s_fit, s_enum) + 1):
-        for dist in reference_distributions(s, len(edges)):
+        for dist in reference_distributions(s, len(keys)):
             if tested >= member_budget:
                 return LtVerdict(
                     status="inconclusive",
@@ -684,9 +706,9 @@ def reference_lt_free_upto(g: Graph, t: int, size_cap: int,
                     members_tested=tested,
                     notes=[f"member budget {member_budget} exhausted at s={s}"],
                 )
-            member, _ = naive_line_graph(naive_subdivide(wall, dict(zip(edges, dist))))
+            member, _ = naive_line_graph(naive_subdivide(wall, dict(zip(keys, dist))))
             tested += 1
-            emb = reference_backtrack_induced(g, member)
+            emb = match(member)
             if emb is not None:
                 return LtVerdict(
                     status="witness",

@@ -34,6 +34,7 @@ from .oracles import (
     naive_triangle_vertices,
     nx_contains_induced,
     reference_backtrack_induced,
+    reference_class_lt_free_upto,
     reference_distributions,
     reference_find_k_tt,
     reference_find_s_ttt,
@@ -86,7 +87,7 @@ def _random_host(rng: random.Random, h: Graph, max_n: int) -> Graph:
 def _class_members(t: int, s: int):
     """The member lt_free_upto tests for each split of s subdivisions over
     the t-wall's branch paths."""
-    _, lowest = patterns._wall(t)
+    _, lowest, _ = patterns._wall(t)
     for split in patterns._distributions(s, len(lowest)):
         yield patterns._member(t, split)
 
@@ -314,8 +315,10 @@ class TestFindPattern:
                 find_pattern(generate("complete", k=4), PatternSpec(kind, t=t, gamma=gamma))
 
     def test_wrong_embedding_is_refused(self, monkeypatch):
-        # P3 mapped onto a triangle: injective, but the image is not induced
-        host, p3 = generate("complete", k=3), generate("path", k=3)
+        # P3 mapped onto a triangle: injective, but the image is not induced.
+        # K4 meets the Hall need of P3, the claw and K_{1,1}, so each search
+        # reaches the matcher
+        host, p3 = generate("complete", k=4), generate("path", k=3)
         wrong = Embedding({0: 0, 1: 1, 2: 2})
         monkeypatch.setattr(patterns, "_backtrack_induced", lambda g, h: wrong)
         with pytest.raises(InvariantViolationError):
@@ -323,6 +326,18 @@ class TestFindPattern:
         for spec in (PatternSpec("s_ttt", t=1), PatternSpec("k_tt", t=1)):
             with pytest.raises(InvariantViolationError):
                 find_pattern(host, spec)
+
+
+    def test_hall_check_runs_before_the_steps(self, monkeypatch):
+        # S_{1000,1000,1000} has 3001 vertices against the path's 5: its
+        # degrees refuse it, so its quadratic step lists are never built
+        def steps(adj):
+            raise LookupError("steps built")
+
+        monkeypatch.setattr(patterns, "_pattern_steps", steps)
+        assert find_pattern(generate("path", k=5), PatternSpec("s_ttt", t=1000)) is None
+        with pytest.raises(LookupError):  # a claw meets the claw's need
+            find_pattern(generate("s_ttt", t=1), PatternSpec("s_ttt", t=1))
 
 
 class TestTwinBreaking:
@@ -526,7 +541,7 @@ class TestHallBound:
             g = _planted(2, 2, 0, rng)
             u, v = rng.choice([e for e in combinations(g.vertices, 2) if not g.has_edge(*e)])
             hosts.append(Graph(g.n, g.edges() + [(u, v)]))
-        _, lowest = patterns._wall(2)
+        _, lowest, _ = patterns._wall(2)
         passed, statuses = 0, Counter()
         for g in hosts:
             got = lt_free_upto(g, 2, g.n)
@@ -648,7 +663,7 @@ class TestLtFree:
                         lo, hi = sorted((path_of[i], path_of[j]))
                         path_of = [lo if p == hi else p for p in path_of]
             heads = sorted(set(path_of))
-            assert patterns._wall(t) == (wall, tuple(edges[i] for i in heads))
+            assert patterns._wall(t)[:2] == (wall, tuple(edges[i] for i in heads))
             for s in range(3):
                 for dist in patterns._distributions(s, len(edges)):
                     rep = [0] * len(edges)
@@ -665,7 +680,7 @@ class TestLtFree:
         # every class with s <= 11; a seeded sample of those classes, each
         # absent by the package's matcher and by networkx's
         host = generate("gnp", n=30, p=0.1, seed=3)
-        wall, lowest = patterns._wall(2)
+        wall, lowest, _ = patterns._wall(2)
         assert host.n - wall.edge_count() == 11
         rng = random.Random(31)
         for _ in range(20):
@@ -703,6 +718,112 @@ class TestLtFree:
         assert got.members_tested < want.members_tested
 
 
+
+def _at_least(need: tuple, d: int) -> tuple[int, int]:
+    """From a need, the vertices of degree >= d and those of them in a
+    triangle: the entry of the least degree >= d, as a missing degree's
+    counts are those of the next higher one."""
+    return next(((c, c_tri) for e, c, c_tri in reversed(need) if e >= d), (0, 0))
+
+
+class TestLevelRefusal:
+    """lt_free_upto reads each split's need, and each level's least need,
+    off the wall's branch-path lengths, and refuses a whole level or a
+    split before building a member. Every verdict field is checked against
+    the per-class loop that builds and matches each member in turn."""
+
+    def test_split_need_is_the_member_need(self):
+        # every split with s <= 5 at t = 1, s <= 3 at t = 2 and s <= 2 at
+        # t = 3; the level's least need is each split's at most, and met by
+        # some split, degree by degree
+        count = 0
+        for t, top in ((1, 5), (2, 3), (3, 2)):
+            m = len(patterns._wall(t)[1])
+            for s in range(top + 1):
+                needs = []
+                for split in patterns._distributions(s, m):
+                    need = patterns._split_need(t, split)
+                    assert need == patterns._pattern_profile(patterns._member(t, split)._masks)[3]
+                    needs.append(need)
+                least = patterns._level_need(t, s)
+                for d in range(1, 6):
+                    for i in (0, 1):
+                        assert _at_least(least, d)[i] == min(_at_least(n, d)[i] for n in needs)
+                count += len(needs)
+        assert count == 6 + 220 + 325
+
+    def test_verdicts_match_per_class_loop(self):
+        # G(n, m) hosts, which refuse whole levels, and planted hosts, which
+        # refuse few, at t = 1, 2 and 3. At t = 2 the budgets 1, 10 and 55
+        # end a level exactly, and 20 ends inside level 2
+        rng = random.Random(51)
+        hosts = {1: [generate("cycle", k=k) for k in (5, 7, 9)]
+                 + [_gnm(rng, n, m) for n, m in ((8, 10), (10, 14), (11, 25))]
+                 + [_planted(1, s, 2, rng) for s in (0, 2)],
+                 2: [_gnm(rng, 21, m) for m in (25, 25, 40)]
+                 + [_planted(2, s, 2 - s, rng) for s in (0, 1, 2)],
+                 3: [_gnm(rng, 40, 50)] + [_planted(3, s, 2 - s, rng) for s in (0, 1)]}
+        statuses, stops = Counter(), Counter()
+        for t, gs in hosts.items():
+            e_wall = patterns._wall(t)[0].edge_count()
+            for g in gs:
+                host = patterns._host_profile(g)
+                refused = {s for s in range(g.n - e_wall + 1)
+                           if patterns._hall_refuses(host, patterns._level_need(t, s))}
+                runs = [(g.n, budget) for budget in (0, 1, 10, 20, 55, 56, 200_000)]
+                for size_cap, budget in runs + [(g.n - 1, 200_000)]:
+                    got = lt_free_upto(g, t, size_cap, budget)
+                    assert got == reference_class_lt_free_upto(g, t, size_cap, budget)
+                    statuses[got.status] += 1
+                    if got.notes:
+                        s = int(got.notes[0].rsplit("=", 1)[1])
+                        stops["refused" if s in refused else "walked"] += 1
+        assert set(statuses) == {"free", "witness", "inconclusive"}
+        assert stops["refused"] > 0 and stops["walked"] > 0
+
+    def test_members_built_are_those_the_host_can_meet(self, monkeypatch):
+        # L(2-wall with two subdivisions on its first branch path, of four
+        # edges) meets the least need of levels 0 and 1, but not the need
+        # of a split that subdivides a path of one edge: only the others
+        # get a member profile
+        _, lowest, lengths = patterns._wall(2)
+        assert lengths[0] == 4
+        g = _planted(2, 0, 0, random.Random(52), counts={lowest[0]: 2})
+        host = patterns._host_profile(g)
+        assert not any(patterns._hall_refuses(host, patterns._level_need(2, s)) for s in (0, 1))
+        met, refused = [], 0
+        for s in (0, 1):
+            for split in patterns._distributions(s, len(lowest)):
+                if patterns._hall_refuses(host, patterns._split_need(2, split)):
+                    refused += 1
+                else:
+                    met.append(split)
+        built = []
+        profile = patterns._member_profile
+        monkeypatch.setattr(patterns, "_member_profile",
+                            lambda t, split: built.append(split) or profile(t, split))
+        verdict = lt_free_upto(g, 2, g.n, member_budget=len(lowest) + 1)
+        assert verdict.status == "inconclusive" and refused > 0
+        assert built == met
+
+    def test_e2e1_builds_no_member(self, monkeypatch):
+        # E2E-1: the host has 3 vertices in a triangle, and every level of
+        # the 2-wall needs 13, so each level is refused whole
+        def built(*args):
+            pytest.fail("a member was built")
+
+        monkeypatch.setattr(patterns, "_member", built)
+        monkeypatch.setattr(patterns, "_member_profile", built)
+        host = generate("gnp", n=30, p=0.1, seed=3)
+        verdict = lt_free_upto(host, 2, 30)
+        assert (verdict.status, verdict.members_tested, verdict.certified_cap,
+                verdict.witness, verdict.notes) == ("free", 167_960, 33, None, [])
+        verdict = lt_free_upto(host, 2, 30, member_budget=3000)
+        assert (verdict.status, verdict.members_tested, verdict.certified_cap,
+                verdict.notes) == ("inconclusive", 3000, 24,
+                                   ["member budget 3000 exhausted at s=6"])
+
+
 def test_certificate_checks_survive_optimize():
     # under python -O (asserts stripped) a matcher that returns a
     # non-induced embedding is still refused by every public search
@@ -715,7 +836,7 @@ from treealpha.patterns import Embedding, PatternSpec
 assert False, "asserts must be stripped in this run"
 wrong = Embedding({0: 0, 1: 1, 2: 2})
 patterns._backtrack_induced = lambda *args: wrong
-host, p3 = generate("complete", k=3), generate("path", k=3)
+host, p3 = generate("complete", k=4), generate("path", k=3)
 calls = (lambda: patterns.contains_induced(host, p3),
          lambda: patterns.find_pattern(host, PatternSpec("s_ttt", t=1)),
          lambda: patterns.lt_free_upto(generate("cycle", k=7), 1, 7))
