@@ -391,8 +391,9 @@ def _split_need(t: int, split: tuple[int, ...]) -> tuple:
 
 def _level_need(t: int, s: int) -> tuple:
     """A need at most that of every split of s subdivisions, entry by
-    entry: a path of one edge keeps it only without a subdivision, so at
-    least single - s of the wall's single paths stay so, and at most all."""
+    entry. A branch path of one edge stays so only if no subdivision lands
+    on it: of the wall's `single` such paths, at least single - s stay so,
+    and at most all of them."""
     single = _wall(t)[2].count(1)
     return _wall_need(t, s, max(single - s, 0), single)
 

@@ -327,7 +327,6 @@ class TestFindPattern:
             with pytest.raises(InvariantViolationError):
                 find_pattern(host, spec)
 
-
     def test_hall_check_runs_before_the_steps(self, monkeypatch):
         # S_{1000,1000,1000} has 3001 vertices against the path's 5: its
         # degrees refuse it, so its quadratic step lists are never built
