@@ -105,14 +105,6 @@ def _triangle_mask(adj: tuple[int, ...]) -> int:
     return out
 
 
-def _pattern_profile(adj: tuple[int, ...]) -> tuple:
-    """What the matcher needs of a pattern with adjacency masks adj: its
-    ``_pattern_need`` with the steps of ``_pattern_steps`` put third,
-    ``(degrees, triangle mask, steps, need)``."""
-    degrees, tri, need = _pattern_need(adj)
-    return degrees, tri, _pattern_steps(adj), need
-
-
 def _pattern_need(adj: tuple[int, ...]) -> tuple:
     """What the Hall check needs of a pattern with adjacency masks adj: each
     vertex's degree, the mask of vertices that lie in a triangle, and the
@@ -181,7 +173,9 @@ def _hall_refuses(host: tuple, need: tuple) -> bool:
 def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
     """The lexicographically first induced embedding of a pattern into a
     host, or None, from the host's ``_host_profile``, with triangles if the
-    pattern has one, and the pattern's ``_pattern_profile``.
+    pattern has one, and the pattern's ``(degrees, triangle mask, steps)``
+    from ``_pattern_need`` and ``_pattern_steps``. The callers run
+    ``_hall_refuses`` before building either; the matcher only searches.
 
     Pattern vertices are assigned in id order and host candidates tried in
     ascending order, so a self-match yields the identity. Assigning u to v
@@ -193,11 +187,6 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
     later ones, so the answer is the one the plain search would return:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
       and one in a triangle only host vertices in a triangle.
-    - Before the search, ``_hall_refuses`` compares the pattern's need with
-      the host: the pattern vertices of degree >= d need as many host
-      vertices of degree >= d, and those among them in a triangle as many
-      such host vertices in a triangle, for each pattern degree d. This
-      also refuses a pattern larger than the host, or with an empty domain.
     - A vertex with an earlier twin maps only above that twin's image.
       Swapping two twins' images gives another embedding, so the first
       embedding maps each twin class in ascending order.
@@ -206,9 +195,7 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
       share that domain and need distinct images in it.
     """
     adj, deg_ge, tri = host
-    degrees, in_tri, steps, need = pattern
-    if _hall_refuses(host, need):
-        return None
+    degrees, in_tri, steps = pattern
     doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d] for u, d in enumerate(degrees)]
     k = len(degrees)
     full = (1 << len(adj)) - 1
@@ -260,15 +247,14 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
 
 def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
     """``_backtrack_induced`` of h into g, certified: both profiles are built
-    here, the host's triangles only when h has one. The Hall check runs on
-    h's degrees and triangles before its steps are built, which take time
-    quadratic in h's size."""
+    here, the host's triangles only when h has one. ``_hall_refuses`` runs
+    on h's need before h's steps are built, which take time quadratic in
+    h's size, and is the search's only Hall check."""
     degrees, tri, need = _pattern_need(h._masks)
     host = _host_profile(g, tri != 0)
     if _hall_refuses(host, need):
         return None
-    pattern = degrees, tri, _pattern_steps(h._masks), need
-    return _certified(_backtrack_induced(host, pattern), h, g)
+    return _certified(_backtrack_induced(host, (degrees, tri, _pattern_steps(h._masks))), h, g)
 
 
 def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
@@ -284,12 +270,15 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     matcher and answer of ``contains_induced``, without its ``pattern`` cap,
     as a named pattern's size is fixed by t or gamma. The twin rules keep
     the sides of K_{t,t} and the claw's leaves from being tried in every
-    order."""
+    order. A pattern with more vertices than g is refused before it is
+    built: S_{t,t,t} has 3t + 1, K_{t,t} 2t and K_gamma^2 gamma^2."""
     _check_graph(g)
     # fields, not the class, as _check_graph reads them: a spec built before
     # this module was imported again still passes
     if not all(hasattr(spec, f) for f in ("kind", "t", "gamma", "realize")):
         raise PreconditionError(f"spec is {spec!r}, not a PatternSpec")
+    if {"s_ttt": 3 * spec.t + 1, "k_tt": 2 * spec.t}.get(spec.kind, spec.gamma ** 2) > g.n:
+        return None
     return _first_embedding(g, spec.realize())
 
 
@@ -329,7 +318,7 @@ def _distributions(total: int, bins: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # the bench tests t = 2 only
 def _wall(t: int) -> tuple[Graph, tuple[Edge, ...], tuple[int, ...]]:
     """The t-wall and, for each of its branch paths, the path's lowest
     edge, ascending, and its length in edges. A branch path is a maximal
@@ -383,7 +372,7 @@ _MEMBER_CACHE = 2048
 
 @lru_cache(maxsize=_MEMBER_CACHE)
 def _split_need(t: int, split: tuple[int, ...]) -> tuple:
-    """The need of ``_pattern_profile(_member(t, split)._masks)``, read off
+    """The need of ``_pattern_need(_member(t, split)._masks)``, read off
     the branch paths' lengths without building the member."""
     single = sum(length + c == 1 for length, c in zip(_wall(t)[2], split))
     return _wall_need(t, sum(split), single, single)
@@ -408,8 +397,9 @@ def _member(t: int, split: tuple[int, ...]) -> Graph:
 
 @lru_cache(maxsize=_MEMBER_CACHE)
 def _member_profile(t: int, split: tuple[int, ...]) -> tuple:
-    """The ``_pattern_profile`` of ``_member(t, split)``, built once."""
-    return _pattern_profile(_member(t, split)._masks)
+    """``_member(t, split)``'s ``(degrees, triangle mask, steps)``, built once."""
+    adj = _member(t, split)._masks
+    return _pattern_need(adj)[:2] + (_pattern_steps(adj),)
 
 
 def lt_free_upto(g: Graph, t: int, size_cap: int,
@@ -418,7 +408,9 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
 
     A subdivision with V + s vertices (s extra) has a line graph on E + s
     vertices, so only s <= |V(g)| - E can possibly embed; verdicts are
-    certified exactly when the cap covers every such s. A subdivided
+    certified exactly when the cap covers every such s. As the t-wall has
+    V = 2(t + 1)^2 - 2 vertices and E = (t + 1)(3t + 1) - 2 edges, a host
+    on fewer than E vertices is free before the wall is built. A subdivided
     wall's isomorphism type depends only on how many subdivisions land on
     each branch path (see ``_wall``), so one member per class is tested:
     the one with each path's whole total on the path's lowest wall edge.
@@ -426,15 +418,15 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     checked against the member it embeds.
 
     Levels s go in ascending order, and a level's splits in
-    ``_distributions`` order. A member is built only if g meets its need
-    (``_split_need``); otherwise the matcher's root would refuse it. If g
-    falls short of the level's least need (``_level_need``), which no
-    split's need is below, the whole level is refused, and its
-    C(s + m - 1, m - 1) classes, m the number of branch paths, count as
-    tested at once. A budget that ends inside such a level stops at the
-    class count, note and certified_cap of a split-by-split walk, which
-    would find no witness there. So every field of the verdict is the
-    walk's.
+    ``_distributions`` order. A member is built and matched only if g
+    meets its need (``_split_need``): the Hall check of ``_first_embedding``,
+    run before the member exists. If g falls short of the level's least
+    need (``_level_need``), which no split's need is below, the whole level
+    is refused, and its C(s + m - 1, m - 1) classes, m the number of branch
+    paths, count as tested at once. A budget that ends inside such a level
+    stops at the class count, note and certified_cap of a split-by-split
+    walk, which would find no witness there. So every field of the verdict
+    is the walk's.
     """
     _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
@@ -444,10 +436,12 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
         raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
     if member_budget < 0:
         raise PreconditionError(f"member_budget must be >= 0, got {member_budget}")
-    wall, lowest, _ = _wall(t)
-    v_wall, e_wall, m = wall.n, wall.edge_count(), len(lowest)
+    v_wall, e_wall = 2 * (t + 1) ** 2 - 2, (t + 1) * (3 * t + 1) - 2
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall
+    if s_fit < 0:
+        return LtVerdict(status="free", certified_cap=max(e_wall + s_enum, g.n))
+    m = len(_wall(t)[1])
     host = _host_profile(g)
 
     def exhausted(s: int) -> LtVerdict:
@@ -478,7 +472,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
                 )
 
     certified_cap = e_wall + s_enum
-    if s_fit < 0 or s_enum >= s_fit:
+    if s_enum >= s_fit:
         return LtVerdict(status="free", certified_cap=max(certified_cap, g.n),
                          members_tested=tested)
     return LtVerdict(status="inconclusive", certified_cap=certified_cap,

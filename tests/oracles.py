@@ -129,34 +129,6 @@ def naive_is_chordal(g: Graph) -> bool:
     return True
 
 
-def mcs_chordal(n: int, adj: list[int]) -> bool:
-    """Chordality by maximum cardinality search: the graph is chordal exactly
-    when each vertex's earlier-visited neighbours form a clique, the reverse
-    visiting order then being a perfect elimination ordering."""
-    weight = [0] * n
-    numbered = 0
-    for _ in range(n):
-        best, bw = -1, -1
-        for v in range(n):
-            if not (numbered >> v) & 1 and weight[v] > bw:
-                best, bw = v, weight[v]
-        bit = 1 << best
-        earlier = adj[best] & numbered
-        m = earlier
-        while m:
-            b = m & -m
-            if (earlier ^ b) & ~adj[b.bit_length() - 1]:
-                return False
-            m ^= b
-        numbered |= bit
-        m = adj[best] & ~numbered
-        while m:
-            b = m & -m
-            weight[b.bit_length() - 1] += 1
-            m ^= b
-    return True
-
-
 def minimal_triangulations_by_branching(g: Graph) -> set[frozenset]:
     """All minimal chordal completions, by branching on chordless cycles.
 
@@ -600,9 +572,10 @@ def reference_wall(t: int) -> Graph:
 
 
 def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
-    """``patterns._pattern_profile`` as it was before it read each step's
-    later neighbours and non-neighbours off the masks: every later id is
-    tested against u's mask."""
+    """The matcher's pattern profile, ``patterns._pattern_need``'s degrees
+    and triangle mask with ``patterns._pattern_steps``, as it was before it
+    read each step's later neighbours and non-neighbours off the masks:
+    every later id is tested against u's mask."""
     k = len(adj)
     twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -628,7 +601,7 @@ def naive_triangle_vertices(g: Graph) -> set[int]:
 
 
 def naive_pattern_need(h: Graph) -> tuple:
-    """``patterns._pattern_profile``'s need, counted vertex by vertex: per
+    """``patterns._pattern_need``'s need, counted vertex by vertex: per
     degree d of h, highest first, the vertices of degree >= d and those of
     them in a triangle."""
     tri = naive_triangle_vertices(h)
@@ -677,8 +650,9 @@ def reference_class_lt_free_upto(g: Graph, t: int, size_cap: int,
     """``patterns.lt_free_upto`` as it ran before it refused whole levels:
     one member per split over the wall's branch paths, on each path's lowest
     edge, built with ``naive_line_graph``/``naive_subdivide``, refused by
-    ``naive_hall_refuses`` as the matcher's root refused it, and otherwise
-    matched by ``reference_backtrack_induced``, in the same order."""
+    ``naive_hall_refuses`` as ``_first_embedding``'s Hall check refuses
+    it, and otherwise matched by ``reference_backtrack_induced``, in the
+    same order."""
     wall, lowest, _ = _wall(t)
     return _wall_sweep(g, wall, lowest, size_cap, member_budget,
                        lambda member: None if naive_hall_refuses(g, member)

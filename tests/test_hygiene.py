@@ -1,10 +1,10 @@
 """Source hygiene: the package's checks survive ``python -O``, its
 refusals use the package's own error types, one gate raises every cap
-refusal, it keeps no unused import, no private definition without a caller
-and no public name without a reader, the test oracles use none of its
-search kernels and each has a reader, every function the benchmark's tracer
-wraps exists, the benchmark's separator oracle reads only what WeightFn has,
-and every dataclass field has a reader."""
+refusal, it keeps no unused import, no private definition without a caller,
+no public name without a reader and no unbounded cache, the test oracles
+use none of its search kernels and each has a reader, every function the
+benchmark's tracer wraps exists, the benchmark's separator oracle reads only
+what WeightFn has, and every dataclass field has a reader."""
 
 from __future__ import annotations
 
@@ -79,6 +79,30 @@ def test_caps_is_the_only_cap_gate():
                 names = {getattr(node, "id", None), getattr(node, "attr", None)}
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names & {"DEFAULT_CAPS", "CapExceededError"}]
+    assert found == []
+
+
+def test_every_cache_is_bounded():
+    # every lru_cache names a maxsize, an int or a module constant bound to
+    # one, and no source uses functools.cache: an unbounded cache keyed by a
+    # call's size keeps what the largest call built for the process's life
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        ints = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                call = dec if isinstance(dec, ast.Call) else None
+                names = _used_names(call.func if call else dec)
+                if not names & {"cache", "lru_cache"}:
+                    continue
+                sizes = [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+                size = (sizes + (call.args if call else []) + [None])[0]
+                value = getattr(size, "value", ints.get(getattr(size, "id", None)))
+                if "cache" in names or type(value) is not int:
+                    found.append(f"{path.name}:{dec.lineno}")
     assert found == []
 
 

@@ -328,15 +328,42 @@ class TestFindPattern:
                 find_pattern(host, spec)
 
     def test_hall_check_runs_before_the_steps(self, monkeypatch):
-        # S_{1000,1000,1000} has 3001 vertices against the path's 5: its
-        # degrees refuse it, so its quadratic step lists are never built
+        # S_{1000,1000,1000} has 3001 vertices, fewer than the path's 4000,
+        # but a vertex of degree 3: its degrees refuse it, so its quadratic
+        # step lists are never built
         def steps(adj):
             raise LookupError("steps built")
 
         monkeypatch.setattr(patterns, "_pattern_steps", steps)
-        assert find_pattern(generate("path", k=5), PatternSpec("s_ttt", t=1000)) is None
+        assert find_pattern(generate("path", k=4000), PatternSpec("s_ttt", t=1000)) is None
         with pytest.raises(LookupError):  # a claw meets the claw's need
             find_pattern(generate("s_ttt", t=1), PatternSpec("s_ttt", t=1))
+
+    def test_oversized_pattern_is_never_built(self, monkeypatch):
+        # a pattern with more vertices than the host is refused before
+        # realize() builds it: 3t + 1 for S_{t,t,t}, 2t for K_{t,t} and
+        # gamma^2 for K_gamma^2, each checked against the built pattern
+        sizes = {"s_ttt": lambda t: 3 * t + 1, "k_tt": lambda t: 2 * t,
+                 "k_gamma_2": lambda gamma: gamma ** 2}
+        specs = [PatternSpec("s_ttt", t=t) for t in (1, 2, 3)]
+        specs += [PatternSpec("k_tt", t=t) for t in (1, 2, 3)]
+        specs += [PatternSpec("k_gamma_2", gamma=gamma) for gamma in (1, 2, 3)]
+        for spec in specs:
+            assert spec.realize().n == sizes[spec.kind](spec.t or spec.gamma)
+
+        def built(*args, **kwargs):
+            raise LookupError("pattern built")
+
+        monkeypatch.setattr(patterns, "generate", built)
+        host = generate("path", k=4)
+        for spec in (PatternSpec("k_tt", t=3000), PatternSpec("s_ttt", t=30_000),
+                     PatternSpec("k_gamma_2", gamma=3), PatternSpec("s_ttt", t=2),
+                     PatternSpec("k_tt", t=3)):
+            assert find_pattern(host, spec) is None
+        for spec in (PatternSpec("s_ttt", t=1), PatternSpec("k_tt", t=2),
+                     PatternSpec("k_gamma_2", gamma=2)):  # the host's 4 vertices: built
+            with pytest.raises(LookupError):
+                find_pattern(host, spec)
 
 
 class TestTwinBreaking:
@@ -359,11 +386,11 @@ class TestTwinBreaking:
             earlier = [[p for p in range(u) if adj[p] & ~(1 << u) == adj[u] & ~(1 << p)]
                        for u in range(h.n)]
             sizes = Counter(min(ps + [u]) for u, ps in enumerate(earlier))
-            steps = patterns._pattern_profile(adj)[2]
+            steps = patterns._pattern_steps(adj)
             for u, (_, _, twin, runs) in enumerate(steps):
                 assert twin == max(earlier[u], default=-1)
                 assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
-        assert patterns._pattern_profile(self.PATTERNS[1]._masks)[2][0][3] == ((3, 3),)
+        assert patterns._pattern_steps(self.PATTERNS[1]._masks)[0][3] == ((3, 3),)
 
     def test_profile_matches_reference(self):
         # steps read off the masks against every later id tested in turn,
@@ -374,9 +401,10 @@ class TestTwinBreaking:
                         seed=rng.randrange(10**6)) for _ in range(150)]
         hs += [patterns._member(2, (0, 1, 0, 0, 2, 0, 0, 0, 1))]
         for h in hs:
-            got = patterns._pattern_profile(h._masks)
-            assert got[:3] == reference_pattern_profile(h._masks)
-            assert got[3] == naive_pattern_need(h)
+            degrees, tri, need = patterns._pattern_need(h._masks)
+            steps = patterns._pattern_steps(h._masks)
+            assert (degrees, tri, steps) == reference_pattern_profile(h._masks)
+            assert need == naive_pattern_need(h)
 
     def test_matches_reference_and_naive(self):
         rng = random.Random(19)
@@ -425,10 +453,11 @@ def _relabel(g: Graph, rng: random.Random, extra: int = 0) -> Graph:
 
 
 class TestHallBound:
-    """The matcher's root counting rule: the pattern vertices of degree >= d,
-    and those of them in a triangle, need as many such host vertices. Every
-    answer is checked mapping for mapping against the reference matcher,
-    which has no such rule."""
+    """The Hall counting rule ``_first_embedding`` and ``lt_free_upto`` run
+    before the matcher: the pattern vertices of degree >= d, and those of
+    them in a triangle, need as many such host vertices. Every answer is
+    checked mapping for mapping against the reference matcher, which has no
+    such rule."""
 
     @staticmethod
     def _members() -> list[Graph]:
@@ -448,21 +477,9 @@ class TestHallBound:
         return got
 
     @staticmethod
-    def _refused_at_root(g: Graph, h: Graph) -> bool:
-        # the matcher run on g's profile with its adjacency masks hidden:
-        # True when it returns None without reading them, before the search
-        class Hidden:
-            def __len__(self):
-                raise LookupError("adjacency read")
-
-            __getitem__ = __len__
-
-        pattern = patterns._pattern_profile(h._masks)
-        _, deg_ge, tri = patterns._host_profile(g, pattern[1] != 0)
-        try:
-            return patterns._backtrack_induced((Hidden(), deg_ge, tri), pattern) is None
-        except LookupError:
-            return False
+    def _refused(g: Graph, h: Graph) -> bool:
+        need = patterns._pattern_need(h._masks)[2]
+        return patterns._hall_refuses(patterns._host_profile(g), need)
 
     def test_refuses_where_supply_falls_short(self):
         # a member with one edge removed, padded with isolated vertices: its
@@ -476,7 +493,7 @@ class TestHallBound:
             for e in rng.sample(h.edges(), 3):
                 g = _relabel(Graph(h.n, [f for f in h.edges() if f != e]), rng, 2)
                 refused = naive_hall_refuses(g, h)
-                assert self._refused_at_root(g, h) == refused
+                assert self._refused(g, h) == refused
                 assert self._check(g, h) is None
                 fired += refused
         assert fired == 3 * len(members)
@@ -490,7 +507,7 @@ class TestHallBound:
             assert all(sum(g.degree(v) >= d for v in g.vertices) >= need
                        for d, need, _ in naive_pattern_need(h))
             refused = naive_hall_refuses(g, h)
-            assert self._refused_at_root(g, h) == refused
+            assert self._refused(g, h) == refused
             assert self._check(g, h) is None
             by_triangles += refused
         assert by_triangles == len(with_triangles) > 0
@@ -499,7 +516,7 @@ class TestHallBound:
             assert 0 < len(naive_triangle_vertices(g)) < 12
             for h in members:
                 refused = naive_hall_refuses(g, h)
-                assert self._refused_at_root(g, h) == refused
+                assert self._refused(g, h) == refused
                 if refused:
                     assert self._check(g, h) is None
                     fired += 1
@@ -523,7 +540,7 @@ class TestHallBound:
             for d, need, need_tri in naive_pattern_need(h):
                 supply = {v for v in g.vertices if g.degree(v) >= d}
                 assert (len(supply), len(supply & g_tri)) == (need, need_tri)
-            assert not naive_hall_refuses(g, h) and not self._refused_at_root(g, h)
+            assert not naive_hall_refuses(g, h) and not self._refused(g, h)
             assert self._check(g, h) is not None
 
     def test_lt_free_upto_on_gnm_hosts(self):
@@ -690,6 +707,31 @@ class TestLtFree:
             assert contains_induced(host, member, cap_override=host.n) is None, split
             assert not nx_contains_induced(host, member), split
 
+    def test_wall_counts(self):
+        # lt_free_upto reads the t-wall's V and E off t without building it
+        for t in range(1, 7):
+            wall = patterns._wall(t)[0]
+            assert (wall.n, wall.edge_count()) == (2 * (t + 1) ** 2 - 2,
+                                                   (t + 1) * (3 * t + 1) - 2)
+
+    def test_host_below_the_wall_builds_no_wall(self, monkeypatch):
+        # a host on fewer than E vertices is free with no member tested,
+        # and certified_cap max(E + size_cap - V, |V(g)|), with V and E the
+        # built wall's; the 300-wall has 181 200 vertices and 271 199 edges
+        walls = {t: patterns._wall(t)[0] for t in range(1, 5)}
+
+        def built(t):
+            raise LookupError("wall built")
+
+        monkeypatch.setattr(patterns, "_wall", built)
+        for t, wall in walls.items():
+            v, e = wall.n, wall.edge_count()
+            for size_cap in (0, v - 1, v + 3, 100):
+                assert lt_free_upto(Graph(e - 1), t, size_cap) == patterns.LtVerdict(
+                    status="free", certified_cap=max(e + size_cap - v, e - 1))
+        assert lt_free_upto(generate("path", k=5), 300, 10) == patterns.LtVerdict(
+            status="free", certified_cap=271_199 + 10 - 181_200)
+
     def test_distributions_match_recursive_reference(self):
         # stars and bars yields the splits in the recursive generator's order
         for bins in range(1, 11):
@@ -742,7 +784,7 @@ class TestLevelRefusal:
                 needs = []
                 for split in patterns._distributions(s, m):
                     need = patterns._split_need(t, split)
-                    assert need == patterns._pattern_profile(patterns._member(t, split)._masks)[3]
+                    assert need == patterns._pattern_need(patterns._member(t, split)._masks)[2]
                     needs.append(need)
                 least = patterns._level_need(t, s)
                 for d in range(1, 6):

@@ -59,9 +59,7 @@ from treealpha.treedecomp import (
 )
 
 from .oracles import (
-    mcs_chordal,
     minimal_triangulations_by_branching,
-    naive_is_chordal,
     naive_mwis,
     naive_stable_subset_count,
     naive_validate_td,
@@ -362,15 +360,9 @@ class TestStats:
 
 
 class TestChordality:
-    def test_against_naive(self):
-        rng = random.Random(5)
-        for _ in range(120):
-            g = generate("gnp", n=rng.randint(1, 7), p=rng.choice([0.3, 0.6, 0.9]),
-                         seed=rng.randrange(10**6))
-            assert is_chordal(g) == naive_is_chordal(g)
-
     def test_matches_maximum_cardinality_search(self):
-        # the simplicial worklist against the MCS test it replaced
+        # the simplicial worklist against networkx's chordality test, a
+        # maximum cardinality search
         rng = random.Random(71)
         cases = [Graph(0)] + [generate("cycle", k=k) for k in range(3, 12)]
         for _ in range(3000):
@@ -379,7 +371,7 @@ class TestChordality:
                                   seed=rng.randrange(10**6)))
         chordal = 0
         for g in cases:
-            want = mcs_chordal(g.n, list(g._masks))
+            want = nx.is_chordal(nx_graph(g))
             assert is_chordal(g) == want, g.edges()
             chordal += want
         assert 0 < chordal < len(cases)
@@ -573,21 +565,6 @@ class TestTreeAlpha:
     def test_c4_triangulations_are_the_two_diagonals(self):
         fills = minimal_triangulations(generate("cycle", k=4))
         assert fills == {frozenset({(0, 2)}), frozenset({(1, 3)})}
-
-    def test_monotone_under_induced_subgraphs(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            g = generate("gnp", n=7, p=rng.choice([0.25, 0.5]), seed=rng.randrange(10**6))
-            sub_verts = [v for v in g.vertices if rng.random() < 0.7]
-            sub, _, _ = g.induced(sub_verts)
-            assert tree_alpha_exact(sub) <= tree_alpha_exact(g)
-
-    def test_chordal_iff_one(self):
-        rng = random.Random(29)
-        for _ in range(60):
-            g = generate("gnp", n=rng.randint(1, 6), p=rng.choice([0.4, 0.8]),
-                         seed=rng.randrange(10**6))
-            assert (tree_alpha_exact(g) == 1) == is_chordal(g)
 
 
 class TestAssemble:
