@@ -171,14 +171,17 @@ def _hall_refuses(host: tuple, need: tuple) -> bool:
 
 
 def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
-    """The lexicographically first induced embedding of a pattern into a
-    host, or None, from the host's ``_host_profile``, with triangles if the
-    pattern has one, and the pattern's ``(degrees, triangle mask, steps)``
-    from ``_pattern_need`` and ``_pattern_steps``. The callers run
-    ``_hall_refuses`` before building either; the matcher only searches.
+    """The induced embedding of a pattern into a host that is first in the
+    pattern's vertex order, or None, from the host's ``_host_profile``, with
+    triangles if the pattern has one, and the pattern's ``(degrees, triangle
+    mask, steps)`` from ``_pattern_need`` and ``_pattern_steps``. The
+    callers run ``_hall_refuses`` before building either; the matcher only
+    searches.
 
     Pattern vertices are assigned in id order and host candidates tried in
-    ascending order, so a self-match yields the identity. Assigning u to v
+    ascending order, so a self-match yields the identity. A caller that
+    wants another vertex order relabels the pattern into it, as
+    ``_member_profile`` does. Assigning u to v
     intersects the domain of each later neighbour of u with v's
     neighbourhood, then that of each later non-neighbour with v's other
     non-neighbours, and drops v as soon as a domain empties.
@@ -290,8 +293,10 @@ class LtVerdict:
     """Semi-decision outcome. members_tested counts isomorphism classes of
     members, one per split of the subdivisions over the wall's branch
     paths. With s subdivisions a member has E + s vertices, E the wall's
-    edge count. certified_cap is a member size; with V the wall's vertex
-    count, it is:
+    edge count. A witness is the first embedding of the first member that
+    embeds, first in the member's matching order (``_matching_order``) and
+    keyed by the member's own line-graph ids. certified_cap is a member
+    size; with V the wall's vertex count, it is:
     - free: max(E + size_cap - V, |V(g)|). Every member that fits in g was
       tested.
     - witness: E + max(size_cap - V, 0), the largest member size the cap
@@ -366,7 +371,9 @@ def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
 
 # Member profiles and split needs kept, keyed by (t, split): room for every
 # split of at most three subdivisions over the 2-wall's branch paths (220)
-# and of at most two over the 3-wall's (325), at about 4 kB a profile.
+# and of at most two over the 3-wall's (325). A profile, the relabelled
+# member's matcher profile with its matching order, takes about 2 kB at
+# t = 2 and 10 kB at t = 3 (tracemalloc, over those splits).
 _MEMBER_CACHE = 2048
 
 
@@ -395,11 +402,36 @@ def _member(t: int, split: tuple[int, ...]) -> Graph:
     return member
 
 
+def _matching_order(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertices of a pattern with adjacency masks adj in a connected,
+    most-constrained-first order, the greedy of RI (Bonnici et al. 2013)
+    and VF2++ (Juttner and Madarasi 2018): each next vertex is the one with
+    the most neighbours already ordered, ties to higher degree, then to the
+    lower id. So the first is a vertex of highest degree, and on a
+    connected pattern every later one has an earlier neighbour, so forward
+    checking has narrowed its domain to a neighbourhood before it is tried."""
+    degrees = [m.bit_count() for m in adj]
+    order, done, rest = [], 0, set(range(len(adj)))
+    while rest:
+        u = max(rest, key=lambda v: ((adj[v] & done).bit_count(), degrees[v], -v))
+        order.append(u)
+        done |= 1 << u
+        rest.remove(u)
+    return tuple(order)
+
+
 @lru_cache(maxsize=_MEMBER_CACHE)
-def _member_profile(t: int, split: tuple[int, ...]) -> tuple:
-    """``_member(t, split)``'s ``(degrees, triangle mask, steps)``, built once."""
+def _member_profile(t: int, split: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """``_member(t, split)`` relabelled into its ``_matching_order``, as the
+    matcher's ``(degrees, triangle mask, steps)``, and that order: vertex i
+    of the relabelled member is vertex order[i] of the member. Built once."""
     adj = _member(t, split)._masks
-    return _pattern_need(adj)[:2] + (_pattern_steps(adj),)
+    order = _matching_order(adj)
+    at = [0] * len(order)
+    for i, u in enumerate(order):
+        at[u] = i
+    adj = tuple(_remap(adj[u], at) for u in order)
+    return _pattern_need(adj)[:2] + (_pattern_steps(adj),), order
 
 
 def lt_free_upto(g: Graph, t: int, size_cap: int,
@@ -414,8 +446,14 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     wall's isomorphism type depends only on how many subdivisions land on
     each branch path (see ``_wall``), so one member per class is tested:
     the one with each path's whole total on the path's lowest wall edge.
-    member_budget and members_tested count these classes. A witness is
-    checked against the member it embeds.
+    member_budget and members_tested count these classes.
+
+    Each member is matched in its ``_matching_order``, connected and most
+    constrained first, which prunes far earlier than the member's id order:
+    the order picks which embedding is found first, not whether one exists.
+    The witness is that first embedding mapped back to the member's own
+    line-graph ids (those of ``line_graph(subdivide(...))``), and is
+    checked against the member in those ids.
 
     Levels s go in ascending order, and a level's splits in
     ``_distributions`` order. A member is built and matched only if g
@@ -462,8 +500,11 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
             tested += 1
             if _hall_refuses(host, _split_need(t, split)):
                 continue
-            emb = _backtrack_induced(host, _member_profile(t, split))
+            profile, order = _member_profile(t, split)
+            emb = _backtrack_induced(host, profile)
             if emb is not None:
+                # back to the member's own ids, in which it is certified
+                emb = Embedding(dict(sorted((order[i], v) for i, v in emb.mapping.items())))
                 return LtVerdict(
                     status="witness",
                     certified_cap=e_wall + max(s_enum, 0),

@@ -25,7 +25,7 @@ from treealpha.graphs import (
     norm_edge,
     set_to_mask,
 )
-from treealpha.patterns import Embedding, LtVerdict, _triangle_mask, _wall
+from treealpha.patterns import Embedding, LtVerdict, _matching_order, _triangle_mask, _wall
 from treealpha.treedecomp import AssembleResult, TreeDecomposition, validate_td
 
 
@@ -436,15 +436,17 @@ def naive_is_embedding(mapping, pattern: Graph, host: Graph) -> bool:
                for a, b in combinations(pattern.vertices, 2))
 
 
-def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
+def reference_backtrack_induced(g: Graph, h: Graph, order=None) -> Embedding | None:
     """The induced matcher the package used before its mask-driven one:
-    pattern vertices in id order, host candidates ascending, a degree filter
-    and forward checking through ``Graph.has_edge``. Returns the same first
-    embedding, so the two are compared mapping for mapping."""
+    pattern vertices in id order, or in the given vertex order, host
+    candidates ascending, a degree filter and forward checking through
+    ``Graph.has_edge``. Returns the same first embedding, keyed by h's own
+    ids, so the two are compared mapping for mapping."""
     if h.n == 0:
         return Embedding({})
     if h.n > g.n:
         return None
+    order = list(h.vertices) if order is None else list(order)
     full = (1 << g.n) - 1
     domains = []
     for u in h.vertices:
@@ -459,9 +461,10 @@ def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
 
     assign: dict[int, int] = {}
 
-    def rec(u: int, doms: list[int]) -> bool:
-        if u == h.n:
+    def rec(i: int, doms: list[int]) -> bool:
+        if i == h.n:
             return True
+        u = order[i]
         m = doms[u]
         while m:
             b = m & -m
@@ -470,7 +473,7 @@ def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
             nbr = g.adj_mask(v)
             new_doms = list(doms)
             ok = True
-            for p in range(u + 1, h.n):
+            for p in order[i + 1:]:
                 if h.has_edge(p, u):
                     nd = new_doms[p] & nbr
                 else:
@@ -483,13 +486,13 @@ def reference_backtrack_induced(g: Graph, h: Graph) -> Embedding | None:
             if not ok:
                 continue
             assign[u] = v
-            if rec(u + 1, new_doms):
+            if rec(i + 1, new_doms):
                 return True
             del assign[u]
         return False
 
     if rec(0, domains):
-        return Embedding(dict(assign))
+        return Embedding(dict(sorted(assign.items())))
     return None
 
 
@@ -569,6 +572,21 @@ def reference_wall(t: int) -> Graph:
     order = sorted(verts)
     ids = {v: i for i, v in enumerate(order)}
     return Graph(len(order), [(ids[a], ids[b]) for a, b in edges])
+
+
+def naive_branch_paths(wall: Graph) -> list[int]:
+    """For each edge of wall, in ``wall.edges()`` order, the index of the
+    lowest edge of its branch path: edges that meet at a vertex of degree 2
+    are joined, pair by pair."""
+    edges = wall.edges()
+    path_of = list(range(len(edges)))
+    for i, (a, b) in enumerate(edges):
+        for j in range(i):
+            shared = {a, b} & set(edges[j])
+            if shared and wall.degree(shared.pop()) == 2:
+                lo, hi = sorted((path_of[i], path_of[j]))
+                path_of = [lo if p == hi else p for p in path_of]
+    return path_of
 
 
 def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
@@ -651,12 +669,13 @@ def reference_class_lt_free_upto(g: Graph, t: int, size_cap: int,
     one member per split over the wall's branch paths, on each path's lowest
     edge, built with ``naive_line_graph``/``naive_subdivide``, refused by
     ``naive_hall_refuses`` as ``_first_embedding``'s Hall check refuses
-    it, and otherwise matched by ``reference_backtrack_induced``, in the
-    same order."""
+    it, and otherwise matched by ``reference_backtrack_induced`` in the
+    member's ``patterns._matching_order``, in the same order."""
     wall, lowest, _ = _wall(t)
     return _wall_sweep(g, wall, lowest, size_cap, member_budget,
                        lambda member: None if naive_hall_refuses(g, member)
-                       else reference_backtrack_induced(g, member))
+                       else reference_backtrack_induced(g, member,
+                                                        _matching_order(member._masks)))
 
 
 def _wall_sweep(g: Graph, wall: Graph, keys, size_cap: int, member_budget: int,

@@ -27,10 +27,13 @@ from treealpha.patterns import (
 )
 
 from .oracles import (
+    naive_branch_paths,
     naive_contains_induced,
     naive_hall_refuses,
     naive_is_embedding,
+    naive_line_graph,
     naive_pattern_need,
+    naive_subdivide,
     naive_triangle_vertices,
     nx_contains_induced,
     reference_backtrack_induced,
@@ -40,6 +43,7 @@ from .oracles import (
     reference_find_s_ttt,
     reference_lt_free_upto,
     reference_pattern_profile,
+    reference_wall,
 )
 
 
@@ -547,9 +551,9 @@ class TestHallBound:
         # the verdict against reference_lt_free_upto, which counts members
         # per wall edge (210 with s <= 2), and members_tested and the
         # witness against the reference matcher run on each class member in
-        # turn, on G(21, 25) hosts, planted 21-vertex hosts, and planted
-        # ones with one edge added, which are free but let members past
-        # the rule
+        # turn, in the member's matching order, on G(21, 25) hosts, planted
+        # 21-vertex hosts, and planted ones with one edge added, which are
+        # free but let members past the rule
         rng = random.Random(43)
         hosts = [_gnm(rng, 21, 25) for _ in range(4)]
         hosts += [_planted(2, s, 2 - s, rng) for s in (0, 1, 2)]
@@ -569,7 +573,8 @@ class TestHallBound:
                     if first is None:
                         tested += 1
                         h = patterns._member(2, split)
-                        first = reference_backtrack_induced(g, h)
+                        first = reference_backtrack_induced(
+                            g, h, patterns._matching_order(h._masks))
                         passed += not naive_hall_refuses(g, h)
             assert got.members_tested == tested
             assert got.witness == first
@@ -671,13 +676,7 @@ class TestLtFree:
         for t in (1, 2):
             wall = generate("wall", t=t)
             edges = wall.edges()
-            path_of = list(range(len(edges)))
-            for i, (a, b) in enumerate(edges):
-                for j in range(i):
-                    shared = {a, b} & set(edges[j])
-                    if shared and wall.degree(shared.pop()) == 2:
-                        lo, hi = sorted((path_of[i], path_of[j]))
-                        path_of = [lo if p == hi else p for p in path_of]
+            path_of = naive_branch_paths(wall)
             heads = sorted(set(path_of))
             assert patterns._wall(t)[:2] == (wall, tuple(edges[i] for i in heads))
             for s in range(3):
@@ -863,6 +862,68 @@ class TestLevelRefusal:
         assert (verdict.status, verdict.members_tested, verdict.certified_cap,
                 verdict.notes) == ("inconclusive", 3000, 24,
                                    ["member budget 3000 exhausted at s=6"])
+
+
+class TestMatchingOrder:
+    """lt_free_upto matches each member in ``_matching_order``, connected
+    and most constrained first, and maps the embedding back, so the witness
+    stays keyed by the member's own line-graph ids."""
+
+    def test_order_on_every_member(self):
+        # every split with s <= 3 at t = 2 and s <= 2 at t = 3: the order is
+        # a permutation that starts at a vertex of maximum degree, and every
+        # later vertex has an earlier neighbour, as members are connected;
+        # the cached profile is the member's, read in that order
+        count = 0
+        for t, top in ((2, 3), (3, 2)):
+            m = len(patterns._wall(t)[1])
+            for s in range(top + 1):
+                for split in patterns._distributions(s, m):
+                    member = patterns._member(t, split)
+                    (degrees, tri, _), order = patterns._member_profile(t, split)
+                    assert order == patterns._matching_order(member._masks)
+                    assert sorted(order) == list(member.vertices)
+                    assert member.degree(order[0]) == max(map(member.degree, member.vertices))
+                    assert all(member.neighbors(u) & set(order[:i])
+                               for i, u in enumerate(order) if i)
+                    assert degrees == tuple(member.degree(u) for u in order)
+                    in_tri = naive_triangle_vertices(member)
+                    assert tri == sum(1 << i for i, u in enumerate(order) if u in in_tri)
+                    count += 1
+        assert count == 220 + 325
+
+    def test_order_by_hand(self):
+        # the paw on triangle 0-1-2 with 3 pendant at 2, plus 4 pendant at 0:
+        # 0 and 2 tie at degree 3, so 0 starts; 1, 2 and 4 each have one
+        # ordered neighbour, and 2 has the highest degree; then 1 has two;
+        # 3 and 4 tie on one neighbour and degree 1, and 3 is lower
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4)])
+        assert patterns._matching_order(g._masks) == (0, 2, 1, 3, 4)
+        # a disconnected pattern restarts at the highest degree left
+        g = Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5)])
+        assert patterns._matching_order(g._masks) == (2, 3, 4, 5, 0, 1)
+
+    def test_witness_in_the_member_ids(self):
+        # on planted hosts each witness verifies against a member built
+        # only by the oracles: the oracle wall's branch paths, each path's
+        # total on its lowest edge, naive subdivision and line graph; a
+        # witness keyed by the matching order's ids would verify against none
+        rng = random.Random(61)
+        checked = 0
+        for t, levels in ((2, (0, 1, 2, 3)), (3, (0, 1, 2))):
+            wall = reference_wall(t)
+            edges = wall.edges()
+            lowest = [edges[i] for i in sorted(set(naive_branch_paths(wall)))]
+            for s in levels:
+                g = _planted(t, s, 3, rng)
+                got = lt_free_upto(g, t, g.n)
+                assert got.status == "witness"
+                k = len(got.witness.mapping) - len(edges)
+                members = (naive_line_graph(naive_subdivide(wall, dict(zip(lowest, split))))[0]
+                           for split in reference_distributions(k, len(lowest)))
+                assert any(got.witness.verify(h, g) for h in members)
+                checked += 1
+        assert checked == 7
 
 
 def test_certificate_checks_survive_optimize():
