@@ -446,7 +446,7 @@ def reference_backtrack_induced(g: Graph, h: Graph, order=None) -> Embedding | N
         return Embedding({})
     if h.n > g.n:
         return None
-    order = list(h.vertices) if order is None else list(order)
+    order = list(h.vertices if order is None else order)
     full = (1 << g.n) - 1
     domains = []
     for u in h.vertices:
@@ -492,7 +492,7 @@ def reference_backtrack_induced(g: Graph, h: Graph, order=None) -> Embedding | N
         return False
 
     if rec(0, domains):
-        return Embedding(dict(sorted(assign.items())))
+        return Embedding(dict(assign))
     return None
 
 
@@ -670,7 +670,7 @@ def reference_class_lt_free_upto(g: Graph, t: int, size_cap: int,
     edge, built with ``naive_line_graph``/``naive_subdivide``, refused by
     ``naive_hall_refuses`` as ``_first_embedding``'s Hall check refuses
     it, and otherwise matched by ``reference_backtrack_induced`` in the
-    member's ``patterns._matching_order``, in the same order."""
+    member's ``patterns._matching_order``; splits go in the same order."""
     wall, lowest, _ = _wall(t)
     return _wall_sweep(g, wall, lowest, size_cap, member_budget,
                        lambda member: None if naive_hall_refuses(g, member)
