@@ -9,6 +9,11 @@ nothing else changes a cap.
 The ``tree_alpha`` cap bounds the vertex count of the largest piece that
 ``tree_alpha_exact``'s subset recurrence runs on, after simplicial vertices
 are removed and the rest is split into components; it does not bound n.
+
+The ``edgelist_vertices`` cap bounds the vertex count that an edge list
+declares or implies, as each vertex gets a mask of up to n bits: 0.6 MB of
+edge-list text on 100 000 vertices asks for about 680 MB of masks, and on
+10 000 vertices for about 8 MB.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ DEFAULT_CAPS = {
     "tree_alpha": 10,
     "mwis_brute": 24,
     "mwis_states": 5_000_000,
+    "edgelist_vertices": 10_000,
 }
 
 

@@ -426,7 +426,7 @@ def _emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_edgelist(text: str) -> Graph:
+def _parse_edgelist(text: str, cap_override: int | None) -> Graph:
     edges = []
     max_v = -1
     declared = None
@@ -458,18 +458,24 @@ def _parse_edgelist(text: str) -> Graph:
     count = declared if declared is not None else max_v + 1
     if max_v >= count:
         raise FormatError(f"vertex {max_v} out of range for declared n={count}")
+    # a few bytes of header or endpoint id can ask for millions of masks
+    enforce("edgelist_vertices", count, cap_override)
     return Graph(count, edges)
 
 
-def parse_graph(text: str, fmt: str) -> Graph:
+def parse_graph(text: str, fmt: str, cap_override: int | None = None) -> Graph:
     """Parse graph6 (bit-exact) or whitespace edge-list text; an edge list's
-    vertex count is its first "# n=<count>" comment, else its largest id + 1."""
+    vertex count is its first "# n=<count>" comment, else its largest id + 1.
+    That count runs under the ``edgelist_vertices`` cap, with cap_override
+    as its override, before any mask is built. A graph6 text needs about
+    n^2 / 12 bytes for n vertices, and is refused when shorter, so it runs
+    under no cap."""
     if not isinstance(text, str):
         raise FormatError(f"graph text {text!r} is not a string")
     if fmt == "graph6":
         return _parse_graph6(text)
     if fmt == "edgelist":
-        return _parse_edgelist(text)
+        return _parse_edgelist(text, cap_override)
     raise FormatError(f"unknown graph format {fmt!r}")
 
 

@@ -117,7 +117,12 @@ def _check_td(td) -> None:
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
-    """Check the three defining conditions, reporting every violation."""
+    """Check the three defining conditions, reporting every violation.
+
+    Subtree connectivity is counted, not searched. The tree nodes whose bags
+    hold v induce a subgraph of a tree, so a forest, and a forest on h nodes
+    with l edges has h - l components. So they form a subtree exactly when
+    l, the number of tree edges whose two bags both hold v, is h - 1."""
     _check_graph(g)
     _check_td(td)
     violations: list[tuple[str, object]] = []
@@ -129,22 +134,31 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
         violations.append(("tree", "decomposition tree is not a tree"))
         return TDReport(False, violations)
 
-    # holders[v]: the tree nodes whose bag holds v, as a mask
+    # holders[v]: the tree nodes whose bag holds v, as a mask; held[tn]: the
+    # vertex ids in bag tn, as a set, so a repeated or stray member counts once
     holders = [0] * g.n
+    held = {}
     for tn, bag in td.bags.items():
+        before = len(violations)
         for v in bag:
             if _is_int(v) and 0 <= v < g.n:
                 holders[v] |= 1 << tn
             else:
                 violations.append(("vertex-range", (tn, v)))
+        clean = len(violations) == before and type(bag) in (frozenset, set)
+        held[tn] = bag if clean else {v for v in bag if _is_int(v) and 0 <= v < g.n}
     for v in g.vertices:
         if not holders[v]:
             violations.append(("vertex-coverage", v))
     for u, v in g.edges():
         if not holders[u] & holders[v]:
             violations.append(("edge-coverage", (u, v)))
+    links = [0] * g.n
+    for a, b in t.edges():
+        for v in held[a] & held[b]:
+            links[v] += 1
     for v, hold in enumerate(holders):
-        if (_reach(t._masks, hold & -hold, hold) & hold) != hold:
+        if hold and links[v] != hold.bit_count() - 1:
             violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
 
     return TDReport(not violations, violations)
@@ -478,17 +492,22 @@ def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[int, obje
     return wit, inst.total(mask_to_set(wit))
 
 
-def _stable_subsets(masks: tuple[int, ...], bag: int, w, room: int) -> dict[int, object]:
-    """Every stable subset of the bag, as a mask, with its weight; stops
-    adding vertices once there are more than room subsets, so a bag past
-    the room is built to at most twice it."""
+def _stable_subsets(masks: tuple[int, ...], bag: int, lo: int, w,
+                    room: int) -> dict[int, object]:
+    """Every stable subset of the bag, with its weight, as a mask shifted
+    down by lo, the bag's lowest vertex: bit i stands for vertex lo + i.
+    Vertices are added in ascending order, so the subsets come in ascending
+    mask order. Stops adding vertices once there are more than room
+    subsets, so a bag past the room is built to at most twice it."""
     out = {0: 0}
-    while bag and len(out) <= room:
-        b = bag & -bag
-        v = b.bit_length() - 1
-        bag ^= b
+    local = bag >> lo
+    while local and len(out) <= room:
+        b = local & -local
+        v = lo + b.bit_length() - 1
+        local ^= b
         wv = w(v)
-        out.update([(s | b, val + wv) for s, val in out.items() if not s & masks[v]])
+        nb = (masks[v] & bag) >> lo
+        out.update([(s | b, val + wv) for s, val in out.items() if not s & nb])
     return out
 
 
@@ -503,6 +522,8 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
         return 0, 0
 
     bags = {t: set_to_mask(b) for t, b in td.bags.items()}
+    # lo[t]: bag t's lowest vertex, 0 for an empty bag
+    lo = {t: (b & -b).bit_length() - 1 if b else 0 for t, b in bags.items()}
     # kids[t]: t's children when the tree hangs from node 0, ascending
     tree = td.tree._masks
     kids, order, seen = {}, [0], 1
@@ -516,35 +537,48 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     # bag it shares with the parent, keeping the best child state per
     # projection; each parent state joins the child state its own projection
     # selects, counting the shared weight once.
+    # Each bag's states are shifted down by lo[t], so they are small ints
+    # however far the bag lies from vertex 0. A child's projections move to
+    # the parent's frame by lo[u] - lo[t] once per projection, not per state.
+    # A shift is one-to-one on a bag's subsets and keeps their order, so
+    # every table is filled and scanned in the order the host-id masks had:
+    # the first maximum is the same state, and floats are summed in the
+    # same order, to the same bits.
     value: dict[int, dict[int, object]] = {}
     pick: dict[int, dict[int, tuple[object, int]]] = {}
     counted = 0
     for t in reversed(order):
-        own = _stable_subsets(g._masks, bags[t], inst.w, limit - counted)
+        own = _stable_subsets(g._masks, bags[t], lo[t], inst.w, limit - counted)
         counted += len(own)
         if counted > limit:  # tested here, so that the gate runs once per call, not per bag
             enforce("mwis_states", counted, cap_override)
         table = dict(own)
         for u in kids[t]:
             shared = bags[t] & bags[u]
+            cut = shared >> lo[u]
             best: dict[int, tuple[object, int]] = {}
             for s, val in value.pop(u).items():
-                key = s & shared
+                key = s & cut
                 if key not in best or val > best[key][0]:
                     best[key] = (val, s)
+            up = lo[u] - lo[t]  # shared vertices lie at or above both shifts
+            if up:
+                best = {key << up if up > 0 else key >> -up: e for key, e in best.items()}
+            cut = shared >> lo[t]
             for s in table:
-                key = s & shared
+                key = s & cut
                 table[s] += best[key][0] - own[key]
             pick[u] = best
         value[t] = table
 
     top = value[0]
     chosen = {0: max(top, key=top.__getitem__)}
-    wit = chosen[0]
+    wit = chosen[0] << lo[0]
     for t in order:
         for u in kids[t]:
-            chosen[u] = pick[u][chosen[t] & bags[u]][1]  # chosen[t] lies in bag t
-            wit |= chosen[u]
+            # chosen[t] lies in bag t, so this is its part shared with bag u
+            chosen[u] = pick[u][chosen[t] & bags[u] >> lo[t]][1]
+            wit |= chosen[u] << lo[u]
     return wit, top[chosen[0]]
 
 

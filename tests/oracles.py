@@ -297,7 +297,9 @@ def reference_subset_tree_alpha(g: Graph) -> int:
 
 def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
     """Violations of the three tree-decomposition conditions, found by
-    scanning every bag for every vertex and every edge (quadratic)."""
+    scanning every bag for every vertex and every edge (quadratic). A bag
+    member that is not a plain int id of g is reported once per occurrence,
+    in bag order, and then left out of its bag."""
     violations: list[tuple[str, object]] = []
     t = td.tree
     if set(td.bags) != set(t.vertices):
@@ -305,19 +307,28 @@ def naive_validate_td(g: Graph, td) -> list[tuple[str, object]]:
     if t.n > 0 and (t.edge_count() != t.n - 1 or len(components(t)) != 1):
         return [("tree", "decomposition tree is not a tree")]
 
+    bags: dict[int, set[int]] = {}
+    for tn, bag in td.bags.items():
+        bags[tn] = set()
+        for v in bag:
+            if type(v) is int and 0 <= v < g.n:
+                bags[tn].add(v)
+            else:
+                violations.append(("vertex-range", (tn, v)))
+
     covered: set[int] = set()
-    for b in td.bags.values():
+    for b in bags.values():
         covered |= b
     for v in g.vertices:
         if v not in covered:
             violations.append(("vertex-coverage", v))
 
     for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags.values()):
+        if not any(u in b and v in b for b in bags.values()):
             violations.append(("edge-coverage", (u, v)))
 
     for v in g.vertices:
-        holders = [tn for tn in t.vertices if v in td.bags[tn]]
+        holders = [tn for tn in t.vertices if v in bags[tn]]
         if not holders:
             continue
         seen = {holders[0]}

@@ -213,6 +213,28 @@ class TestFormats:
         with pytest.raises(FormatError):
             parse_graph("D?", "graph6")
 
+    def test_edgelist_vertex_count_is_capped(self):
+        # a "# n=" header and a large endpoint id each ask for a vertex count
+        # in a few bytes; the count is refused above the cap, before any mask
+        for text, size in (("# n=2000000\n", 2_000_000), ("0 2000000\n", 2_000_001),
+                           ("# n=10001\n0 1\n", 10_001), ("0 1\n5 10000\n", 10_001)):
+            with pytest.raises(CapExceededError) as err:
+                parse_graph(text, "edgelist")
+            assert (err.value.what, err.value.size, err.value.cap) == (
+                "edgelist_vertices", size, caps.DEFAULT_CAPS["edgelist_vertices"])
+        assert parse_graph("# n=10000\n", "edgelist") == Graph(10_000)
+        assert parse_graph("0 9999\n", "edgelist") == Graph(10_000, [(0, 9999)])
+        # the override bounds either form, both ways
+        assert parse_graph("# n=10001\n", "edgelist", cap_override=10_001).n == 10_001
+        assert parse_graph("0 10000\n", "edgelist", cap_override=10_001).n == 10_001
+        for text in ("# n=4\n", "0 3\n"):
+            assert parse_graph(text, "edgelist", cap_override=4).n == 4
+            with pytest.raises(CapExceededError):
+                parse_graph(text, "edgelist", cap_override=3)
+        # a count that contradicts an endpoint is a format error first
+        with pytest.raises(FormatError):
+            parse_graph("# n=3\n0 2000000\n", "edgelist", cap_override=3)
+
     @given(small_graphs)
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_identity_property(self, g):
@@ -590,7 +612,8 @@ class TestAlphaExact:
                          lambda: td_stats(inst.graph, td, cap_override=bad),
                          lambda: assemble_td(inst.graph, everything, cap_override=bad),
                          lambda: td_stats(Graph(0), empty, cap_override=bad),
-                         lambda: assemble_td(Graph(0), everything, cap_override=bad)):
+                         lambda: assemble_td(Graph(0), everything, cap_override=bad),
+                         lambda: parse_graph("0 1\n", "edgelist", cap_override=bad)):
                 with pytest.raises(PreconditionError):
                     call()
         assert alpha_exact(Graph(3), cap_override=3) == 3
@@ -632,6 +655,10 @@ class TestAlphaExact:
             (lambda: mwis(inst, "td", td=td, cap_override=3), "mwis_states", 5, 3, "argument"),
             (lambda: tree_alpha_exact(c11), "tree_alpha", 11, 10, "default"),
             (lambda: tree_alpha_exact(c11, cap_override=9), "tree_alpha", 11, 9, "argument"),
+            (lambda: parse_graph("# n=10001\n", "edgelist"), "edgelist_vertices", 10_001,
+             10_000, "default"),
+            (lambda: parse_graph("0 2\n", "edgelist", cap_override=2), "edgelist_vertices", 3,
+             2, "argument"),
         ]
         for call, what, size, cap, source in cases:
             with pytest.raises(CapExceededError) as err:

@@ -116,9 +116,16 @@ def elimination_td(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, edges), bags)
 
 
-def corrupted(td: TreeDecomposition, rng: random.Random):
+# bag members that are not vertex ids of a graph on n vertices
+def _strays(n: int) -> list[object]:
+    return [-1, n, n + 7, True, False, 1.0, "0", None]
+
+
+def corrupted(g: Graph, td: TreeDecomposition, rng: random.Random):
     """A bag dropped, a bag emptied, a vertex removed from a bag, a tree edge
-    moved."""
+    moved, a vertex added to a bag that does not hold it, bags as lists with
+    a member repeated, and members that are out of range or not ints, in a
+    set bag and repeated in a list bag."""
     nodes = list(td.bags)
     if not nodes:
         return
@@ -135,6 +142,18 @@ def corrupted(td: TreeDecomposition, rng: random.Random):
         free = [(a, b) for a, b in combinations(nodes, 2) if (a, b) not in edges]
         edges.append(rng.choice(free))
         yield TreeDecomposition(Graph(td.tree.n, edges), td.bags)
+    outside = [t for t in nodes if v not in td.bags[t]]
+    far = rng.choice(outside) if outside else None
+    if outside:
+        yield TreeDecomposition(td.tree, {**td.bags, far: td.bags[far] | {v}})
+    lists = {t: sorted(b) for t, b in td.bags.items()}
+    lists[k].insert(rng.randrange(len(lists[k]) + 1), v)
+    yield TreeDecomposition(td.tree, lists)
+    if outside:  # repeated outside its subtree too
+        yield TreeDecomposition(td.tree, {**lists, far: lists[far] + [v, v]})
+    stray = rng.choice(_strays(g.n))
+    yield TreeDecomposition(td.tree, {**td.bags, k: td.bags[k] | {stray}})
+    yield TreeDecomposition(td.tree, {**lists, k: [stray, *lists[k], stray]})
 
 
 def _union(*gs: Graph) -> Graph:
@@ -247,6 +266,52 @@ def _dp_cases(rng: random.Random) -> list[tuple[Graph, TreeDecomposition]]:
     return cases
 
 
+def _rerooted(bags: list[frozenset[int]], root: int) -> TreeDecomposition:
+    """The path decomposition with the given bags in order, its node
+    labels turned so that the root-th bag is node 0: the bags before it
+    hang below it on one side and the bags after it on the other."""
+    m = len(bags)
+    label = [(i - root) % m for i in range(m)]
+    return TreeDecomposition(Graph(m, [(label[i], label[i + 1]) for i in range(m - 1)]),
+                             {label[i]: b for i, b in enumerate(bags)})
+
+
+def _shift_cases() -> list[tuple[str, Graph, TreeDecomposition]]:
+    """The decompositions on which the DP's shift of each bag's states by
+    its lowest vertex could go wrong: no bags, empty bags at the root, a
+    leaf and an interior node, bags far from vertex 0 on 5 000 vertices, a
+    bag holding both 0 and n - 1, and children whose lowest vertex lies
+    below and above their parent's."""
+    def path_td(bags, empty_at):
+        bags = list(bags)
+        bags.insert(empty_at, frozenset())
+        return _rerooted(bags, 0)
+
+    p6 = generate("path", k=6)
+    two_paths = _union(generate("path", k=3), generate("path", k=3))
+    strip = _grid_strip(3, 8)
+    # a path on 1..n-2 with its bags {i, i + 1}, and the triangle {0, m, n - 1}
+    # as one more bag hung from {m, m + 1}; the tree hangs from {m, m + 1}, so
+    # the path below it, the path above it and the triangle are its children
+    n, m = 5000, 2500
+    far = Graph(n, [(i, i + 1) for i in range(1, n - 2)] + [(0, m), (0, n - 1), (m, n - 1)])
+    bags = [frozenset({i, i + 1}) for i in range(1, n - 2)] + [frozenset({0, m, n - 1})]
+    k, root = len(bags), m - 1
+    label = list(range(k))
+    label[0], label[root] = root, 0
+    tree = Graph(k, [(label[j], label[j + 1]) for j in range(k - 2)] + [(label[k - 1], 0)])
+    return [
+        ("no bags", Graph(0), TreeDecomposition(Graph(0), {})),
+        ("Graph(0)", Graph(0), TreeDecomposition.single_bag(Graph(0))),
+        ("empty root", p6, path_td([frozenset(range(4)), frozenset({3, 4, 5})], 0)),
+        ("empty leaf", p6, path_td([frozenset(range(4)), frozenset({3, 4, 5})], 2)),
+        ("empty interior", two_paths, path_td([frozenset(range(3)), frozenset({3, 4, 5})], 1)),
+        ("far from 0", far, TreeDecomposition(tree, {label[j]: b for j, b in enumerate(bags)})),
+        ("below and above", strip[0],
+         _rerooted([strip[1].bags[i] for i in range(strip[1].tree.n)], strip[1].tree.n // 2)),
+    ]
+
+
 class TestValidate:
     def test_indexed_matches_quadratic_oracle(self):
         rng = random.Random(43)
@@ -260,11 +325,12 @@ class TestValidate:
             td = elimination_td(g, order)
             assert validate_td(g, td).ok
             assert naive_validate_td(g, td) == []
-            for bad in corrupted(td, rng):
+            for bad in corrupted(g, td, rng):
                 got = validate_td(g, bad).violations
                 assert got == naive_validate_td(g, bad)
                 kinds.update(kind for kind, _ in got)
-        assert kinds == {"tree", "vertex-coverage", "edge-coverage", "subtree-connectivity"}
+        assert kinds == {"tree", "vertex-range", "vertex-coverage", "edge-coverage",
+                         "subtree-connectivity"}
 
     def test_json_roundtrip(self):
         g = generate("gnp", n=8, p=0.4, seed=3)
@@ -807,6 +873,30 @@ class TestMWIS:
                 want = reference_mwis_td(inst, td, None)
                 assert treedecomp._mwis_td(inst, td, None) == want
                 assert mwis(inst, "td", td=td) == (mask_to_set(want[0]), want[1])
+
+    def test_td_shift_corner_cases_match_the_up_front_dp(self):
+        # the DP's bag-local states give the up-front DP's witness, value and
+        # cap decision where a shift could go wrong, with int, Fraction and
+        # float weights; a cap of all states but one refuses at the last bag
+        rng = random.Random(67)
+        for name, g, td in _shift_cases():
+            assert validate_td(g, td).ok, name
+            for weight in (lambda: rng.randint(0, 30),
+                           lambda: Fraction(rng.randint(0, 30), rng.randint(1, 7)),
+                           lambda: rng.uniform(0, 30)):
+                inst = MWISInstance(g, {v: weight() for v in g.vertices})
+                want = reference_mwis_td(inst, td, None)
+                assert mwis(inst, "td", td=td) == (mask_to_set(want[0]), want[1]), name
+            total = sum(naive_stable_subset_count(g, b) for b in td.bags.values())
+            for cap in sorted({0, max(total - 1, 0), total}):
+                got = []
+                for dp in (treedecomp._mwis_td, reference_mwis_td):
+                    try:
+                        got.append(dp(inst, td, cap))
+                    except CapExceededError:
+                        got.append("refused")
+                assert got[0] == got[1], (name, cap)
+                assert (got[0] == "refused") == (cap < total), (name, cap, total)
 
     def test_td_state_cap_decision_matches_the_up_front_dp(self):
         # both DPs refuse exactly when the states of all bags outnumber the
