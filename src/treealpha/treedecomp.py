@@ -139,14 +139,13 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     holders = [0] * g.n
     held = {}
     for tn, bag in td.bags.items():
-        before = len(violations)
+        ids = held[tn] = set()
         for v in bag:
             if _is_int(v) and 0 <= v < g.n:
                 holders[v] |= 1 << tn
+                ids.add(v)
             else:
                 violations.append(("vertex-range", (tn, v)))
-        clean = len(violations) == before and type(bag) in (frozenset, set)
-        held[tn] = bag if clean else {v for v in bag if _is_int(v) and 0 <= v < g.n}
     for v in g.vertices:
         if not holders[v]:
             violations.append(("vertex-coverage", v))

@@ -116,11 +116,6 @@ def elimination_td(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, edges), bags)
 
 
-# bag members that are not vertex ids of a graph on n vertices
-def _strays(n: int) -> list[object]:
-    return [-1, n, n + 7, True, False, 1.0, "0", None]
-
-
 def corrupted(g: Graph, td: TreeDecomposition, rng: random.Random):
     """A bag dropped, a bag emptied, a vertex removed from a bag, a tree edge
     moved, a vertex added to a bag that does not hold it, bags as lists with
@@ -151,7 +146,7 @@ def corrupted(g: Graph, td: TreeDecomposition, rng: random.Random):
     yield TreeDecomposition(td.tree, lists)
     if outside:  # repeated outside its subtree too
         yield TreeDecomposition(td.tree, {**lists, far: lists[far] + [v, v]})
-    stray = rng.choice(_strays(g.n))
+    stray = rng.choice([-1, g.n, g.n + 7, True, False, 1.0, "0", None])
     yield TreeDecomposition(td.tree, {**td.bags, k: td.bags[k] | {stray}})
     yield TreeDecomposition(td.tree, {**lists, k: [stray, *lists[k], stray]})
 
