@@ -346,6 +346,18 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     return _stable_witness(g._masks, keep, _max_weight_stable(g._masks, keep, [1] * g.n))
 
 
+def _alpha_of_mask(masks: tuple[int, ...], keep: int, cap_override) -> int:
+    """alpha_exact on the mask keep, whose search and witness check run on
+    keep shifted down by its lowest vertex: sized to its span, not the host."""
+    enforce("alpha", keep.bit_count(), cap_override)
+    lo = (keep & -keep).bit_length() - 1 if keep else 0
+    keep >>= lo
+    local = [0] * keep.bit_length()
+    for v in _bits(keep):
+        local[v] = masks[lo + v] >> lo & keep
+    return len(_stable_witness(local, keep, _max_weight_stable(local, keep, [1] * len(local))))
+
+
 def _stable_witness(masks: tuple[int, ...], keep: int, wit: int) -> frozenset[int]:
     """The mask wit as a vertex set, once checked to be a stable subset of
     the mask keep in the graph with adjacency masks masks: the check, run on

@@ -23,6 +23,7 @@ from .errors import (
 from .graphs import (
     Graph,
     WeightFn,
+    _alpha_of_mask,
     _bits,
     _check_graph,
     _component_masks,
@@ -46,15 +47,15 @@ class TreeDecomposition:
     tree: Graph
     bags: dict[int, frozenset[int]]
 
-    def width(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0) - 1
-
     def to_json(self) -> str:
+        _check_td(self)
+        if not all(_is_int(v) for b in self.bags.values() for v in b):
+            raise PreconditionError("a bag member is not an int, so not a vertex id")
         return json.dumps(
             {
                 "nodes": list(range(self.tree.n)),
                 "edges": [list(e) for e in self.tree.edges()],
-                "bags": {str(t): sorted(b) for t, b in sorted(self.bags.items())},
+                "bags": {str(t): sorted(set(b)) for t, b in sorted(self.bags.items())},
             },
             sort_keys=True,
         )
@@ -89,14 +90,17 @@ class TreeDecomposition:
 
 @dataclass
 class TDReport:
+    """validate_td's verdict, with each bag as the mask of its vertex ids."""
+
     ok: bool
     violations: list[tuple[str, object]] = field(default_factory=list)
+    bag_masks: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _check_td(td) -> None:
     """Refuse with PreconditionError a decomposition whose tree is not a
     graph or whose bags are not a mapping from plain ints to collections. Bag
-    members are left to validate_td, which reports those that are not ids."""
+    members are left to _bag_masks, which reports those that are not ids."""
     _check_graph(getattr(td, "tree", None), "td.tree")
     bags = getattr(td, "bags", None)
     if not isinstance(bags, Mapping):
@@ -116,65 +120,67 @@ def _check_td(td) -> None:
                                     "not a collection of vertex ids")
 
 
+def _bag_masks(g: Graph, td: TreeDecomposition) -> tuple[dict[int, int], list[int], list]:
+    """The one reading of td's bags, shared by validate_td, td_stats and the
+    DP: each bag as the mask of its vertex ids, each vertex's holders (the
+    tree nodes whose bag holds it) as a mask, and a ("vertex-range", (node,
+    member)) violation per member that is not an id of g, in bag order."""
+    _check_graph(g)
+    _check_td(td)
+    masks, holders, strays, n = {}, [0] * g.n, [], g.n
+    for tn, bag in td.bags.items():
+        m, node = 0, 1 << tn
+        for v in bag:
+            if type(v) is int and 0 <= v < n:  # _is_int inlined, as this runs per member
+                m |= 1 << v
+                holders[v] |= node
+            else:
+                strays.append(("vertex-range", (tn, v)))
+        masks[tn] = m
+    return masks, holders, strays
+
+
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     """Check the three defining conditions, reporting every violation.
 
-    Subtree connectivity is counted, not searched. The tree nodes whose bags
-    hold v induce a subgraph of a tree, so a forest, and a forest on h nodes
-    with l edges has h - l components. So they form a subtree exactly when
-    l, the number of tree edges whose two bags both hold v, is h - 1."""
-    _check_graph(g)
-    _check_td(td)
-    violations: list[tuple[str, object]] = []
+    Subtree connectivity is counted. The tree nodes whose bags hold v induce
+    a forest, and a forest on h nodes with l edges has h - l components. So
+    l, the number of tree edges whose two bags both hold v, is h - 1 exactly
+    when they form a subtree, and never more; the sums of l and of h - 1
+    over all v agree exactly when every v passes. Otherwise each v's holders
+    are searched, to name the vertices that fail."""
+    bags, holders, violations = _bag_masks(g, td)
     t = td.tree
     if set(td.bags) != set(t.vertices):
-        violations.append(("tree", "bag keys do not match tree nodes"))
-        return TDReport(False, violations)
+        return TDReport(False, [("tree", "bag keys do not match tree nodes")], bags)
     if t.n > 0 and (t.edge_count() != t.n - 1 or _reach(t._masks, 1, -1) != (1 << t.n) - 1):
-        violations.append(("tree", "decomposition tree is not a tree"))
-        return TDReport(False, violations)
+        return TDReport(False, [("tree", "decomposition tree is not a tree")], bags)
 
-    # holders[v]: the tree nodes whose bag holds v, as a mask; held[tn]: the
-    # vertex ids in bag tn, as a set, so a repeated or stray member counts once
-    holders = [0] * g.n
-    held = {}
-    for tn, bag in td.bags.items():
-        ids = held[tn] = set()
-        for v in bag:
-            if _is_int(v) and 0 <= v < g.n:
-                holders[v] |= 1 << tn
-                ids.add(v)
-            else:
-                violations.append(("vertex-range", (tn, v)))
     for v in g.vertices:
         if not holders[v]:
             violations.append(("vertex-coverage", v))
     for u, v in g.edges():
         if not holders[u] & holders[v]:
             violations.append(("edge-coverage", (u, v)))
-    links = [0] * g.n
-    for a, b in t.edges():
-        for v in held[a] & held[b]:
-            links[v] += 1
-    for v, hold in enumerate(holders):
-        if hold and links[v] != hold.bit_count() - 1:
-            violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
-
-    return TDReport(not violations, violations)
+    links = sum((bags[a] & bags[b]).bit_count() for a, b in t.edges())
+    if links != sum(h.bit_count() - 1 for h in holders if h):
+        for v, hold in enumerate(holders):
+            if hold and _reach(t._masks, hold & -hold, hold) & hold != hold:
+                violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
+    return TDReport(not violations, violations, bags)
 
 
 def td_stats(g: Graph, td: TreeDecomposition,
              cap_override: int | None = None) -> tuple[int, int]:
-    """(width, independence number) of the decomposition, exact. Each bag's
-    alpha runs under the ``alpha`` cap, with cap_override as its override."""
-    _check_graph(g)
-    _check_td(td)
+    """(width, independence number) of the bags, exact, whether or not the
+    tree is valid. Each bag's alpha runs under the ``alpha`` cap, with
+    cap_override as its override."""
+    bags, _, strays = _bag_masks(g, td)
     enforce("alpha", 0, cap_override)  # refuses a malformed override with no bag to measure
-    width = td.width()
-    independence = 0
-    for b in td.bags.values():
-        independence = max(independence, alpha_exact(g, b, cap_override))
-    return width, independence
+    if strays:
+        raise PreconditionError(f"(node, bag member) {reprlib.repr(strays[0][1])}: not a vertex id")
+    width = max((b.bit_count() for b in bags.values()), default=0) - 1
+    return width, max((_alpha_of_mask(g._masks, b, cap_override) for b in bags.values()), default=0)
 
 
 # -- simplicial elimination: chordality, tree-alpha ---------------------------
@@ -517,10 +523,10 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     report = validate_td(g, td)
     if not report.ok:
         raise PreconditionError(f"invalid tree decomposition: {report.violations}")
-    if not td.bags:
+    bags = report.bag_masks
+    if not bags:
         return 0, 0
 
-    bags = {t: set_to_mask(b) for t, b in td.bags.items()}
     # lo[t]: bag t's lowest vertex, 0 for an empty bag
     lo = {t: (b & -b).bit_length() - 1 if b else 0 for t, b in bags.items()}
     # kids[t]: t's children when the tree hangs from node 0, ascending

@@ -730,117 +730,6 @@ def _wall_sweep(g: Graph, wall: Graph, keys, size_cap: int, member_budget: int,
                      members_tested=tested)
 
 
-def reference_find_s_ttt(g: Graph, t: int) -> Embedding | None:
-    """Center plus three induced legs of t vertices, pairwise anticomplete.
-
-    The leg grower the package ran for ``find_pattern`` on ``s_ttt``
-    before every kind went through the one induced matcher."""
-    pattern_ids = lambda leg, pos: 1 + leg * t + pos  # noqa: E731
-
-    for center in g.vertices:
-        if g.degree(center) < 3:
-            continue
-        cmask = g.adj_mask(center)
-        legs: list[list[int]] = []
-        used = 1 << center
-
-        def leg_ok(x: int, leg: list[int]) -> bool:
-            xm = g.adj_mask(x)
-            # attached only to its predecessor (or the center at position 0)
-            if leg:
-                if not (xm >> leg[-1]) & 1:
-                    return False
-                if (xm >> center) & 1:
-                    return False
-                for p in leg[:-1]:
-                    if (xm >> p) & 1:
-                        return False
-            else:
-                if not (xm >> center) & 1:
-                    return False
-            for other in legs:
-                for p in other:
-                    if (xm >> p) & 1:
-                        return False
-            return True
-
-        def grow(leg: list[int]) -> bool:
-            nonlocal used
-            if len(leg) == t:
-                legs.append(list(leg))
-                if len(legs) == 3:
-                    return True
-                if grow([]):
-                    return True
-                legs.pop()
-                return False
-            for x in g.vertices:
-                if (used >> x) & 1 or not leg_ok(x, leg):
-                    continue
-                leg.append(x)
-                used |= 1 << x
-                if grow(leg):
-                    return True
-                used &= ~(1 << x)
-                leg.pop()
-            return False
-
-        if cmask.bit_count() >= 3 and grow([]):
-            mapping = {0: center}
-            for j, leg in enumerate(legs):
-                for i, v in enumerate(leg):
-                    mapping[pattern_ids(j, i)] = v
-            return Embedding(mapping)
-    return None
-
-
-def _stable_subset(masks: tuple[int, ...], cand: int, size: int) -> list[int] | None:
-    """The lexicographically first stable subset of cand with size vertices."""
-    if size == 0:
-        return []
-    while cand.bit_count() >= size:
-        b = cand & -cand
-        cand ^= b
-        v = b.bit_length() - 1
-        rest = _stable_subset(masks, cand & ~masks[v], size - 1)
-        if rest is not None:
-            return [v] + rest
-    return None
-
-
-def reference_find_k_tt(g: Graph, t: int) -> Embedding | None:
-    """Induced biclique with stable sides of size t, complete across.
-
-    The biclique search the package ran for ``find_pattern`` on ``k_tt``
-    before every kind went through the one induced matcher."""
-    found: list[tuple[list[int], list[int]]] = []
-
-    def rec(a_list: list[int], common: int, start: int) -> bool:
-        if len(a_list) == t:
-            b_side = _stable_subset(g._masks, common, t)
-            if b_side is None:
-                return False
-            found.append((a_list, b_side))
-            return True
-        need = t - len(a_list)
-        for v in range(start, g.n - need + 1):
-            if any(g.has_edge(v, a) for a in a_list):
-                continue
-            new_common = common & g.adj_mask(v) if a_list else g.adj_mask(v)
-            if new_common.bit_count() < t:
-                continue
-            if rec(a_list + [v], new_common, v + 1):
-                return True
-        return False
-
-    if not rec([], 0, 0):
-        return None
-    a_side, b_side = found[0]
-    mapping = {i: v for i, v in enumerate(a_side)}
-    mapping.update({t + i: v for i, v in enumerate(b_side)})
-    return Embedding(mapping)
-
-
 def reference_assemble_td(g: Graph, sep_oracle, c=Fraction(1, 2)) -> AssembleResult:
     """assemble_td as the package ran it on neighbour sets, before its
     recursion state became vertex masks: frozenset regions and boundary

@@ -39,8 +39,6 @@ from .oracles import (
     reference_backtrack_induced,
     reference_class_lt_free_upto,
     reference_distributions,
-    reference_find_k_tt,
-    reference_find_s_ttt,
     reference_lt_free_upto,
     reference_pattern_profile,
     reference_wall,
@@ -229,15 +227,16 @@ class TestFindPattern:
         assert emb is not None and emb.verify(g, g)
 
     def test_matches_deleted_searches(self):
-        # the same mapping (or None) as the leg grower and the biclique
-        # search find_pattern ran for s_ttt and k_tt before the one matcher
+        # the same mapping (or None) as the matcher find_pattern ran before
+        # its mask-driven one; on these inputs it also equals the leg grower
+        # and the biclique search that s_ttt and k_tt had before that
         rng = random.Random(41)
         outcomes = set()
         for _ in range(240):
             kind, t = rng.choice(("s_ttt", "k_tt")), rng.choice((1, 2, 3))
             spec = PatternSpec(kind, t=t)
             g = _random_host(rng, spec.realize(), 14)
-            want = (reference_find_s_ttt if kind == "s_ttt" else reference_find_k_tt)(g, t)
+            want = reference_backtrack_induced(g, spec.realize())
             got = find_pattern(g, spec)
             assert (got is None) == (want is None)
             if got is not None:
@@ -439,7 +438,7 @@ class TestTwinBreaking:
                 g = Graph(n, [(perm[x], perm[y]) for x, y in ab + d])
                 emb = find_pattern(g, PatternSpec("k_tt", t=t))
                 assert (emb is not None) == want
-                ref = reference_find_k_tt(g, t)
+                ref = reference_backtrack_induced(g, PatternSpec("k_tt", t=t).realize())
                 assert (None if emb is None else emb.mapping) == (
                     None if ref is None else ref.mapping)
 

@@ -60,6 +60,7 @@ from treealpha.treedecomp import (
 
 from .oracles import (
     minimal_triangulations_by_branching,
+    naive_alpha,
     naive_mwis,
     naive_stable_subset_count,
     naive_validate_td,
@@ -333,6 +334,17 @@ class TestValidate:
         again = TreeDecomposition.from_json(td.to_json())
         assert again.tree == td.tree and again.bags == td.bags
 
+    def test_to_json_writes_each_member_once_and_refuses_non_ints(self):
+        td = TreeDecomposition(Graph(2, [(0, 1)]), {0: [0, 0], 1: [2, 0, 2]})
+        assert '"bags": {"0": [0], "1": [0, 2]}' in td.to_json()
+        assert TreeDecomposition.from_json(td.to_json()).bags == {0: {0}, 1: {0, 2}}
+        for bag in ([0, "a"], [0, 1.0], [True], [None], [[0]]):
+            with pytest.raises(PreconditionError):
+                TreeDecomposition(Graph(1), {0: bag}).to_json()
+        for bags in (None, {"0": [0]}, {0: 5}):
+            with pytest.raises(PreconditionError):
+                TreeDecomposition(Graph(1), bags).to_json()
+
     def test_bad_json_is_format_error(self):
         for text in ("not json", "[]", '{"nodes": [0]}', '{"nodes": 3, "edges": [], "bags": {}}',
                      '{"nodes": [0, 1], "edges": [[0, 5]], "bags": {}}',
@@ -418,6 +430,52 @@ class TestStats:
     def test_clique_bags_have_independence_1(self):
         g = generate("complete", k=6)
         assert td_stats(g, TreeDecomposition.single_bag(g)) == (5, 1)
+
+    def test_width_counts_distinct_ids(self):
+        # a repeated member counts once, as validate_td reads it: the bag's
+        # length less one would give (2, 1)
+        td = TreeDecomposition(Graph(1), {0: [0, 1, 1]})
+        assert validate_td(Graph(2, [(0, 1)]), td).ok
+        assert td_stats(Graph(2, [(0, 1)]), td) == (1, 1)
+
+    def test_matches_naive_on_repeats_and_corruptions(self):
+        # width and alpha against the distinct ids of each bag, on the DP's
+        # decompositions with their bags as lists holding a member twice, and
+        # on every corruption of an elimination decomposition; a member that
+        # is not an id of g is refused, a malformed tree is not
+        rng = random.Random(71)
+        cases = []
+        for g, td in _dp_cases(rng):
+            lists = {t: sorted(b) + sorted(b)[:1] for t, b in td.bags.items()}
+            cases += [(g, td), (g, TreeDecomposition(td.tree, lists))]
+        for _ in range(60):
+            g = generate("gnp", n=rng.randint(1, 8), p=rng.choice([0.2, 0.5]),
+                         seed=rng.randrange(10**6))
+            order = list(g.vertices)
+            rng.shuffle(order)
+            cases += [(g, bad) for bad in corrupted(g, elimination_td(g, order), rng)]
+        refused = 0
+        for g, td in cases:
+            ids = [set(b) for b in td.bags.values()]
+            if any(not (type(v) is int and 0 <= v < g.n) for b in ids for v in b):
+                with pytest.raises(PreconditionError):
+                    td_stats(g, td)
+                refused += 1
+                continue
+            want = (max(map(len, ids), default=0) - 1,
+                    max((naive_alpha(g, b) for b in ids), default=0))
+            assert td_stats(g, td) == want
+        assert 0 < refused < len(cases)
+
+    def test_measures_the_bags_of_a_malformed_tree(self):
+        # validate_td rejects these trees; td_stats still measures their bags
+        g = generate("path", k=4)
+        bags = {0: frozenset({0, 1}), 1: frozenset({1, 2, 3}), 2: frozenset({0, 2})}
+        for tree in (Graph(2, [(0, 1)]), Graph(5, [(0, 1), (1, 2)]),
+                     Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(3)):
+            td = TreeDecomposition(tree, bags)
+            assert validate_td(g, td).violations[0][0] == "tree"
+            assert td_stats(g, td) == (2, 2)
 
 
 class TestChordality:
