@@ -341,21 +341,18 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     """
     _check_graph(g)
     xs = check_vertex_set(g, x) if x is not None else frozenset(range(g.n))
-    enforce("alpha", len(xs), cap_override)
-    keep = set_to_mask(xs)
-    return _stable_witness(g._masks, keep, _max_weight_stable(g._masks, keep, [1] * g.n))
+    return _max_stable_in(g._masks, set_to_mask(xs), cap_override)
 
 
-def _alpha_of_mask(masks: tuple[int, ...], keep: int, cap_override) -> int:
-    """alpha_exact on the mask keep, whose search and witness check run on
-    keep shifted down by its lowest vertex: sized to its span, not the host."""
+def _max_stable_in(masks: tuple[int, ...], keep: int, cap_override) -> frozenset[int]:
+    """max_stable_set on the mask keep of the graph with rows masks. The search
+    runs on keep shifted down by its lowest vertex, so it is sized to keep's
+    span, not the host; a shift keeps the vertex order, so the witness too."""
     enforce("alpha", keep.bit_count(), cap_override)
     lo = (keep & -keep).bit_length() - 1 if keep else 0
-    keep >>= lo
-    local = [0] * keep.bit_length()
-    for v in _bits(keep):
-        local[v] = masks[lo + v] >> lo & keep
-    return len(_stable_witness(local, keep, _max_weight_stable(local, keep, [1] * len(local))))
+    local = [m >> lo for m in masks[lo:keep.bit_length()]]
+    wit = _max_weight_stable(local, keep >> lo, [1] * len(local))
+    return _stable_witness(masks, keep, wit << lo)
 
 
 def _stable_witness(masks: tuple[int, ...], keep: int, wit: int) -> frozenset[int]:

@@ -23,12 +23,12 @@ from .errors import (
 from .graphs import (
     Graph,
     WeightFn,
-    _alpha_of_mask,
     _bits,
     _check_graph,
     _component_masks,
     _is_int,
     _is_numeral,
+    _max_stable_in,
     _max_weight_stable,
     _reach,
     _remap,
@@ -90,7 +90,8 @@ class TreeDecomposition:
 
 @dataclass
 class TDReport:
-    """validate_td's verdict, with each bag as the mask of its vertex ids."""
+    """validate_td's verdict. bag_masks, internal and left out of repr and ==,
+    holds each bag as the mask of its vertex ids, for the DP to read."""
 
     ok: bool
     violations: list[tuple[str, object]] = field(default_factory=list)
@@ -121,15 +122,15 @@ def _check_td(td) -> None:
 
 
 def _bag_masks(g: Graph, td: TreeDecomposition) -> tuple[dict[int, int], list[int], list]:
-    """The one reading of td's bags, shared by validate_td, td_stats and the
-    DP: each bag as the mask of its vertex ids, each vertex's holders (the
-    tree nodes whose bag holds it) as a mask, and a ("vertex-range", (node,
-    member)) violation per member that is not an id of g, in bag order."""
+    """The one reading of td's bags: each bag's vertex ids as a mask, each
+    vertex's holders (the tree nodes whose bag holds it) as a mask, and a
+    ("vertex-range", (node, member)) violation per member that is not an id
+    of g, in bag order. A key that is not a tree node holds nothing."""
     _check_graph(g)
     _check_td(td)
     masks, holders, strays, n = {}, [0] * g.n, [], g.n
     for tn, bag in td.bags.items():
-        m, node = 0, 1 << tn
+        m, node = 0, 1 << tn if 0 <= tn < td.tree.n else 0
         for v in bag:
             if type(v) is int and 0 <= v < n:  # _is_int inlined, as this runs per member
                 m |= 1 << v
@@ -143,12 +144,9 @@ def _bag_masks(g: Graph, td: TreeDecomposition) -> tuple[dict[int, int], list[in
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     """Check the three defining conditions, reporting every violation.
 
-    Subtree connectivity is counted. The tree nodes whose bags hold v induce
-    a forest, and a forest on h nodes with l edges has h - l components. So
-    l, the number of tree edges whose two bags both hold v, is h - 1 exactly
-    when they form a subtree, and never more; the sums of l and of h - 1
-    over all v agree exactly when every v passes. Otherwise each v's holders
-    are searched, to name the vertices that fail."""
+    Subtree connectivity is counted, not searched: the h tree nodes whose
+    bags hold v induce a forest with h - l components, l being the tree edges
+    whose two bags both hold v, so they form a subtree exactly when l = h - 1."""
     bags, holders, violations = _bag_masks(g, td)
     t = td.tree
     if set(td.bags) != set(t.vertices):
@@ -156,31 +154,31 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     if t.n > 0 and (t.edge_count() != t.n - 1 or _reach(t._masks, 1, -1) != (1 << t.n) - 1):
         return TDReport(False, [("tree", "decomposition tree is not a tree")], bags)
 
-    for v in g.vertices:
-        if not holders[v]:
-            violations.append(("vertex-coverage", v))
-    for u, v in g.edges():
-        if not holders[u] & holders[v]:
-            violations.append(("edge-coverage", (u, v)))
-    links = sum((bags[a] & bags[b]).bit_count() for a, b in t.edges())
-    if links != sum(h.bit_count() - 1 for h in holders if h):
-        for v, hold in enumerate(holders):
-            if hold and _reach(t._masks, hold & -hold, hold) & hold != hold:
-                violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
+    violations += [("vertex-coverage", v) for v in g.vertices if not holders[v]]
+    violations += [("edge-coverage", (u, v)) for u, v in g.edges() if not holders[u] & holders[v]]
+    links = [0] * g.n
+    for a, b in t.edges():
+        both = bags[a] & bags[b]
+        while both:
+            low = both & -both
+            links[low.bit_length() - 1] += 1
+            both ^= low
+    violations += [("subtree-connectivity", (v, sorted(mask_to_set(h))))
+                   for v, h in enumerate(holders) if h and links[v] != h.bit_count() - 1]
     return TDReport(not violations, violations, bags)
 
 
 def td_stats(g: Graph, td: TreeDecomposition,
              cap_override: int | None = None) -> tuple[int, int]:
-    """(width, independence number) of the bags, exact, whether or not the
-    tree is valid. Each bag's alpha runs under the ``alpha`` cap, with
-    cap_override as its override."""
+    """(width, independence number) of the bags, exact, even on a malformed
+    tree. Each bag's alpha runs under the alpha cap, overridden by cap_override."""
     bags, _, strays = _bag_masks(g, td)
     enforce("alpha", 0, cap_override)  # refuses a malformed override with no bag to measure
     if strays:
-        raise PreconditionError(f"(node, bag member) {reprlib.repr(strays[0][1])}: not a vertex id")
+        raise PreconditionError(f"(node, member) {reprlib.repr(strays[0][1])}: not a vertex id")
     width = max((b.bit_count() for b in bags.values()), default=0) - 1
-    return width, max((_alpha_of_mask(g._masks, b, cap_override) for b in bags.values()), default=0)
+    alphas = (len(_max_stable_in(g._masks, b, cap_override)) for b in bags.values())
+    return width, max(alphas, default=0)
 
 
 # -- simplicial elimination: chordality, tree-alpha ---------------------------

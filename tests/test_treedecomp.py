@@ -477,6 +477,20 @@ class TestStats:
             assert validate_td(g, td).violations[0][0] == "tree"
             assert td_stats(g, td) == (2, 2)
 
+    def test_keys_that_are_not_tree_nodes(self):
+        # a negative key, or one far past the tree (from_json reads any
+        # numeral), is reported as a key that matches no node, and its bag is
+        # still measured
+        g = generate("path", k=4)
+        tree = Graph(2, [(0, 1)])
+        text = TreeDecomposition(tree, {0: {0, 1}, 1: {1, 2, 3}}).to_json()
+        cases = [TreeDecomposition(tree, {0: frozenset({0, 1}), key: frozenset({1, 2, 3})})
+                 for key in (-1, 10**12)]
+        cases.append(TreeDecomposition.from_json(text.replace('"1":', f'"{10**12}":')))
+        for td in cases:
+            assert validate_td(g, td).violations == [("tree", "bag keys do not match tree nodes")]
+            assert td_stats(g, td) == (2, 2)
+
 
 class TestChordality:
     def test_matches_maximum_cardinality_search(self):
@@ -832,7 +846,8 @@ class TestMWIS:
         "brute not stable": (treedecomp, "_max_weight_stable", lambda *args: 0b110, "brute"),
         "brute outside": (treedecomp, "_max_weight_stable", lambda *args: 0b1001, "brute"),
         "max_stable_set not stable": (graphs, "_max_weight_stable", lambda *args: 0b011, None),
-        "max_stable_set outside x": (graphs, "_max_weight_stable", lambda *args: 0b001, {1, 2}),
+        # the kernel sees x shifted down by its lowest vertex, here 0
+        "max_stable_set outside x": (graphs, "_max_weight_stable", lambda *args: 0b010, {0, 2}),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_KERNELS))
