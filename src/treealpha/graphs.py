@@ -346,13 +346,14 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
 
 def _max_stable_in(masks: tuple[int, ...], keep: int, cap_override) -> frozenset[int]:
     """max_stable_set on the mask keep of the graph with rows masks. A keep
-    without vertex 0 is searched shifted down by its lowest vertex, sized to
-    its span, not the host: the same vertex order, so the same witness."""
+    without vertex 0 is searched and checked shifted down by its lowest vertex,
+    sized to its span, not the host: the same vertex order, so the same witness."""
     enforce("alpha", keep.bit_count(), cap_override)
     lo = (keep & -keep).bit_length() - 1 if keep else 0
     local = [m >> lo for m in masks[lo:keep.bit_length()]] if lo else masks
-    wit = _max_weight_stable(local, keep >> lo, [1] * len(local))
-    return _stable_witness(masks, keep, wit << lo)
+    keep >>= lo
+    wit = _stable_witness(local, keep, _max_weight_stable(local, keep, [1] * len(local)))
+    return frozenset(v + lo for v in wit) if lo else wit
 
 
 def _stable_witness(masks: tuple[int, ...], keep: int, wit: int) -> frozenset[int]:
