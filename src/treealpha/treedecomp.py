@@ -144,9 +144,10 @@ def _bag_masks(g: Graph, td: TreeDecomposition) -> tuple[dict[int, int], list[in
 def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     """Check the three defining conditions, reporting every violation.
 
-    Subtree connectivity is counted, not searched: the h tree nodes whose
-    bags hold v induce a forest with h - l components, l being the tree edges
-    whose two bags both hold v, so they form a subtree exactly when l = h - 1."""
+    Subtree connectivity is counted, not searched. The tree nodes whose bags
+    hold v induce a subgraph of a tree, so a forest, and a forest on h nodes
+    with l edges has h - l components. So they form a subtree exactly when
+    l, the number of tree edges whose two bags both hold v, is h - 1."""
     bags, holders, violations = _bag_masks(g, td)
     t = td.tree
     if set(td.bags) != set(t.vertices):
@@ -154,8 +155,12 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     if t.n > 0 and (t.edge_count() != t.n - 1 or _reach(t._masks, 1, -1) != (1 << t.n) - 1):
         return TDReport(False, [("tree", "decomposition tree is not a tree")], bags)
 
-    violations += [("vertex-coverage", v) for v in g.vertices if not holders[v]]
-    violations += [("edge-coverage", (u, v)) for u, v in g.edges() if not holders[u] & holders[v]]
+    for v in g.vertices:
+        if not holders[v]:
+            violations.append(("vertex-coverage", v))
+    for u, v in g.edges():
+        if not holders[u] & holders[v]:
+            violations.append(("edge-coverage", (u, v)))
     links = [0] * g.n
     for a, b in t.edges():
         both = bags[a] & bags[b]
@@ -163,8 +168,10 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
             low = both & -both
             links[low.bit_length() - 1] += 1
             both ^= low
-    violations += [("subtree-connectivity", (v, sorted(mask_to_set(h))))
-                   for v, h in enumerate(holders) if h and links[v] != h.bit_count() - 1]
+    for v, hold in enumerate(holders):
+        if hold and links[v] != hold.bit_count() - 1:
+            violations.append(("subtree-connectivity", (v, sorted(mask_to_set(hold)))))
+
     return TDReport(not violations, violations, bags)
 
 
