@@ -121,15 +121,13 @@ class Graph:
     def induced(self, verts: Iterable[int]) -> tuple["Graph", dict[int, int], tuple[int, ...]]:
         """Induced subgraph plus id translation.
 
-        Returns (subgraph, host_to_sub, sub_to_host); sub ids are assigned in
-        increasing host-id order.
+        Returns (subgraph, host_to_sub, sub_to_host); the subgraph is the
+        rank frame of verts (see _frame), so sub ids follow the host ids.
         """
         order = sorted(check_vertex_set(self, verts))
-        host_to_sub = {h: i for i, h in enumerate(order)}
-        keep = set_to_mask(order)
         sub = Graph(len(order))
-        sub._masks = tuple(_remap(self._masks[h] & keep, host_to_sub) for h in order)
-        return sub, host_to_sub, tuple(order)
+        sub._masks = _frame(self._masks, set_to_mask(order), order)
+        return sub, dict(zip(order, range(sub.n))), tuple(order)
 
 
 def _check_graph(g, what: str = "g") -> None:
@@ -163,14 +161,23 @@ def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
-def _remap(mask: int, to) -> int:
-    """mask with each bit v moved to bit to[v]."""
-    out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << to[b.bit_length() - 1]
-        mask ^= b
-    return out
+def _frame(rows, keep: int, order) -> tuple[int, ...]:
+    """The rows of the members of the mask keep, cut to keep, in a local
+    frame: bit i stands for order[i], which lists keep's members, and
+    order maps a frame mask back. Ascending, it is the rank frame, which
+    keeps the vertex order. Refuses a row that holds its own vertex, on
+    which the clique loop of _max_weight_stable would never end."""
+    to, local = dict(zip(order, range(len(order)))), []
+    for i, v in enumerate(order):
+        m, out = rows[v] & keep, 0
+        while m:
+            b = m & -m
+            out |= 1 << to[b.bit_length() - 1]
+            m ^= b
+        if out >> i & 1:
+            raise InvariantViolationError(f"the row of vertex {v} holds {v}", trace=order)
+        local.append(out)
+    return tuple(local)
 
 
 def check_vertex_set(g: Graph, vs: Iterable[int]) -> frozenset[int]:
@@ -273,13 +280,13 @@ def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
 # -- maximum weight stable set (exact) ----------------------------------------
 
 
-def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
-    """A maximum-weight stable subset of ``mask``, by a clique-cover-ordered
-    branch and bound: Tomita and Seki's MCQ (DMTCS 2003) on the complement,
-    with Kumlander's weighted colour bound (2004).
+def _max_weight_stable(masks: tuple[int, ...], weights: list) -> int:
+    """A maximum-weight stable set of the frame masks (see _frame), by a
+    clique-cover-ordered branch and bound: Tomita and Seki's MCQ (DMTCS
+    2003) on the complement, with Kumlander's weighted colour bound (2004).
 
-    ``masks[v]`` is v's adjacency mask and ``weights[v] >= 0`` its weight.
-    The vertices of mask are relabelled by non-decreasing degree in G[mask].
+    Callers order the frame's ids by non-decreasing degree, and
+    weights[v] >= 0 is the weight of id v.
     Each node covers its candidates by greedy cliques in label order; a
     stable set meets a clique at most once, so the heaviest weights of the
     cliques up to the i-th add up to a bound on what cliques 0..i can still
@@ -290,12 +297,6 @@ def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
     heavier set replaces the best, so a witness may leave out vertices of
     weight 0.
     """
-    order = sorted(_bits(mask), key=lambda v: (masks[v] & mask).bit_count())
-    to = [0] * len(masks)
-    for i, v in enumerate(order):
-        to[v] = i
-    masks = tuple(_remap(masks[v] & mask, to) for v in order)
-    weights = [weights[v] for v in order]
     best, best_val = 0, 0
 
     def expand(p: int, cur: int, cur_val) -> None:
@@ -329,8 +330,8 @@ def _max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:
                 expand(p & ~(masks[v] | b), cur | b, cur_val + weights[v])
                 p ^= b
 
-    expand((1 << len(order)) - 1, 0, 0)
-    return _remap(best, order)
+    expand((1 << len(masks)) - 1, 0, 0)
+    return best
 
 
 def max_stable_set(g: Graph, x: Iterable[int] | None = None,
@@ -340,28 +341,30 @@ def max_stable_set(g: Graph, x: Iterable[int] | None = None,
     Refuses (never approximates) when |x| exceeds the alpha cap.
     """
     _check_graph(g)
-    xs = check_vertex_set(g, x) if x is not None else frozenset(range(g.n))
-    return _max_stable_in(g._masks, set_to_mask(xs), cap_override)
-
-
-def _max_stable_in(masks: tuple[int, ...], keep: int, cap_override) -> frozenset[int]:
-    """max_stable_set on the mask keep of the graph with rows masks. A keep
-    without vertex 0 is searched and checked shifted down by its lowest vertex,
-    sized to its span, not the host: the same vertex order, so the same witness."""
+    keep = set_to_mask(check_vertex_set(g, x)) if x is not None else (1 << g.n) - 1
     enforce("alpha", keep.bit_count(), cap_override)
-    lo = (keep & -keep).bit_length() - 1 if keep else 0
-    local = [m >> lo for m in masks[lo:keep.bit_length()]] if lo else masks
-    keep >>= lo
-    wit = _stable_witness(local, keep, _max_weight_stable(local, keep, [1] * len(local)))
-    return frozenset(v + lo for v in wit) if lo else wit
+    return _max_stable_in(g._masks, keep)
 
 
-def _stable_witness(masks: tuple[int, ...], keep: int, wit: int) -> frozenset[int]:
-    """The mask wit as a vertex set, once checked to be a stable subset of
-    the mask keep in the graph with adjacency masks masks: the check, run on
-    every witness a stable-set search returns, that survives python -O."""
+def _max_stable_in(masks: tuple[int, ...], keep: int, w=None) -> frozenset[int]:
+    """A maximum-weight stable subset of the mask keep in the graph with rows
+    masks, vertex v weighing w(v), or 1 without w. The kernel searches keep's
+    frame, sized to keep, with its members by degree in G[keep], ties to the
+    lower id; the answer is checked in that frame before it is mapped back,
+    so a bit past the frame is a refusal."""
+    order = sorted(_bits(keep), key=lambda v: (masks[v] & keep).bit_count())
+    local = _frame(masks, keep, order)
+    weights = [w(v) for v in order] if w else [1] * len(order)
+    found = _stable_witness(local, _max_weight_stable(local, weights))
+    return frozenset(order[v] for v in found)
+
+
+def _stable_witness(masks: tuple[int, ...], wit: int) -> frozenset[int]:
+    """The mask wit as a vertex set, once checked to be a stable set of the
+    graph with rows masks, with no bit past them: the check, run on every
+    witness a stable-set search returns, that survives python -O."""
     found = mask_to_set(wit)
-    if wit & ~keep or any(masks[v] & wit for v in found):
+    if wit >> len(masks) or any(masks[v] & wit for v in found):
         raise InvariantViolationError("search returned a set that is not a stable subset",
                                       trace=sorted(found))
     return found

@@ -18,8 +18,8 @@ from math import comb
 
 from .caps import enforce
 from .errors import InvariantViolationError, PreconditionError
-from .graphs import (Edge, Graph, _bits, _check_graph, _is_int, _remap, generate,
-                     line_graph, norm_edge, subdivide)
+from .graphs import (Edge, Graph, _bits, _check_graph, _frame, _is_int, generate, line_graph,
+                     norm_edge, set_to_mask, subdivide)
 
 
 @dataclass(slots=True)
@@ -40,10 +40,9 @@ class Embedding:
             return False
         if len(set(m.values())) != len(m):
             return False
-        # induced: a's neighbours map onto m[a]'s neighbours within the image
-        image = _remap((1 << pattern.n) - 1, m)
-        return all(_remap(pattern._masks[a], m) == host._masks[m[a]] & image
-                   for a in pattern.vertices)
+        # induced: the host's rows on the image, framed in pattern order, are the pattern's
+        order = [m[a] for a in pattern.vertices]
+        return _frame(host._masks, set_to_mask(order), order) == pattern._masks
 
 
 @dataclass(frozen=True)
@@ -427,10 +426,7 @@ def _member_profile(t: int, split: tuple[int, ...]) -> tuple[tuple, tuple[int, .
     of the relabelled member is vertex order[i] of the member. Built once."""
     adj = _member(t, split)._masks
     order = _matching_order(adj)
-    at = [0] * len(order)
-    for i, u in enumerate(order):
-        at[u] = i
-    adj = tuple(_remap(adj[u], at) for u in order)
+    adj = _frame(adj, (1 << len(adj)) - 1, order)
     return _pattern_need(adj)[:2] + (_pattern_steps(adj),), order
 
 

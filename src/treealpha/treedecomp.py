@@ -26,12 +26,11 @@ from .graphs import (
     _bits,
     _check_graph,
     _component_masks,
+    _frame,
     _is_int,
     _is_numeral,
     _max_stable_in,
-    _max_weight_stable,
     _reach,
-    _remap,
     _stable_witness,
     alpha_exact,
     check_vertex_set,
@@ -152,7 +151,13 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
     t = td.tree
     if set(td.bags) != set(t.vertices):
         return TDReport(False, [("tree", "bag keys do not match tree nodes")], bags)
-    if t.n > 0 and (t.edge_count() != t.n - 1 or _reach(t._masks, 1, -1) != (1 << t.n) - 1):
+    edges, root = t.edges(), list(range(t.n))
+    for a, b in edges:  # union-find, halving paths: each root left is one component's
+        while root[a] != a or root[b] != b:
+            root[a] = a = root[root[a]]
+            root[b] = b = root[root[b]]
+        root[a] = b
+    if t.n > 0 and (len(edges) != t.n - 1 or sum(root[v] == v for v in range(t.n)) != 1):
         return TDReport(False, [("tree", "decomposition tree is not a tree")], bags)
 
     for v in g.vertices:
@@ -162,7 +167,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TDReport:
         if not holders[u] & holders[v]:
             violations.append(("edge-coverage", (u, v)))
     links = [0] * g.n
-    for a, b in t.edges():
+    for a, b in edges:
         both = bags[a] & bags[b]
         while both:
             low = both & -both
@@ -180,11 +185,11 @@ def td_stats(g: Graph, td: TreeDecomposition,
     """(width, independence number) of the bags, exact, even on a malformed
     tree. Each bag's alpha runs under the alpha cap, overridden by cap_override."""
     bags, _, strays = _bag_masks(g, td)
-    enforce("alpha", 0, cap_override)  # refuses a malformed override with no bag to measure
     if strays:
         raise PreconditionError(f"(node, member) {reprlib.repr(strays[0][1])}: not a vertex id")
     width = max((b.bit_count() for b in bags.values()), default=0) - 1
-    alphas = (len(_max_stable_in(g._masks, b, cap_override)) for b in bags.values())
+    enforce("alpha", width + 1, cap_override)  # every bag, before any is searched
+    alphas = (len(_max_stable_in(g._masks, b)) for b in bags.values())
     return width, max(alphas, default=0)
 
 
@@ -326,10 +331,8 @@ def _subset_tree_alpha(adj: tuple[int, ...], piece: int) -> int:
     not built; that value is at most ub from the start, so the skip fires
     far more often.
     """
-    order = _bits(piece)
-    n = len(order)
-    to = {v: i for i, v in enumerate(order)}
-    adj = tuple(_remap(adj[v] & piece, to) for v in order)
+    adj = _frame(adj, piece, _bits(piece))
+    n = len(adj)
     alpha = [0] * (1 << n)
     for s in range(1, 1 << n):
         b = s & -s
@@ -498,8 +501,8 @@ class MWISInstance:
 def _mwis_brute(inst: MWISInstance, cap_override: int | None) -> tuple[int, object]:
     g = inst.graph
     enforce("mwis_brute", g.n, cap_override)
-    wit = _max_weight_stable(g._masks, (1 << g.n) - 1, [inst.w(v) for v in g.vertices])
-    return wit, inst.total(mask_to_set(wit))
+    found = _max_stable_in(g._masks, (1 << g.n) - 1, inst.w)
+    return set_to_mask(found), inst.total(found)
 
 
 def _stable_subsets(masks: tuple[int, ...], bag: int, lo: int, w,
@@ -547,13 +550,14 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     # bag it shares with the parent, keeping the best child state per
     # projection; each parent state joins the child state its own projection
     # selects, counting the shared weight once.
-    # Each bag's states are shifted down by lo[t], so they are small ints
-    # however far the bag lies from vertex 0. A child's projections move to
-    # the parent's frame by lo[u] - lo[t] once per projection, not per state.
-    # A shift is one-to-one on a bag's subsets and keeps their order, so
-    # every table is filled and scanned in the order the host-id masks had:
-    # the first maximum is the same state, and floats are summed in the
-    # same order, to the same bits.
+    # Each bag's states are shifted down by lo[t]: the rank frame of
+    # graphs._frame when a bag's ids are consecutive. A child's projections
+    # move to the parent's frame by lo[u] - lo[t] once per projection. A
+    # shift is one-to-one on a bag's subsets and keeps their order, so tables
+    # are filled and scanned in host-id order: the same first maximum, and
+    # floats summed in the same order. Rank frames per bag read 1.49-1.67x
+    # this DP's time on grid strips, so a bag spanning a wide id range keeps
+    # wide states until the DP's introduce/forget form (ROADMAP item 4).
     value: dict[int, dict[int, object]] = {}
     pick: dict[int, dict[int, tuple[object, int]]] = {}
     counted = 0
@@ -612,7 +616,7 @@ def mwis(instance: MWISInstance, method: str = "brute",
     else:
         raise PreconditionError(f"unknown mwis method {method!r}")
     g = instance.graph
-    found = _stable_witness(g._masks, (1 << g.n) - 1, wit)
+    found = _stable_witness(g._masks, wit)
     weight = instance.total(found)
     # float weights are summed in another order by the DP than here
     exact = isinstance(weight, Rational) and isinstance(val, Rational)

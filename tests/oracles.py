@@ -19,7 +19,6 @@ from treealpha.graphs import (
     WeightFn,
     _bits,
     _reach,
-    _remap,
     components,
     generate,
     norm_edge,
@@ -211,6 +210,16 @@ def reference_tree_alpha(g: Graph) -> int:
         worst = max((naive_alpha(g, q) for q in maximal), default=0)
         best = worst if best is None else min(best, worst)
     return best
+
+
+def _remap(mask: int, to) -> int:
+    """mask with each bit v moved to bit to[v]."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << to[b.bit_length() - 1]
+        mask ^= b
+    return out
 
 
 def reference_max_weight_stable(masks: tuple[int, ...], mask: int, weights: list) -> int:

@@ -713,7 +713,8 @@ WEIGHT_KINDS = {
 
 class TestMaxWeightStableKernel:
     """``graphs._max_weight_stable`` against the in/out branch and bound it
-    replaced, kept in ``tests/oracles.py``."""
+    replaced, kept in ``tests/oracles.py``: the kernel runs on each mask's
+    frame, and the oracle on the host rows."""
 
     @pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
     def test_matches_reference_kernel(self, kind):
@@ -726,7 +727,10 @@ class TestMaxWeightStableKernel:
             weights = [draw(rng) for _ in range(n)]
             full = (1 << n) - 1
             for mask in (full, *(rng.randint(0, full) for _ in range(3))):
-                got = graphs._max_weight_stable(g._masks, mask, weights)
+                order = sorted(graphs._bits(mask), key=lambda v: (g._masks[v] & mask).bit_count())
+                local = graphs._frame(g._masks, mask, order)
+                found = graphs._max_weight_stable(local, [weights[v] for v in order])
+                got = graphs.set_to_mask(order[i] for i in graphs._bits(found))
                 want = reference_max_weight_stable(g._masks, mask, weights)
                 value = sum(weights[v] for v in range(n) if got >> v & 1)
                 best = sum(weights[v] for v in range(n) if want >> v & 1)

@@ -843,11 +843,15 @@ class TestMWIS:
         "td empty value": (treedecomp, "_mwis_td", lambda *args: (0, 1), "td"),
         "brute value": (treedecomp, "_mwis_brute", lambda *args: (0b101, 2 * 10**12 - 1),
                         "brute"),
-        "brute not stable": (treedecomp, "_max_weight_stable", lambda *args: 0b110, "brute"),
-        "brute outside": (treedecomp, "_max_weight_stable", lambda *args: 0b1001, "brute"),
-        "max_stable_set not stable": (graphs, "_max_weight_stable", lambda *args: 0b011, None),
-        # the kernel sees x shifted down by its lowest vertex, here 0
-        "max_stable_set outside x": (graphs, "_max_weight_stable", lambda *args: 0b010, {0, 2}),
+        # the brute method runs the kernel of graphs, as max_stable_set does;
+        # the kernel's frame of path(3) orders it 0, 2, 1 by degree, so the
+        # stand-ins' 0b110 is {2, 1}
+        "brute not stable": (graphs, "_max_weight_stable", lambda *args: 0b110, "brute"),
+        "brute outside": (graphs, "_max_weight_stable", lambda *args: 0b1001, "brute"),
+        "max_stable_set not stable": (graphs, "_max_weight_stable", lambda *args: 0b110, None),
+        # the kernel sees x in its frame, bits 0 and 1 for 0 and 2, so
+        # bit 2 lies past the frame and must be refused before the back-map
+        "max_stable_set outside x": (graphs, "_max_weight_stable", lambda *args: 0b100, {0, 2}),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_KERNELS))
@@ -856,7 +860,7 @@ class TestMWIS:
         g = generate("path", k=3)
         inst = MWISInstance(g, {v: 10**12 for v in g.vertices})
         td = TreeDecomposition.single_bag(g) if method == "td" else None
-        if module is graphs:
+        if method not in ("td", "brute"):  # None or x: a max_stable_set case
             def call():
                 return max_stable_set(g, method)
         else:
@@ -1141,9 +1145,9 @@ cases = [  # (module, name, stand-in, call)
      lambda: treedecomp.mwis(inst, "td", td=single)),
     (treedecomp, "_mwis_td", lambda *args: (0b101, 3),
      lambda: treedecomp.mwis(inst, "td", td=single)),
-    (treedecomp, "_max_weight_stable", lambda *args: 0b011,
+    (graphs, "_max_weight_stable", lambda *args: 0b110,  # {2, 1} in the kernel's frame
      lambda: treedecomp.mwis(inst, "brute")),
-    (graphs, "_max_weight_stable", lambda *args: 0b011, lambda: graphs.max_stable_set(g)),
+    (graphs, "_max_weight_stable", lambda *args: 0b110, lambda: graphs.max_stable_set(g)),
     (treedecomp, "validate_td", lambda g, td: validate(
         g, TreeDecomposition(td.tree, {**td.bags, 0: frozenset()})),
      lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices)),
@@ -1171,6 +1175,117 @@ print("refused")
                          timeout=30, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "refused"
+
+
+def test_a_row_holding_its_own_vertex_is_refused_not_searched():
+    # the kernel's clique loop never ends on a row that holds its own
+    # vertex, so every frame refuses one; run apart, so a hang fails the test
+    script = """
+from treealpha import graphs, treedecomp
+from treealpha.errors import InvariantViolationError
+from treealpha.graphs import Graph
+
+g = Graph(3)
+g._masks = (0b011, 0b011, 0b000)  # vertex 0 holds itself, and 1 is its neighbour
+h = Graph(4)
+h._masks = (0b0000, 0b0100, 0b0110, 0b0000)  # vertex 2 holds itself, away from vertex 0
+calls = [
+    lambda: graphs.max_stable_set(g),
+    lambda: graphs.max_stable_set(h, [1, 2, 3]),
+    lambda: treedecomp.mwis(treedecomp.MWISInstance(g, {0: 1}), "brute"),
+    lambda: treedecomp.td_stats(h, treedecomp.TreeDecomposition(Graph(1), {0: {1, 2}})),
+    lambda: treedecomp._subset_tree_alpha(h._masks, 0b0110),
+    lambda: graphs._frame(g._masks, 0b011, [1, 0]),
+]
+for call in calls:
+    try:
+        call()
+    except InvariantViolationError:
+        continue
+    raise SystemExit("a row holding its own vertex was searched")
+print("refused")
+"""
+    src = str(Path(treealpha.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
+
+
+class TestFrames:
+    """A search on a subset runs in the subset's frame (graphs._frame) and
+    must answer as it did on the host ids: the same witness, the same
+    induced graph and translations, the same alpha and tree-alpha."""
+
+    @staticmethod
+    def subsets():
+        # subsets that hold vertex 0, subsets spread with wide gaps, and the
+        # fan bags {i, i + 1, 199} of cycle(200)
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(20, 150)
+            g = generate("gnp", n=n, p=rng.choice([0.05, 0.15, 0.4]), seed=rng.randrange(10**6))
+            k = rng.randint(1, 12)
+            yield g, frozenset({0, *rng.sample(range(1, n), k - 1)})
+            yield g, frozenset(range(rng.randrange(n // k), n, n // k))
+        fan = generate("cycle", k=200)
+        for i in range(0, 198, 7):
+            yield fan, frozenset({i, i + 1, 199})
+
+    @staticmethod
+    def host_search(g: Graph, xs: frozenset[int]) -> frozenset[int]:
+        """The kernel run on xs's host ids, relabelled here with sets: by
+        non-decreasing degree in G[xs], ties to the lower id."""
+        order = sorted(xs, key=lambda v: (len(g.neighbors(v) & xs), v))
+        at = {v: i for i, v in enumerate(order)}
+        rows = tuple(sum(1 << at[u] for u in g.neighbors(v) & xs) for v in order)
+        found = graphs._max_weight_stable(rows, [1] * len(order))
+        return frozenset(v for i, v in enumerate(order) if found >> i & 1)
+
+    def test_stable_set_witness_is_the_host_search(self):
+        for g, xs in self.subsets():
+            got = max_stable_set(g, xs)
+            assert got == self.host_search(g, xs), (g.edges(), sorted(xs))
+            want = reference_max_weight_stable(g._masks, graphs.set_to_mask(xs), [1] * g.n)
+            assert len(got) == want.bit_count()
+            assert not any(g.has_edge(a, b) for a in got for b in got)
+
+    def test_td_stats_is_each_bags_naive_alpha(self):
+        for g, xs in self.subsets():
+            td = TreeDecomposition(Graph(1), {0: xs})
+            assert td_stats(g, td) == (len(xs) - 1, naive_alpha(g, xs)), sorted(xs)
+
+    def test_induced_matches_the_edge_list(self):
+        for g, xs in self.subsets():
+            order = tuple(sorted(xs))
+            at = {v: i for i, v in enumerate(order)}
+            want = Graph(len(order), [(at[u], at[v]) for u, v in g.edges() if u in xs and v in xs])
+            assert g.induced(xs) == (want, at, order), sorted(xs)
+
+    def test_tree_alpha_on_pieces_with_gaps(self):
+        # a cycle with random chords, or K_{3,3} or K_{4,4} (tree-alpha 3
+        # and 4), spread over every third id with a pendant vertex on each
+        # id between: the pendants are peeled as simplicial, so the pieces
+        # left hold ids with gaps
+        rng = random.Random(37)
+        hosts = [generate("complete_bipartite", a=3, b=3), generate("complete_bipartite", a=4, b=4)]
+        for i in range(30):
+            k = rng.randint(5, 9) if i % 3 else 4
+            chords = generate("gnp", n=k, p=rng.choice([0.2, 0.4]), seed=rng.randrange(10**6))
+            hosts.append(Graph(k, [(v, (v + 1) % k) for v in range(k)] + chords.edges()))
+        gapped = 0
+        for h in hosts:
+            spread = [3 * v + rng.randrange(3) for v in h.vertices]
+            pendants = [(spread[v], w) for v in h.vertices
+                        for w in range(3 * v, 3 * v + 3) if w != spread[v]]
+            g = Graph(3 * h.n, [(spread[u], spread[v]) for u, v in h.edges()] + pendants)
+            assert tree_alpha_exact(g) == reference_subset_tree_alpha(h), g.edges()
+            if g.n <= 12:
+                assert tree_alpha_exact(g) == reference_subset_tree_alpha(g), g.edges()
+            pieces = graphs._component_masks(
+                g._masks, treedecomp._peel_simplicial(g._masks, (1 << g.n) - 1))
+            gapped += any(p & (p + (p & -p)) for p in pieces)  # a piece whose ids skip one
+        assert gapped >= 20
 
 
 NON_GRAPH_CALLS = {
