@@ -132,11 +132,13 @@ class Graph:
 
 def _check_graph(g, what: str = "g") -> None:
     """Refuse with PreconditionError anything that lacks a graph's fields,
-    a plain int n and a tuple _masks: the one check that public entry points
-    run on a graph argument, so that None or a list is a typed refusal, not
-    a bare AttributeError. It reads fields rather than the class, so a Graph
-    built before this module was imported again still passes."""
-    if not (_is_int(getattr(g, "n", None)) and type(getattr(g, "_masks", None)) is tuple):
+    a plain int n and a tuple _masks of n rows: the one check that public
+    entry points run on a graph argument, so that None, a list or a short
+    row tuple is a typed refusal, not a bare AttributeError or IndexError.
+    It reads fields rather than the class, so a Graph built before this
+    module was imported again still passes."""
+    masks = getattr(g, "_masks", None)
+    if not (_is_int(getattr(g, "n", None)) and type(masks) is tuple and len(masks) == g.n):
         raise PreconditionError(f"{what} is {g!r}, not a Graph")
 
 

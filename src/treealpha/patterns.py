@@ -468,8 +468,9 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
             raise PreconditionError(f"lt_free_upto needs an integer {name}, got {x!r}")
     if t < 1:
         raise PreconditionError(f"lt_free_upto needs t >= 1, got t={t}")
-    if member_budget < 0:
-        raise PreconditionError(f"member_budget must be >= 0, got {member_budget}")
+    if size_cap < 0 or member_budget < 0:
+        raise PreconditionError(f"lt_free_upto needs size_cap and member_budget >= 0, "
+                                f"got {size_cap} and {member_budget}")
     v_wall, e_wall = 2 * (t + 1) ** 2 - 2, (t + 1) * (3 * t + 1) - 2
     s_enum = size_cap - v_wall
     s_fit = g.n - e_wall

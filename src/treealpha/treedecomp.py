@@ -552,12 +552,12 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
     # selects, counting the shared weight once.
     # Each bag's states are shifted down by lo[t]: the rank frame of
     # graphs._frame when a bag's ids are consecutive. A child's projections
-    # move to the parent's frame by lo[u] - lo[t] once per projection. A
-    # shift is one-to-one on a bag's subsets and keeps their order, so tables
-    # are filled and scanned in host-id order: the same first maximum, and
-    # floats summed in the same order. Rank frames per bag read 1.49-1.67x
-    # this DP's time on grid strips, so a bag spanning a wide id range keeps
-    # wide states until the DP's introduce/forget form (ROADMAP item 4).
+    # are formed in the parent's frame, each child state shifted by
+    # lo[u] - lo[t] and cut to the shared vertices. A shift is one-to-one on
+    # a bag's subsets and keeps their order, so tables are filled and scanned
+    # in host-id order: the same first maximum, and floats summed in the
+    # same order. Rank frames per bag read 1.49-1.67x this DP's time on grid
+    # strips, so wide bags keep wide states until ROADMAP item 4's rewrite.
     value: dict[int, dict[int, object]] = {}
     pick: dict[int, dict[int, tuple[object, int]]] = {}
     counted = 0
@@ -568,17 +568,13 @@ def _mwis_td(inst: MWISInstance, td: TreeDecomposition,
             enforce("mwis_states", counted, cap_override)
         table = dict(own)
         for u in kids[t]:
-            shared = bags[t] & bags[u]
-            cut = shared >> lo[u]
+            cut = (bags[t] & bags[u]) >> lo[t]
+            up = lo[u] - lo[t]  # shared vertices lie at or above both shifts
             best: dict[int, tuple[object, int]] = {}
             for s, val in value.pop(u).items():
-                key = s & cut
+                key = (s << up if up >= 0 else s >> -up) & cut
                 if key not in best or val > best[key][0]:
                     best[key] = (val, s)
-            up = lo[u] - lo[t]  # shared vertices lie at or above both shifts
-            if up:
-                best = {key << up if up > 0 else key >> -up: e for key, e in best.items()}
-            cut = shared >> lo[t]
             for s in table:
                 key = s & cut
                 table[s] += best[key][0] - own[key]

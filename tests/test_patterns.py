@@ -625,10 +625,12 @@ class TestLtFree:
         for t in (0, -1):
             with pytest.raises(PreconditionError):
                 lt_free_upto(generate("cycle", k=7), t, 7)
-        # parameters that are not integers, bools among them, or a negative budget
+        # parameters that are not integers, bools among them, or a negative
+        # size cap or budget
         c7 = generate("cycle", k=7)
         for t, size_cap, budget in (("2", 7, 10), (True, 7, 10), (1, None, 10), (1, 7.5, 10),
-                                    (1, True, 10), (1, 7, None), (1, 7, -1), (1, 7, 2.0)):
+                                    (1, True, 10), (1, 7, None), (1, 7, -1), (1, 7, 2.0),
+                                    (1, -1, 10)):
             with pytest.raises(PreconditionError):
                 lt_free_upto(c7, t, size_cap, budget)
 

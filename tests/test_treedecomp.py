@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -772,6 +773,21 @@ class TestAssemble:
                 assemble_td(g, logged(log, answers))
             assert len(log) == len(answers)
 
+    def test_bag_alpha_above_the_bound_is_refused(self, monkeypatch):
+        # td_stats reads the bound, then one more: ceil((3 - c)/(1 - c)) is 5
+        # at c = 1/2 and 9 at c = 3/4, times max(d_realized, 1)
+        g = generate("path", k=8)
+        for c, ratio in ((Fraction(1, 2), 5), (Fraction(3, 4), 9)):
+            want = assemble_td(g, brute_balanced_separator, c)
+            bound = ratio * max(want.d_realized, 1)
+            monkeypatch.setattr(treedecomp, "td_stats", lambda *args: (0, bound))
+            assert assemble_td(g, brute_balanced_separator, c) == want
+            monkeypatch.setattr(treedecomp, "td_stats", lambda *args: (0, bound + 1))
+            with pytest.raises(InvariantViolationError) as err:
+                assemble_td(g, brute_balanced_separator, c)
+            assert err.value.trace == {"d_realized": want.d_realized, "c": str(c)}
+            monkeypatch.undo()
+
     def test_c_range(self):
         with pytest.raises(PreconditionError):
             assemble_td(Graph(1), brute_balanced_separator, c=Fraction(1, 4))
@@ -1126,7 +1142,7 @@ def test_certificate_checks_survive_optimize():
     # under python -O (asserts stripped) a DP witness that is not stable or
     # does not weigh the DP's value, a brute-force or max_stable_set witness
     # that is not stable, an assembled decomposition that fails validation
-    # and a separator whose largest component holds one vertex of the weight
+    # or whose bag independence exceeds the assembly bound, and a separator whose largest component holds one vertex of the weight
     # too many, at the first call or at a forced re-cut (see
     # test_balance_boundary), are still refused
     script = """
@@ -1150,6 +1166,8 @@ cases = [  # (module, name, stand-in, call)
     (graphs, "_max_weight_stable", lambda *args: 0b110, lambda: graphs.max_stable_set(g)),
     (treedecomp, "validate_td", lambda g, td: validate(
         g, TreeDecomposition(td.tree, {**td.bags, 0: frozenset()})),
+     lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices)),
+    (treedecomp, "td_stats", lambda *args: (0, 10**6),
      lambda: treedecomp.assemble_td(g, lambda sub, w: sub.vertices)),
 ]
 for module, name, stand_in, call in cases:
@@ -1315,7 +1333,8 @@ NON_GRAPH_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [None, [0, 1]], ids=["None", "list"])
+@pytest.mark.parametrize("bad", [None, [0, 1], SimpleNamespace(n=5, _masks=())],
+                         ids=["None", "list", "short rows"])
 @pytest.mark.parametrize("entry", sorted(NON_GRAPH_CALLS))
 def test_non_graph_argument_is_precondition_error(entry, bad):
     with pytest.raises(PreconditionError):
