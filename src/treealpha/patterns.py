@@ -6,6 +6,11 @@ which caps the pattern's size; the named forbidden structures S_{t,t,t},
 K_{t,t} and K_gamma^2, whose size t or gamma fixes, through
 ``find_pattern``; and the members of a bounded semi-decision for freeness
 from line graphs of wall subdivisions through ``lt_free_upto``.
+
+Every pattern takes one path: it is relabelled into its breadth-first,
+most-constrained-first ``_matching_order``, its automorphisms are broken
+by orbit bounds (``_orbit_bounds``, found by the same matcher), and the
+embedding found is mapped back to the pattern's own ids and certified.
 """
 
 from __future__ import annotations
@@ -132,27 +137,98 @@ def _need(counts: dict[int, tuple[int, int]]) -> tuple:
 
 def _pattern_steps(adj: tuple[int, ...]) -> tuple:
     """Per pattern vertex u, the matcher's step ``(later neighbours, later
-    non-neighbours, twin, runs)``: the ids above u adjacent and not
-    adjacent to u, read off u's mask, u's latest earlier twin (or -1), and
-    ``(head, size)`` for each twin class of two or more whose first vertex,
-    its head, lies above u. Pattern vertices p < u are twins when N(p)
-    minus u equals N(u) minus p; twinship is an equivalence."""
+    non-neighbours, above, runs)``: the ids above u adjacent and not
+    adjacent to u, read off u's mask, u's orbit bound from ``_orbit_bounds``
+    (or -1), and ``(head, size)`` for each twin class of two or more whose
+    first vertex, its head, lies above u. Pattern vertices p < u are twins
+    when N(p) minus u equals N(u) minus p; twinship is an equivalence."""
     k = len(adj)
-    twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
+    head, size, last = list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
         # twins have equal open (non-adjacent) or closed (adjacent)
         # neighbourhoods, and no open one equals a closed one
         closed = m | 1 << u
         p = max(last.get(m, -1), last.get(closed, -1))
         if p >= 0:
-            twin[u], head[u] = p, head[p]
+            head[u] = head[p]
         size[head[u]] += 1
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
     full = (1 << k) - 1
-    return tuple((tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))),
-                  twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                 for u, m in enumerate(adj))
+    plain = [(tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))), -1, ())
+             for u, m in enumerate(adj)]
+    above = _orbit_bounds(adj, plain, head)
+    return tuple((nbrs, non, above[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                 for u, (nbrs, non, _, _) in enumerate(plain))
+
+
+def _orbit_bounds(adj: tuple[int, ...], plain: list, head: list[int]) -> list[int]:
+    """Per pattern vertex u, the largest v < u such that some automorphism
+    of the pattern fixes 0..v-1 and maps v to u, or -1: v's orbit under the
+    automorphisms that fix 0..v-1 holds u. plain holds the matcher's steps
+    with the symmetry fields off, head each vertex's twin-class head.
+
+    Each orbit is found by ``_backtrack_induced`` matching the pattern into
+    itself with 0..v-1 pinned and v mapped to a candidate w. Such an
+    automorphism keeps every vertex's degree and its distance to every
+    pinned vertex, so the vertices that agree on those, a cell, are the
+    only candidates and bound each vertex's domain. Swapping two twins is an
+    automorphism that fixes every other vertex, so v's twins join its orbit
+    untried, and one member w of each other twin class is tried: the rest
+    lie in v's orbit exactly when w does, and w's own orbit, later, bounds
+    them. Once every cell is a single vertex, only the identity fixes
+    0..v-1, and no later vertex has a bound. Each automorphism found is
+    checked before it counts."""
+    k = len(adj)
+    above, cell = [-1] * k, [m.bit_count() for m in adj]
+    classes = [0] * k
+    for u, h in enumerate(head):
+        classes[h] |= 1 << u
+    host, full = (adj, (), 0), (1 << k) - 1
+    for v in range(k):
+        if v:  # refine by the distance to the vertex pinned last
+            ids: dict = {}
+            cell = [ids.setdefault(key, len(ids)) for key in zip(cell, _distances(adj, v - 1))]
+        members: dict = {}
+        for x, c in enumerate(cell):
+            members[c] = members.get(c, 0) | 1 << x
+        if len(members) == k:
+            break
+        free = full & -(1 << v)  # the vertices not pinned
+        orbit = tried = classes[head[v]] & free
+        for w in _bits(members[cell[v]] & ~tried):
+            if tried >> w & 1:
+                continue
+            tried |= classes[head[w]]
+            doms = [members[c] for c in cell]
+            doms[v] = 1 << w
+            emb = _backtrack_induced(host, ((), 0, plain), doms)
+            if emb is not None:
+                perm = [emb.mapping.get(x) for x in range(k)]
+                if set(perm) != set(range(k)) or perm[:v + 1] != [*range(v), w] \
+                        or _frame(adj, full, perm) != adj:
+                    raise InvariantViolationError("orbit search returned a map that is not "
+                                                  "an automorphism", trace=emb.mapping)
+                orbit |= 1 << w
+        for u in _bits(orbit & ~(1 << v)):
+            above[u] = v
+    return above
+
+
+def _distances(adj: tuple[int, ...], p: int) -> list[int]:
+    """Each vertex's distance to p, breadth first over the masks adj; -1
+    where p is not reached."""
+    dist, d = [-1] * len(adj), 0
+    seen = frontier = 1 << p
+    while frontier:
+        reach = 0
+        for x in _bits(frontier):
+            dist[x] = d
+            reach |= adj[x]
+        frontier = reach & ~seen
+        seen |= frontier
+        d += 1
+    return dist
 
 
 def _hall_refuses(host: tuple, need: tuple) -> bool:
@@ -169,37 +245,43 @@ def _hall_refuses(host: tuple, need: tuple) -> bool:
     return False
 
 
-def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
+def _backtrack_induced(host: tuple, pattern: tuple,
+                       doms: list[int] | None = None) -> Embedding | None:
     """The induced embedding of a pattern into a host that is first in the
     pattern's vertex order, or None, from the host's ``_host_profile``, with
     triangles if the pattern has one, and the pattern's ``(degrees, triangle
     mask, steps)`` from ``_pattern_need`` and ``_pattern_steps``. The
     callers run ``_hall_refuses`` before building either; the matcher only
-    searches.
+    searches. doms, when given, are the starting domains in place of the
+    degree and triangle ones, which only ``_orbit_bounds`` passes.
 
     Pattern vertices are assigned in id order and host candidates tried in
-    ascending order, so a self-match yields the identity. A caller that
-    wants another vertex order relabels the pattern into it, as
-    ``_member_profile`` does. Assigning u to v
+    ascending order, so a self-match yields the identity. The callers
+    relabel the pattern into its ``_matching_order`` (``_pattern_profile``,
+    ``_member_profile``). Assigning u to v
     intersects the domain of each later neighbour of u with v's
     neighbourhood, then that of each later non-neighbour with v's other
     non-neighbours, and drops v as soon as a domain empties.
 
-    Every other rule prunes only branches that hold no embedding or only
-    later ones, so the answer is the one the plain search would return:
+    The plain search returns the least embedding f, comparing maps by their
+    images of 0, 1, ... in turn. Every other rule prunes only branches that
+    hold no embedding or only later ones, so the answer is f:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
       and one in a triangle only host vertices in a triangle.
-    - A vertex with an earlier twin maps only above that twin's image.
-      Swapping two twins' images gives another embedding, so the first
-      embedding maps each twin class in ascending order.
+    - A vertex u with an orbit bound v = above >= 0 maps only above v's
+      image. Some automorphism s fixes 0..v-1 and maps v to u, so f after s
+      is an embedding that agrees with f below v and maps v to f(u); as f
+      is least, f(v) < f(u). Twins are the case of s swapping two vertices.
     - After forward checking, each later twin-class head's domain must
       hold a host vertex per class member: none is assigned yet, so all
       share that domain and need distinct images in it.
     """
     adj, deg_ge, tri = host
     degrees, in_tri, steps = pattern
-    doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d] for u, d in enumerate(degrees)]
-    k = len(degrees)
+    if doms is None:
+        doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d]
+                for u, d in enumerate(degrees)]
+    k = len(steps)
     full = (1 << len(adj)) - 1
     assign = [0] * k
 
@@ -207,9 +289,9 @@ def _backtrack_induced(host: tuple, pattern: tuple) -> Embedding | None:
         if u == k:
             return True
         m = doms[u]
-        nbrs, non_nbrs, twin, runs = steps[u]
-        if twin >= 0:
-            m &= -2 << assign[twin]
+        nbrs, non_nbrs, above, runs = steps[u]
+        if above >= 0:
+            m &= -2 << assign[above]
         while m:
             b = m & -m
             m ^= b
@@ -248,32 +330,43 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
 
 
 def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
-    """``_backtrack_induced`` of h into g, certified: both profiles are built
-    here, the host's triangles only when h has one. ``_hall_refuses`` runs
-    on h's need before h's steps are built, which take time quadratic in
-    h's size, and is the search's only Hall check."""
-    degrees, tri, need = _pattern_need(h._masks)
+    """``_backtrack_induced`` of h into g, in h's matching order, certified:
+    the host's profile is built here, its triangles only when h has one.
+    ``_hall_refuses`` runs on h's need before h's order and steps are built,
+    which take time quadratic in h's size, and is the search's only Hall
+    check."""
+    _, tri, need = _pattern_need(h._masks)
     host = _host_profile(g, tri != 0)
     if _hall_refuses(host, need):
         return None
-    return _certified(_backtrack_induced(host, (degrees, tri, _pattern_steps(h._masks))), h, g)
+    profile, order = _pattern_profile(h._masks)
+    return _certified(_backtrack_induced(host, profile), order, h, g)
 
 
-def _certified(emb: Embedding | None, h: Graph, g: Graph) -> Embedding | None:
-    """emb, once checked to be an induced embedding of h into g."""
-    if emb is not None and not emb.verify(h, g):
-        raise InvariantViolationError("search returned an embedding that is not induced",
-                                      trace=emb.mapping)
-    return emb
+def _certified(emb: Embedding | None, order: tuple[int, ...], h: Graph,
+               g: Graph) -> Embedding | None:
+    """emb, an embedding of h relabelled into order (vertex i is order[i]),
+    keyed back by h's own ids and checked to be an induced embedding of h
+    into g."""
+    if emb is None:
+        return None
+    m = emb.mapping
+    if isinstance(m, Mapping) and set(m) == set(range(len(order))):
+        back = Embedding(dict(sorted(zip(order, (m[i] for i in range(len(order)))))))
+        if back.verify(h, g):
+            return back
+    raise InvariantViolationError("search returned an embedding that is not induced", trace=m)
 
 
 def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     """The first induced embedding of spec's pattern into g, or None: the
     matcher and answer of ``contains_induced``, without its ``pattern`` cap,
-    as a named pattern's size is fixed by t or gamma. The twin rules keep
-    the sides of K_{t,t} and the claw's leaves from being tried in every
-    order. A pattern with more vertices than g is refused before it is
-    built: S_{t,t,t} has 3t + 1, K_{t,t} 2t and K_gamma^2 gamma^2."""
+    as a named pattern's size is fixed by t or gamma. First means first in
+    the pattern's ``_matching_order``, keyed by the pattern's own ids. The
+    orbit bounds keep the legs of S_{t,t,t}, the sides of K_{t,t} and the
+    branch vertices of K_gamma^2 from being tried in every order. A
+    pattern with more vertices than g is refused before it is built:
+    S_{t,t,t} has 3t + 1, K_{t,t} 2t and K_gamma^2 gamma^2."""
     _check_graph(g)
     # fields, not the class, as _check_graph reads them: a spec built before
     # this module was imported again still passes
@@ -293,8 +386,9 @@ class LtVerdict:
     members, one per split of the subdivisions over the wall's branch
     paths. With s subdivisions a member has E + s vertices, E the wall's
     edge count. A witness is the first embedding of the first member that
-    embeds, first in the member's matching order (``_matching_order``) and
-    keyed by the member's own line-graph ids. certified_cap is a member
+    embeds, first in the member's matching order (``_matching_order``, the
+    order every pattern is matched in) and keyed by the member's own
+    line-graph ids. certified_cap is a member
     size; with V the wall's vertex count, it is:
     - free: max(E + size_cap - V, |V(g)|). Every member that fits in g was
       tested.
@@ -371,9 +465,14 @@ def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
 # Member profiles and split needs kept, keyed by (t, split): room for every
 # split of at most three subdivisions over the 2-wall's branch paths (220)
 # and of at most two over the 3-wall's (325). A profile, the relabelled
-# member's matcher profile with its matching order, takes about 2 kB at
-# t = 2 and 10 kB at t = 3 (tracemalloc, over those splits).
+# member's matcher profile with its matching order, takes about 5.8 kB at
+# t = 2 and 13.2 kB at t = 3 (tracemalloc, over those splits, with each
+# cache entry's own overhead; the orbit bounds added 0.1-0.2 kB).
 _MEMBER_CACHE = 2048
+# Explicit and named pattern profiles kept, keyed by the pattern's masks.
+# Each call of contains_induced or find_pattern that passes the Hall check
+# needs one; the profile of S_{t,t,t} takes space quadratic in t.
+_PATTERN_CACHE = 64
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)
@@ -406,28 +505,45 @@ def _matching_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     most-constrained-first order, the greedy of RI (Bonnici et al. 2013)
     and VF2++ (Juttner and Madarasi 2018): each next vertex is the one with
     the most neighbours already ordered, ties to higher degree, then to the
-    lower id. So the first is a vertex of highest degree, and on a
-    connected pattern every later one has an earlier neighbour, so forward
-    checking has narrowed its domain to a neighbourhood before it is tried."""
+    earliest-ordered neighbour, breadth first, then to the lower id. So the
+    first is a vertex of highest degree, and on a connected pattern every
+    later one has an earlier neighbour, so forward checking has narrowed
+    its domain to a neighbourhood before it is tried. Breadth first puts
+    the heads of S_{t,t,t}'s three legs right after its centre, where the
+    orbit bounds prune."""
+    k = len(adj)
     degrees = [m.bit_count() for m in adj]
-    order, done, rest = [], 0, set(range(len(adj)))
+    first = [k] * k  # the position of each vertex's earliest-ordered neighbour
+    order, done, rest = [], 0, set(range(k))
     while rest:
-        u = max(rest, key=lambda v: ((adj[v] & done).bit_count(), degrees[v], -v))
+        u = max(rest, key=lambda v: ((adj[v] & done).bit_count(), degrees[v], -first[v], -v))
+        for v in _bits(adj[u] & ~done):
+            first[v] = min(first[v], len(order))
         order.append(u)
         done |= 1 << u
         rest.remove(u)
     return tuple(order)
 
 
-@lru_cache(maxsize=_MEMBER_CACHE)
-def _member_profile(t: int, split: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
-    """``_member(t, split)`` relabelled into its ``_matching_order``, as the
-    matcher's ``(degrees, triangle mask, steps)``, and that order: vertex i
-    of the relabelled member is vertex order[i] of the member. Built once."""
-    adj = _member(t, split)._masks
+def _profile(adj: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """The pattern with masks adj relabelled into its ``_matching_order``,
+    as the matcher's ``(degrees, triangle mask, steps)``, and that order:
+    vertex i of the relabelled pattern is vertex order[i]."""
     order = _matching_order(adj)
     adj = _frame(adj, (1 << len(adj)) - 1, order)
     return _pattern_need(adj)[:2] + (_pattern_steps(adj),), order
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _pattern_profile(adj: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """``_profile(adj)``, built once per pattern."""
+    return _profile(adj)
+
+
+@lru_cache(maxsize=_MEMBER_CACHE)
+def _member_profile(t: int, split: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """``_profile`` of ``_member(t, split)``, built once per split."""
+    return _profile(_member(t, split)._masks)
 
 
 def lt_free_upto(g: Graph, t: int, size_cap: int,
@@ -444,9 +560,10 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     the one with each path's whole total on the path's lowest wall edge.
     member_budget and members_tested count these classes.
 
-    Each member is matched in its ``_matching_order``, connected and most
-    constrained first, which prunes far earlier than the member's id order:
-    the order picks which embedding is found first, not whether one exists.
+    Each member is matched as every pattern is, in its ``_matching_order``,
+    connected and most constrained first, with its orbit bounds, which
+    prunes far earlier than the member's id order: the order picks which
+    embedding is found first, not whether one exists.
     The witness is that first embedding mapped back to the member's own
     line-graph ids (those of ``line_graph(subdivide(...))``), and is
     checked against the member in those ids.
@@ -500,12 +617,10 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
             profile, order = _member_profile(t, split)
             emb = _backtrack_induced(host, profile)
             if emb is not None:
-                # back to the member's own ids, in which it is certified
-                emb = Embedding(dict(sorted((order[i], v) for i, v in emb.mapping.items())))
                 return LtVerdict(
                     status="witness",
                     certified_cap=e_wall + max(s_enum, 0),
-                    witness=_certified(emb, _member(t, split), g),
+                    witness=_certified(emb, order, _member(t, split), g),
                     members_tested=tested,
                 )
 

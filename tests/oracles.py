@@ -613,22 +613,51 @@ def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     """The matcher's pattern profile, ``patterns._pattern_need``'s degrees
     and triangle mask with ``patterns._pattern_steps``, as it was before it
     read each step's later neighbours and non-neighbours off the masks:
-    every later id is tested against u's mask."""
+    every later id is tested against u's mask. Each step's bound is
+    ``naive_orbit_bounds``'."""
     k = len(adj)
-    twin, head, size, last = [-1] * k, list(range(k)), [0] * k, {}
+    head, size, last = list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
         closed = m | 1 << u
         p = max(last.get(m, -1), last.get(closed, -1))
         if p >= 0:
-            twin[u], head[u] = p, head[p]
+            head[u] = head[p]
         size[head[u]] += 1
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
+    above = naive_orbit_bounds(adj)
     steps = tuple((tuple(p for p in range(u + 1, k) if adj[u] >> p & 1),
                    tuple(p for p in range(u + 1, k) if not adj[u] >> p & 1),
-                   twin[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                   above[u], tuple(r for r in runs if r[0] > u) if runs else ())
                   for u in range(k))
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
+
+
+def naive_orbit_bounds(adj: tuple[int, ...]) -> list[int]:
+    """Per vertex u of the graph with adjacency masks adj, the largest v < u
+    such that some automorphism fixes 0..v-1 and maps v to u, or -1. Every
+    automorphism is listed by extending a map vertex by vertex, in id order,
+    through every image of the same degree that keeps adjacency to the
+    vertices mapped so far; a non-identity one fixes 0..v-1 for v its least
+    moved vertex."""
+    k = len(adj)
+    above = [-1] * k
+    degree = [m.bit_count() for m in adj]
+
+    def extend(perm: list[int]) -> None:
+        i = len(perm)
+        if i == k:
+            v = next((x for x in range(k) if perm[x] != x), None)
+            if v is not None:
+                above[perm[v]] = max(above[perm[v]], v)
+            return
+        for w in range(k):
+            if w not in perm and degree[w] == degree[i] and all((adj[i] >> j & 1) == (adj[w] >> perm[j] & 1)
+                                     for j in range(i)):
+                extend(perm + [w])
+
+    extend([])
+    return above
 
 
 def naive_triangle_vertices(g: Graph) -> set[int]:

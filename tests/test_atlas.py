@@ -69,18 +69,28 @@ def test_atlas_size():
 
 
 def test_first_embedding_matches_reference_matcher():
-    # the reference has no Hall rule and no twin rule, so equal first
-    # embeddings on every pair show that both rules only prune
+    # the reference has no Hall rule and no orbit rule, so equal first
+    # embeddings in the pattern's matching order on every pair show that
+    # both rules only prune
     found = 0
     for g in ATLAS:
         for h in PATTERNS:
-            want = reference_backtrack_induced(g, h)
+            want = reference_backtrack_induced(g, h, patterns._matching_order(h._masks))
             got = patterns._first_embedding(g, h)
             assert (None if got is None else got.mapping) == (
                 None if want is None else want.mapping), (g.edges(), h.edges())
             found += got is not None
     assert len(ATLAS) * len(PATTERNS) == 22_554
     assert 0 < found < 22_554
+
+
+def test_found_pairs_match_id_order_reference():
+    # the matching order picks which embedding comes first, never whether
+    # one exists: the pairs found are the id-order reference's
+    found = {(i, j) for i, g in enumerate(ATLAS) for j, h in enumerate(PATTERNS)
+             if patterns._first_embedding(g, h) is not None}
+    assert found == {(i, j) for i, g in enumerate(ATLAS) for j, h in enumerate(PATTERNS)
+                     if reference_backtrack_induced(g, h) is not None}
 
 
 def test_hall_refuses_matches_naive():

@@ -1,6 +1,7 @@
 """Pattern detection: the one induced matcher behind contains_induced,
-find_pattern and lt_free_upto, its twin symmetry breaking, and wall
-freeness, each cross-checked against the search it replaced."""
+find_pattern and lt_free_upto, its symmetry breaking by automorphism
+orbits, and wall freeness, each cross-checked against the search it
+replaced."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import treealpha
@@ -32,6 +34,7 @@ from .oracles import (
     naive_hall_refuses,
     naive_is_embedding,
     naive_line_graph,
+    naive_orbit_bounds,
     naive_pattern_need,
     naive_subdivide,
     naive_triangle_vertices,
@@ -69,6 +72,13 @@ def _random_pair(rng: random.Random) -> tuple[Graph, Graph]:
         verts = rng.sample(range(g.n), rng.randint(1, min(6, g.n)))
         h, _, _ = g.induced(verts)
     return g, h
+
+
+def _reference_first(g: Graph, h: Graph) -> Embedding | None:
+    """The reference matcher's first embedding of h into g in h's
+    ``_matching_order``, the order every search of the package matches in,
+    keyed by h's own ids."""
+    return reference_backtrack_induced(g, h, patterns._matching_order(h._masks))
 
 
 def _random_host(rng: random.Random, h: Graph, max_n: int) -> Graph:
@@ -160,13 +170,13 @@ class TestContainsInduced:
 
     def test_matches_reference_matcher(self):
         # the same first embedding (or None) as the forward-checking matcher
-        # the mask-driven one replaced, on hosts and patterns with and
-        # without triangles
+        # the mask-driven one replaced, run in the same vertex order, on
+        # hosts and patterns with and without triangles
         rng = random.Random(2024)
         found = triangle_free = 0
         for _ in range(1200):
             g, h = _random_pair(rng)
-            want = reference_backtrack_induced(g, h)
+            want = _reference_first(g, h)
             got = patterns._first_embedding(g, h)
             assert (got is None) == (want is None)
             if got is not None:
@@ -228,15 +238,14 @@ class TestFindPattern:
 
     def test_matches_deleted_searches(self):
         # the same mapping (or None) as the matcher find_pattern ran before
-        # its mask-driven one; on these inputs it also equals the leg grower
-        # and the biclique search that s_ttt and k_tt had before that
+        # its mask-driven one, run in the pattern's matching order
         rng = random.Random(41)
         outcomes = set()
         for _ in range(240):
             kind, t = rng.choice(("s_ttt", "k_tt")), rng.choice((1, 2, 3))
             spec = PatternSpec(kind, t=t)
             g = _random_host(rng, spec.realize(), 14)
-            want = reference_backtrack_induced(g, spec.realize())
+            want = _reference_first(g, spec.realize())
             got = find_pattern(g, spec)
             assert (got is None) == (want is None)
             if got is not None:
@@ -320,10 +329,13 @@ class TestFindPattern:
     def test_wrong_embedding_is_refused(self, monkeypatch):
         # P3 mapped onto a triangle: injective, but the image is not induced.
         # K4 meets the Hall need of P3, the claw and K_{1,1}, so each search
-        # reaches the matcher
+        # reaches the matcher. K_{1,1} has two vertices, so the wrong map's
+        # key 2 names no vertex of it: still a typed refusal. Whether the
+        # profiles are cached or their orbit searches meet the wrong matcher
+        # too, each call is refused
         host, p3 = generate("complete", k=4), generate("path", k=3)
         wrong = Embedding({0: 0, 1: 1, 2: 2})
-        monkeypatch.setattr(patterns, "_backtrack_induced", lambda g, h: wrong)
+        monkeypatch.setattr(patterns, "_backtrack_induced", lambda *args: wrong)
         with pytest.raises(InvariantViolationError):
             contains_induced(host, p3)
         for spec in (PatternSpec("s_ttt", t=1), PatternSpec("k_tt", t=1)):
@@ -332,15 +344,18 @@ class TestFindPattern:
 
     def test_hall_check_runs_before_the_steps(self, monkeypatch):
         # S_{1000,1000,1000} has 3001 vertices, fewer than the path's 4000,
-        # but a vertex of degree 3: its degrees refuse it, so its quadratic
-        # step lists are never built
-        def steps(adj):
-            raise LookupError("steps built")
+        # but a vertex of degree 3: its degrees refuse it, so its matching
+        # order, its quadratic step lists and its orbits are never built
+        for name in ("_matching_order", "_pattern_steps", "_orbit_bounds"):
+            def built(*args, name=name):
+                raise LookupError(f"{name} built")
 
-        monkeypatch.setattr(patterns, "_pattern_steps", steps)
-        assert find_pattern(generate("path", k=4000), PatternSpec("s_ttt", t=1000)) is None
-        with pytest.raises(LookupError):  # a claw meets the claw's need
-            find_pattern(generate("s_ttt", t=1), PatternSpec("s_ttt", t=1))
+            monkeypatch.setattr(patterns, name, built)
+            patterns._pattern_profile.cache_clear()
+            assert find_pattern(generate("path", k=4000), PatternSpec("s_ttt", t=1000)) is None
+            with pytest.raises(LookupError, match=name):  # a claw meets the claw's need
+                find_pattern(generate("s_ttt", t=1), PatternSpec("s_ttt", t=1))
+            monkeypatch.undo()
 
     def test_oversized_pattern_is_never_built(self, monkeypatch):
         # a pattern with more vertices than the host is refused before
@@ -378,7 +393,7 @@ class TestTwinBreaking:
                 Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
 
     def test_twin_classes(self):
-        # twin and runs against the definition: p < u are twins when
+        # runs against the definition: p < u are twins when
         # N(p) - {u} == N(u) - {p}
         rng = random.Random(8)
         hs = list(self.PATTERNS) + [generate("gnp", n=rng.randint(1, 7),
@@ -390,10 +405,59 @@ class TestTwinBreaking:
                        for u in range(h.n)]
             sizes = Counter(min(ps + [u]) for u, ps in enumerate(earlier))
             steps = patterns._pattern_steps(adj)
-            for u, (_, _, twin, runs) in enumerate(steps):
-                assert twin == max(earlier[u], default=-1)
+            for u, (_, _, _, runs) in enumerate(steps):
                 assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
         assert patterns._pattern_steps(self.PATTERNS[1]._masks)[0][3] == ((3, 3),)
+
+    def test_orbit_bounds(self):
+        # each step's bound against every automorphism listed by the naive
+        # oracle, on every atlas graph with at most 6 vertices, and on
+        # S_{2,2,2}, K_{3,3} and K_3^2, in id order and in matching order
+        hs = [Graph(g.number_of_nodes(), g.edges()) for g in nx.graph_atlas_g()[:209]]
+        assert hs[-1].n == 6 and len(hs) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+        hs += [generate("s_ttt", t=2), generate("complete_bipartite", a=3, b=3),
+               generate("k_gamma_2", gamma=3)]
+        bounded = 0
+        for h in hs:
+            order = patterns._matching_order(h._masks)
+            for adj in (h._masks, graphs._frame(h._masks, (1 << h.n) - 1, order)):
+                want = naive_orbit_bounds(adj)
+                assert [step[2] for step in patterns._pattern_steps(adj)] == want, h.edges()
+                bounded += max(want, default=-1) > 0
+        # bounds above 0, so beyond the first vertex's orbit, occur; in
+        # S_{2,2,2}'s matching order, centre first, the second leg head is
+        # bounded by the first and the third by the second
+        assert bounded > 100
+        steps = patterns._pattern_profile(hs[-3]._masks)[0][2]
+        assert [step[2] for step in steps] == [-1, -1, 1, 2, -1, -1, -1]
+
+    def test_orbit_search_answer_is_checked(self, monkeypatch):
+        # on C_5, whose vertices have no twins, so every orbit is searched:
+        # an orbit search answering with a map of only some vertices, with
+        # the swap of v and w, which is no automorphism, or with the
+        # rotation taking v to w, which moves the pinned 0 once v = 1, is
+        # refused, typed; the rotation is accepted while v = 0
+        c5 = generate("cycle", k=5)
+        rotated = []
+
+        def partial(host, pattern, doms):
+            return Embedding({0: 0, 1: 1, 2: 2})
+
+        def swap(host, pattern, doms):
+            v = next(i for i, m in enumerate(doms) if m != 1 << i)
+            w = doms[v].bit_length() - 1
+            return Embedding({x: {v: w, w: v}.get(x, x) for x in range(5)})
+
+        def rotation(host, pattern, doms):
+            v = next(i for i, m in enumerate(doms) if m != 1 << i)
+            rotated.append(v)
+            return Embedding({x: (x + doms[v].bit_length() - 1 - v) % 5 for x in range(5)})
+
+        for search in (partial, swap, rotation):
+            monkeypatch.setattr(patterns, "_backtrack_induced", search)
+            with pytest.raises(InvariantViolationError):
+                patterns._pattern_steps(c5._masks)
+        assert rotated == [0, 0, 0, 0, 1]
 
     def test_profile_matches_reference(self):
         # steps read off the masks against every later id tested in turn,
@@ -408,6 +472,10 @@ class TestTwinBreaking:
             steps = patterns._pattern_steps(h._masks)
             assert (degrees, tri, steps) == reference_pattern_profile(h._masks)
             assert need == naive_pattern_need(h)
+            # the cached profile is that of h relabelled into its order
+            order = patterns._matching_order(h._masks)
+            assert patterns._pattern_profile(h._masks) == (
+                reference_pattern_profile(graphs._frame(h._masks, (1 << h.n) - 1, order)), order)
 
     def test_matches_reference_and_naive(self):
         rng = random.Random(19)
@@ -415,7 +483,7 @@ class TestTwinBreaking:
         for _ in range(60):
             for i, h in enumerate(self.PATTERNS):
                 g = _random_host(rng, h, 9)
-                want = reference_backtrack_induced(g, h)
+                want = _reference_first(g, h)
                 got = patterns._first_embedding(g, h)
                 assert (got is None) == (want is None) == (not naive_contains_induced(g, h))
                 if got is not None:
@@ -438,7 +506,7 @@ class TestTwinBreaking:
                 g = Graph(n, [(perm[x], perm[y]) for x, y in ab + d])
                 emb = find_pattern(g, PatternSpec("k_tt", t=t))
                 assert (emb is not None) == want
-                ref = reference_backtrack_induced(g, PatternSpec("k_tt", t=t).realize())
+                ref = _reference_first(g, PatternSpec("k_tt", t=t).realize())
                 assert (None if emb is None else emb.mapping) == (
                     None if ref is None else ref.mapping)
 
@@ -460,7 +528,7 @@ class TestHallBound:
     before the matcher: the pattern vertices of degree >= d, and those of
     them in a triangle, need as many such host vertices. Every answer is
     checked mapping for mapping against the reference matcher, which has no
-    such rule."""
+    such rule, run in the pattern's matching order."""
 
     @staticmethod
     def _members() -> list[Graph]:
@@ -472,7 +540,7 @@ class TestHallBound:
 
     @staticmethod
     def _check(g: Graph, h: Graph) -> Embedding | None:
-        want = reference_backtrack_induced(g, h)
+        want = _reference_first(g, h)
         got = patterns._first_embedding(g, h)
         assert (got is None) == (want is None)
         if got is not None:
@@ -572,8 +640,7 @@ class TestHallBound:
                     if first is None:
                         tested += 1
                         h = patterns._member(2, split)
-                        first = reference_backtrack_induced(
-                            g, h, patterns._matching_order(h._masks))
+                        first = _reference_first(g, h)
                         passed += not naive_hall_refuses(g, h)
             assert got.members_tested == tested
             assert got.witness == first
@@ -897,9 +964,15 @@ class TestMatchingOrder:
         # the paw on triangle 0-1-2 with 3 pendant at 2, plus 4 pendant at 0:
         # 0 and 2 tie at degree 3, so 0 starts; 1, 2 and 4 each have one
         # ordered neighbour, and 2 has the highest degree; then 1 has two;
-        # 3 and 4 tie on one neighbour and degree 1, and 3 is lower
+        # 3 and 4 tie on one neighbour and degree 1, and 4's neighbour 0 was
+        # ordered first (position 0, against 2's position 1)
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 4)])
-        assert patterns._matching_order(g._masks) == (0, 2, 1, 3, 4)
+        assert patterns._matching_order(g._masks) == (0, 2, 1, 4, 3)
+        # S_{3,3,3}, centre 0 and legs 1-2-3, 4-5-6, 7-8-9: breadth first,
+        # the three leg heads come right after the centre, then the second
+        # vertices, then the leaves
+        s333 = generate("s_ttt", t=3)
+        assert patterns._matching_order(s333._masks) == (0, 1, 4, 7, 2, 5, 8, 3, 6, 9)
         # a disconnected pattern restarts at the highest degree left
         g = Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5)])
         assert patterns._matching_order(g._masks) == (2, 3, 4, 5, 0, 1)
