@@ -5,7 +5,9 @@ pattern: an explicit graph through ``contains_induced``, its one route,
 which caps the pattern's size; the named forbidden structures S_{t,t,t},
 K_{t,t} and K_gamma^2, whose size t or gamma fixes, through
 ``find_pattern``; and the members of a bounded semi-decision for freeness
-from line graphs of wall subdivisions through ``lt_free_upto``.
+from line graphs of wall subdivisions through ``lt_free_upto``, which
+counts one member per split of the subdivisions over the wall's branch
+paths and matches one per orbit of splits under the wall's automorphisms.
 
 Every pattern takes one path: it is relabelled into its breadth-first,
 most-constrained-first ``_matching_order``, its automorphisms are broken
@@ -18,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
 
@@ -140,8 +143,18 @@ def _pattern_steps(adj: tuple[int, ...]) -> tuple:
     non-neighbours, above, runs)``: the ids above u adjacent and not
     adjacent to u, read off u's mask, u's orbit bound from ``_orbit_bounds``
     (or -1), and ``(head, size)`` for each twin class of two or more whose
-    first vertex, its head, lies above u. Pattern vertices p < u are twins
-    when N(p) minus u equals N(u) minus p; twinship is an equivalence."""
+    first vertex, its head, lies above u."""
+    plain, head, runs = _plain_steps(adj)
+    above, _ = _orbit_bounds(adj, plain, head)
+    return tuple((nbrs, non, above[u], tuple(r for r in runs if r[0] > u) if runs else ())
+                 for u, (nbrs, non, _, _) in enumerate(plain))
+
+
+def _plain_steps(adj: tuple[int, ...]) -> tuple[list, list[int], list[tuple[int, int]]]:
+    """The matcher's steps for the pattern with masks adj with the symmetry
+    fields off, each vertex's twin-class head, and ``(head, size)`` for each
+    twin class of two or more. Pattern vertices p < u are twins when N(p)
+    minus u equals N(u) minus p; twinship is an equivalence."""
     k = len(adj)
     head, size, last = list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -157,16 +170,18 @@ def _pattern_steps(adj: tuple[int, ...]) -> tuple:
     full = (1 << k) - 1
     plain = [(tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))), -1, ())
              for u, m in enumerate(adj)]
-    above = _orbit_bounds(adj, plain, head)
-    return tuple((nbrs, non, above[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                 for u, (nbrs, non, _, _) in enumerate(plain))
+    return plain, head, runs
 
 
-def _orbit_bounds(adj: tuple[int, ...], plain: list, head: list[int]) -> list[int]:
+def _orbit_bounds(adj: tuple[int, ...], plain: list,
+                  head: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """Per pattern vertex u, the largest v < u such that some automorphism
     of the pattern fixes 0..v-1 and maps v to u, or -1: v's orbit under the
-    automorphisms that fix 0..v-1 holds u. plain holds the matcher's steps
-    with the symmetry fields off, head each vertex's twin-class head.
+    automorphisms that fix 0..v-1 holds u. Also the automorphisms found,
+    as tuples of images. With the swaps of twins they generate the
+    pattern's whole automorphism group: for each v they map v to one vertex
+    of each other twin class in its orbit, and the swaps reach the rest.
+    plain and head are ``_plain_steps``'.
 
     Each orbit is found by ``_backtrack_induced`` matching the pattern into
     itself with 0..v-1 pinned and v mapped to a candidate w. Such an
@@ -180,7 +195,7 @@ def _orbit_bounds(adj: tuple[int, ...], plain: list, head: list[int]) -> list[in
     0..v-1, and no later vertex has a bound. Each automorphism found is
     checked before it counts."""
     k = len(adj)
-    above, cell = [-1] * k, [m.bit_count() for m in adj]
+    above, cell, found = [-1] * k, [m.bit_count() for m in adj], []
     classes = [0] * k
     for u, h in enumerate(head):
         classes[h] |= 1 << u
@@ -210,9 +225,10 @@ def _orbit_bounds(adj: tuple[int, ...], plain: list, head: list[int]) -> list[in
                     raise InvariantViolationError("orbit search returned a map that is not "
                                                   "an automorphism", trace=emb.mapping)
                 orbit |= 1 << w
+                found.append(tuple(perm))
         for u in _bits(orbit & ~(1 << v)):
             above[u] = v
-    return above
+    return above, found
 
 
 def _distances(adj: tuple[int, ...], p: int) -> list[int]:
@@ -382,14 +398,14 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
 
 @dataclass(slots=True)
 class LtVerdict:
-    """Semi-decision outcome. members_tested counts isomorphism classes of
-    members, one per split of the subdivisions over the wall's branch
-    paths. With s subdivisions a member has E + s vertices, E the wall's
-    edge count. A witness is the first embedding of the first member that
-    embeds, first in the member's matching order (``_matching_order``, the
-    order every pattern is matched in) and keyed by the member's own
-    line-graph ids. certified_cap is a member
-    size; with V the wall's vertex count, it is:
+    """Semi-decision outcome. members_tested counts splits of the
+    subdivisions over the wall's branch paths, one member each, whether or
+    not the member was matched (see ``lt_free_upto``). With s subdivisions
+    a member has E + s vertices, E the wall's edge count. A witness is the
+    first embedding of the first member that embeds, first in the member's
+    matching order (``_matching_order``, the order every pattern is matched
+    in) and keyed by the member's own line-graph ids. certified_cap is a
+    member size; with V the wall's vertex count, it is:
     - free: max(E + size_cap - V, |V(g)|). Every member that fits in g was
       tested.
     - witness: E + max(size_cap - V, 0), the largest member size the cap
@@ -418,20 +434,27 @@ def _distributions(total: int, bins: int):
 
 @lru_cache(maxsize=4)  # the bench tests t = 2 only
 def _wall(t: int) -> tuple[Graph, tuple[Edge, ...], tuple[int, ...]]:
-    """The t-wall and, for each of its branch paths, the path's lowest
-    edge, ascending, and its length in edges. A branch path is a maximal
-    path whose inner vertices have degree 2; the t = 1 wall, a 6-cycle, is
-    one branch path. A split of s subdivisions over the branch paths lists
-    one count per path, in this order."""
+    """The t-wall and, for each of its branch paths (``_branch_paths``),
+    the path's lowest edge, ascending, and its length in edges. A split of
+    s subdivisions over the branch paths lists one count per path, in this
+    order."""
     wall = generate("wall", t=t)
+    paths = _branch_paths(wall)
+    return wall, tuple(path[0] for path in paths), tuple(map(len, paths))
+
+
+def _branch_paths(wall: Graph) -> list[list[Edge]]:
+    """The edges of each branch path of wall, the lowest first, paths in
+    the order of their lowest edges. A branch path is a maximal path whose
+    inner vertices have degree 2; the t = 1 wall, a 6-cycle, is one branch
+    path."""
     adj = wall._masks
     seen: set[Edge] = set()
-    lowest, lengths = [], []
+    paths = []
     for u, v in wall.edges():
         if (u, v) in seen:
             continue
-        before = len(seen)
-        lowest.append((u, v))
+        path = [(u, v)]
         seen.add((u, v))
         for prev, cur in ((u, v), (v, u)):
             while adj[cur].bit_count() == 2:
@@ -440,9 +463,52 @@ def _wall(t: int) -> tuple[Graph, tuple[Edge, ...], tuple[int, ...]]:
                 if e in seen:  # the walk closed a cycle
                     break
                 seen.add(e)
+                path.append(e)
                 prev, cur = cur, nxt
-        lengths.append(len(seen) - before)
-    return wall, tuple(lowest), tuple(lengths)
+        paths.append(path)
+    return paths
+
+
+@lru_cache(maxsize=4)
+def _wall_symmetries(t: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations of the t-wall's branch paths that its automorphisms
+    induce, as tuples sigma with sigma[i] the path that path i maps onto:
+    a group, so a split's images under the automorphisms are
+    ``tuple(split[j] for j in sigma)`` over all sigma.
+
+    The automorphisms are those ``_orbit_bounds`` finds on the wall, closed
+    under composition: the wall has no twins, so that is its whole group.
+    Each found map is checked to be an automorphism, and each permutation
+    to map every edge of path i into path sigma[i], with a raise: a wrong
+    one would skip a split whose member no matched split is isomorphic to."""
+    wall = _wall(t)[0]
+    adj, n = wall._masks, wall.n
+    plain, head, _ = _plain_steps(adj)
+    _, found = _orbit_bounds(adj, plain, head)
+    ids = tuple(range(n))
+    for perm in found:
+        if sorted(perm) != list(ids) or _frame(adj, (1 << n) - 1, perm) != adj:
+            raise InvariantViolationError("orbit search returned a map that is not an "
+                                          "automorphism of the wall", trace=perm)
+    group, todo = {ids}, [ids]
+    while todo:
+        perm = todo.pop()
+        for gen in found:
+            nxt = tuple(gen[x] for x in perm)
+            if nxt not in group:
+                group.add(nxt)
+                todo.append(nxt)
+    paths = _branch_paths(wall)
+    path_of = {e: i for i, path in enumerate(paths) for e in path}
+    sigmas = set()
+    for perm in group:
+        image = [{path_of[norm_edge(perm[u], perm[v])] for u, v in path} for path in paths]
+        sigma = tuple(min(js) for js in image)
+        if any(len(js) > 1 for js in image) or sorted(sigma) != list(range(len(paths))):
+            raise InvariantViolationError("a wall automorphism does not permute the branch "
+                                          "paths", trace=perm)
+        sigmas.add(sigma)
+    return tuple(sorted(sigmas))
 
 
 def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
@@ -462,7 +528,7 @@ def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
                   2: (sum(lengths) + s - ends, 0)})
 
 
-# Member profiles and split needs kept, keyed by (t, split): room for every
+# Member profiles and split records kept, keyed by (t, split): room for every
 # split of at most three subdivisions over the 2-wall's branch paths (220)
 # and of at most two over the 3-wall's (325). A profile, the relabelled
 # member's matcher profile with its matching order, takes about 5.8 kB at
@@ -476,11 +542,15 @@ _PATTERN_CACHE = 64
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)
-def _split_need(t: int, split: tuple[int, ...]) -> tuple:
+def _split_record(t: int, split: tuple[int, ...]) -> tuple[tuple, bool]:
     """The need of ``_pattern_need(_member(t, split)._masks)``, read off
-    the branch paths' lengths without building the member."""
+    the branch paths' lengths without building the member, and whether
+    split is first among its images under the wall's automorphisms
+    (``_wall_symmetries``) in ``_distributions`` order, which is
+    lexicographic. An image's member is isomorphic to split's."""
     single = sum(length + c == 1 for length, c in zip(_wall(t)[2], split))
-    return _wall_need(t, sum(split), single, single)
+    first = all(tuple(split[j] for j in sigma) >= split for sigma in _wall_symmetries(t))
+    return _wall_need(t, sum(split), single, single), first
 
 
 def _level_need(t: int, s: int) -> tuple:
@@ -494,7 +564,7 @@ def _level_need(t: int, s: int) -> tuple:
 
 def _member(t: int, split: tuple[int, ...]) -> Graph:
     """L(the t-wall with split[i] subdivisions on the lowest edge of its
-    i-th branch path), the one member tested for split's class."""
+    i-th branch path), the one member that stands for split."""
     wall, lowest, _ = _wall(t)
     member, _ = line_graph(subdivide(wall, dict(zip(lowest, split))))
     return member
@@ -510,18 +580,27 @@ def _matching_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     later one has an earlier neighbour, so forward checking has narrowed
     its domain to a neighbourhood before it is tried. Breadth first puts
     the heads of S_{t,t,t}'s three legs right after its centre, where the
-    orbit bounds prune."""
-    k = len(adj)
-    degrees = [m.bit_count() for m in adj]
-    first = [k] * k  # the position of each vertex's earliest-ordered neighbour
-    order, done, rest = [], 0, set(range(k))
-    while rest:
-        u = max(rest, key=lambda v: ((adj[v] & done).bit_count(), degrees[v], -first[v], -v))
+    orbit bounds prune.
+
+    Each vertex's key only grows as vertices are ordered, and only when a
+    neighbour is, so the keys sit negated in a heap, a vertex's key is
+    pushed anew each time a neighbour is ordered, and an entry that is no
+    longer its vertex's key is dropped when it comes up: time
+    O((k + edges) log k)."""
+    keys = [(0, -m.bit_count(), len(adj), v) for v, m in enumerate(adj)]
+    heap, order, done = keys[:], [], 0
+    heapify(heap)
+    while heap:
+        key = heappop(heap)
+        u = key[3]
+        if key != keys[u]:
+            continue
         for v in _bits(adj[u] & ~done):
-            first[v] = min(first[v], len(order))
+            count, neg_degree, first, _ = keys[v]
+            keys[v] = (count - 1, neg_degree, min(first, len(order)), v)
+            heappush(heap, keys[v])
         order.append(u)
         done |= 1 << u
-        rest.remove(u)
     return tuple(order)
 
 
@@ -556,9 +635,18 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     V = 2(t + 1)^2 - 2 vertices and E = (t + 1)(3t + 1) - 2 edges, a host
     on fewer than E vertices is free before the wall is built. A subdivided
     wall's isomorphism type depends only on how many subdivisions land on
-    each branch path (see ``_wall``), so one member per class is tested:
-    the one with each path's whole total on the path's lowest wall edge.
-    member_budget and members_tested count these classes.
+    each branch path (see ``_wall``), so one member stands for each split
+    of s over the paths: the one with each path's whole total on the path's
+    lowest wall edge. member_budget and members_tested count these splits.
+
+    Two splits that one of the wall's automorphisms maps onto each other
+    (``_wall_symmetries``) give isomorphic subdivided walls, and so
+    isomorphic members. So a split's member is matched only if the split
+    is first among its images (``_split_record``), and every other split
+    still counts as tested: the first among its images came earlier in the
+    same level, met the same need, and its member did not embed. The first
+    split whose member embeds is thus first among its images, and the
+    verdict, witness included, is the one matching every split would give.
 
     Each member is matched as every pattern is, in its ``_matching_order``,
     connected and most constrained first, with its orbit bounds, which
@@ -570,14 +658,14 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
 
     Levels s go in ascending order, and a level's splits in
     ``_distributions`` order. A member is built and matched only if g
-    meets its need (``_split_need``): the Hall check of ``_first_embedding``,
-    run before the member exists. If g falls short of the level's least
-    need (``_level_need``), which no split's need is below, the whole level
-    is refused, and its C(s + m - 1, m - 1) classes, m the number of branch
-    paths, count as tested at once. A budget that ends inside such a level
-    stops at the class count, note and certified_cap of a split-by-split
-    walk, which would find no witness there. So every field of the verdict
-    is the walk's.
+    meets its need (``_split_record``): the Hall check of
+    ``_first_embedding``, run before the member exists. If g falls short of
+    the level's least need (``_level_need``), which no split's need is
+    below, the whole level is refused, and its C(s + m - 1, m - 1) splits,
+    m the number of branch paths, count as tested at once. A budget that
+    ends inside such a level stops at the split count, note and
+    certified_cap of a split-by-split walk, which would find no witness
+    there. So every field of the verdict is the walk's.
     """
     _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
@@ -612,7 +700,8 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
             if tested >= member_budget:
                 return exhausted(s)
             tested += 1
-            if _hall_refuses(host, _split_need(t, split)):
+            need, first = _split_record(t, split)
+            if not first or _hall_refuses(host, need):
                 continue
             profile, order = _member_profile(t, split)
             emb = _backtrack_induced(host, profile)

@@ -24,7 +24,7 @@ from treealpha.graphs import (
     norm_edge,
     set_to_mask,
 )
-from treealpha.patterns import Embedding, LtVerdict, _matching_order, _triangle_mask, _wall
+from treealpha.patterns import Embedding, LtVerdict, _triangle_mask, _wall
 from treealpha.treedecomp import AssembleResult, TreeDecomposition, validate_td
 
 
@@ -660,6 +660,25 @@ def naive_orbit_bounds(adj: tuple[int, ...]) -> list[int]:
     return above
 
 
+def reference_matching_order(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """``patterns._matching_order`` as it was before it kept its keys in a
+    heap: each next vertex is the unordered one with the greatest key
+    (ordered neighbours, degree, minus the position of the earliest-ordered
+    neighbour, minus the id), every key recounted at every step."""
+    k = len(adj)
+    degrees = [m.bit_count() for m in adj]
+    first = [k] * k  # the position of each vertex's earliest-ordered neighbour
+    order, done, rest = [], 0, set(range(k))
+    while rest:
+        u = max(rest, key=lambda v: ((adj[v] & done).bit_count(), degrees[v], -first[v], -v))
+        for v in _bits(adj[u] & ~done):
+            first[v] = min(first[v], len(order))
+        order.append(u)
+        done |= 1 << u
+        rest.remove(u)
+    return tuple(order)
+
+
 def naive_triangle_vertices(g: Graph) -> set[int]:
     """The vertices of g that lie in a triangle, every pair of neighbours
     tested."""
@@ -719,12 +738,12 @@ def reference_class_lt_free_upto(g: Graph, t: int, size_cap: int,
     edge, built with ``naive_line_graph``/``naive_subdivide``, refused by
     ``naive_hall_refuses`` as ``_first_embedding``'s Hall check refuses
     it, and otherwise matched by ``reference_backtrack_induced`` in the
-    member's ``patterns._matching_order``; splits go in the same order."""
+    member's ``reference_matching_order``; splits go in the same order."""
     wall, lowest, _ = _wall(t)
     return _wall_sweep(g, wall, lowest, size_cap, member_budget,
                        lambda member: None if naive_hall_refuses(g, member)
-                       else reference_backtrack_induced(g, member,
-                                                        _matching_order(member._masks)))
+                       else reference_backtrack_induced(
+                           g, member, reference_matching_order(member._masks)))
 
 
 def _wall_sweep(g: Graph, wall: Graph, keys, size_cap: int, member_budget: int,

@@ -1,7 +1,8 @@
 """Source hygiene: the package's checks survive ``python -O``, its
 refusals use the package's own error types, one gate raises every cap
-refusal, it keeps no unused import, no private definition without a caller,
-no public name without a reader and no unbounded cache, the test oracles
+refusal, it imports only the standard library, it keeps no unused import,
+no private definition without a caller, no public name without a reader
+and no unbounded cache, the test oracles
 use none of its search kernels and each has a reader, every function the
 benchmark's tracer wraps exists, the benchmark's separator oracle reads only
 what WeightFn has, and every dataclass field has a reader."""
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -120,6 +122,26 @@ def _name_reads(node: ast.AST) -> Counter:
 def _used_names(node: ast.AST) -> set[str]:
     """Every name read under node, and every attribute name."""
     return set(_name_reads(node))
+
+
+def test_imports_only_the_standard_library():
+    # the package declares no dependencies (pyproject.toml), so it imports
+    # only standard-library modules and its own: networkx, of the test
+    # extra, must not leak into it
+    found = []
+    for name, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}: {root}" for root in roots
+                      if root not in sys.stdlib_module_names and root != "treealpha"]
+    assert found == []
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert "\ndependencies = []\n" in pyproject
 
 
 def test_no_unused_imports():

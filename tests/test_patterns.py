@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import networkx as nx
@@ -39,10 +40,12 @@ from .oracles import (
     naive_subdivide,
     naive_triangle_vertices,
     nx_contains_induced,
+    nx_graph,
     reference_backtrack_induced,
     reference_class_lt_free_upto,
     reference_distributions,
     reference_lt_free_upto,
+    reference_matching_order,
     reference_pattern_profile,
     reference_wall,
 )
@@ -850,7 +853,7 @@ class TestLevelRefusal:
             for s in range(top + 1):
                 needs = []
                 for split in patterns._distributions(s, m):
-                    need = patterns._split_need(t, split)
+                    need = patterns._split_record(t, split)[0]
                     assert need == patterns._pattern_need(patterns._member(t, split)._masks)[2]
                     needs.append(need)
                 least = patterns._level_need(t, s)
@@ -892,26 +895,30 @@ class TestLevelRefusal:
     def test_members_built_are_those_the_host_can_meet(self, monkeypatch):
         # L(2-wall with two subdivisions on its first branch path, of four
         # edges) meets the least need of levels 0 and 1, but not the need
-        # of a split that subdivides a path of one edge: only the others
-        # get a member profile
+        # of a split that subdivides a path of one edge: of the others, only
+        # those first among their images under the wall's automorphisms get
+        # a member profile, and some met split is not
         _, lowest, lengths = patterns._wall(2)
         assert lengths[0] == 4
         g = _planted(2, 0, 0, random.Random(52), counts={lowest[0]: 2})
         host = patterns._host_profile(g)
         assert not any(patterns._hall_refuses(host, patterns._level_need(2, s)) for s in (0, 1))
-        met, refused = [], 0
+        met, refused, skipped = [], 0, 0
         for s in (0, 1):
             for split in patterns._distributions(s, len(lowest)):
-                if patterns._hall_refuses(host, patterns._split_need(2, split)):
+                need, first = patterns._split_record(2, split)
+                if patterns._hall_refuses(host, need):
                     refused += 1
-                else:
+                elif first:
                     met.append(split)
+                else:
+                    skipped += 1
         built = []
         profile = patterns._member_profile
         monkeypatch.setattr(patterns, "_member_profile",
                             lambda t, split: built.append(split) or profile(t, split))
         verdict = lt_free_upto(g, 2, g.n, member_budget=len(lowest) + 1)
-        assert verdict.status == "inconclusive" and refused > 0
+        assert verdict.status == "inconclusive" and refused > 0 and skipped > 0
         assert built == met
 
     def test_e2e1_builds_no_member(self, monkeypatch):
@@ -930,6 +937,157 @@ class TestLevelRefusal:
         assert (verdict.status, verdict.members_tested, verdict.certified_cap,
                 verdict.notes) == ("inconclusive", 3000, 24,
                                    ["member budget 3000 exhausted at s=6"])
+
+
+def _wall_automorphisms(t: int) -> set[tuple[int, ...]]:
+    """The automorphisms the orbit search finds on the t-wall, closed under
+    composition."""
+    adj = patterns._wall(t)[0]._masks
+    plain, head, _ = patterns._plain_steps(adj)
+    _, found = patterns._orbit_bounds(adj, plain, head)
+    group = {tuple(range(len(adj)))}
+    while True:
+        more = {tuple(f[x] for x in g) for g in group for f in found} - group
+        if not more:
+            return group
+        group |= more
+
+
+def _nx_class_count(members) -> int:
+    """The number of isomorphism classes among members, by networkx. Only
+    members whose vertices have the same (distance, degree) profiles, as
+    multisets, are tested for isomorphism."""
+    buckets: dict = {}
+    count = 0
+    for h in members:
+        ng = nx_graph(h)
+        key = sorted(tuple(sorted((d, ng.degree(x)) for x, d in dist.items()))
+                     for _, dist in nx.all_pairs_shortest_path_length(ng))
+        bucket = buckets.setdefault(tuple(key), [])
+        if not any(nx.is_isomorphic(ng, other) for other in bucket):
+            bucket.append(ng)
+            count += 1
+    return count
+
+
+class TestWallSymmetries:
+    """lt_free_upto matches a split's member only when the split is first,
+    in ``_distributions`` order, among its images under the wall's
+    automorphisms, which the orbit search finds; every other split's member
+    is isomorphic to an earlier matched one."""
+
+    def test_group_is_networkx_automorphism_group(self):
+        # the closed group has networkx's automorphism count, and the
+        # branch-path permutations are those networkx's automorphisms
+        # induce on the oracle's branch paths
+        for t, size in ((1, 12), (2, 4), (3, 2)):
+            wall = patterns._wall(t)[0]
+            ng = nx_graph(wall)
+            autos = list(nx.isomorphism.GraphMatcher(ng, ng).isomorphisms_iter())
+            assert len(_wall_automorphisms(t)) == len(autos) == size
+            edges = wall.edges()
+            path_of = naive_branch_paths(wall)
+            heads = sorted(set(path_of))
+            index = {e: i for i, e in enumerate(edges)}
+            want = set()
+            for f in autos:
+                want.add(tuple(heads.index(path_of[index[graphs.norm_edge(f[u], f[v])]])
+                               for u, v in (edges[h] for h in heads)))
+            assert set(patterns._wall_symmetries(t)) == want
+        assert len(patterns._wall_symmetries(1)) == 1  # one branch path
+
+    def test_distributions_are_lexicographic(self):
+        # first among the images means least, as the walk goes in ascending order
+        for t, top in ((1, 5), (2, 3), (3, 2)):
+            m = len(patterns._wall(t)[1])
+            for s in range(top + 1):
+                splits = list(patterns._distributions(s, m))
+                assert splits == sorted(splits)
+
+    def test_matched_splits_are_the_member_classes(self, monkeypatch):
+        # K_n meets every split's need and holds no member, so each level
+        # is walked in full: the splits matched per level are as many as
+        # the isomorphism classes of the level's members, by networkx
+        matched = Counter()
+        profile = patterns._member_profile
+        monkeypatch.setattr(patterns, "_member_profile", lambda t, split: (
+            matched.update([(t, sum(split))]) or profile(t, split)))
+        for t, want in ((2, [1, 4, 17, 52]), (3, [1, 14, 160])):
+            wall, lowest, _ = patterns._wall(t)
+            top = len(want) - 1
+            host = generate("complete", k=wall.edge_count() + top)
+            verdict = lt_free_upto(host, t, wall.n + top)
+            assert (verdict.status, verdict.members_tested) == (
+                "free", sum(comb(s + len(lowest) - 1, s) for s in range(top + 1)))
+            assert [matched[t, s] for s in range(top + 1)] == want
+            assert [_nx_class_count(_class_members(t, s)) for s in range(top + 1)] == want
+
+    def test_skipped_members_are_isomorphic_to_a_matched_one(self):
+        # a split that is not first among its images has an earlier one
+        # that is, and their members are isomorphic by networkx
+        skipped = 0
+        for t, top in ((2, 3), (3, 2)):
+            sigmas = patterns._wall_symmetries(t)
+            for s in range(top + 1):
+                for split in patterns._distributions(s, len(sigmas[0])):
+                    first = patterns._split_record(t, split)[1]
+                    least = min(tuple(split[j] for j in sigma) for sigma in sigmas)
+                    assert first == (least == split)
+                    if first:
+                        continue
+                    assert least < split and patterns._split_record(t, least)[1]
+                    assert nx.is_isomorphic(nx_graph(patterns._member(t, split)),
+                                            nx_graph(patterns._member(t, least)))
+                    skipped += 1
+        assert skipped == (55 + 165 - 74) + (325 - 175)
+
+    def test_wrong_automorphism_is_refused(self, monkeypatch):
+        # an orbit search that answers with a map that is not an
+        # automorphism of the wall, or not a permutation of its vertices,
+        # is refused before any split is skipped; so is a branch-path
+        # partition the automorphisms do not permute
+        wall, lowest, _ = patterns._wall(2)
+        host, _ = line_graph(wall)
+        u = next(x for x in wall.vertices if wall.degree(x) == 2)
+        v = next(x for x in wall.vertices if wall.degree(x) == 3)
+        swap = tuple({u: v, v: u}.get(x, x) for x in wall.vertices)
+        ids = tuple(wall.vertices)
+        for wrong in (swap, ids[:-1], (ids[1],) + ids[1:]):
+            monkeypatch.setattr(patterns, "_orbit_bounds",
+                                lambda adj, plain, head, wrong=wrong: ([-1] * len(adj), [wrong]))
+            patterns._wall_symmetries.cache_clear()
+            patterns._split_record.cache_clear()
+            with pytest.raises(InvariantViolationError):
+                lt_free_upto(host, 2, host.n)
+            monkeypatch.undo()
+        paths = patterns._branch_paths(wall)
+        moved = [paths[0][:-1], paths[1] + paths[0][-1:]] + paths[2:]
+        monkeypatch.setattr(patterns, "_branch_paths", lambda wall: moved)
+        patterns._wall_symmetries.cache_clear()
+        patterns._split_record.cache_clear()
+        with pytest.raises(InvariantViolationError):
+            lt_free_upto(host, 2, host.n)
+        monkeypatch.undo()
+        patterns._wall_symmetries.cache_clear()
+        patterns._split_record.cache_clear()
+        assert lt_free_upto(host, 2, host.n).status == "witness"
+
+
+class TestMatchingOrderAgainstReference:
+    def test_heap_order_is_the_rescan_order(self):
+        # the heap's order against the quadratic rescan it replaced, on
+        # every atlas graph, wall members, S_{t,t,t}, K_{t,t} and random
+        # patterns, disconnected ones among them
+        hs = [Graph(g.number_of_nodes(), g.edges()) for g in nx.graph_atlas_g()]
+        for t, top in ((1, 3), (2, 2), (3, 1)):
+            hs += [member for s in range(top + 1) for member in _class_members(t, s)]
+        hs += [generate("s_ttt", t=t) for t in (1, 2, 5, 30)]
+        hs += [generate("complete_bipartite", a=t, b=t) for t in (1, 2, 5, 12)]
+        rng = random.Random(71)
+        hs += [generate("gnp", n=rng.randint(1, 40), p=rng.choice([0.05, 0.1, 0.3, 0.6, 0.9]),
+                        seed=rng.randrange(10**6)) for _ in range(300)]
+        for h in hs:
+            assert patterns._matching_order(h._masks) == reference_matching_order(h._masks)
 
 
 class TestMatchingOrder:
@@ -1023,6 +1181,36 @@ for call in calls:
         continue
     raise SystemExit("a wrong embedding was accepted")
 print("refused")
+"""
+    src = str(Path(treealpha.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
+
+
+def test_wall_automorphism_check_survives_optimize():
+    # under python -O an orbit search that answers with a map that is not
+    # an automorphism of the wall is still refused by lt_free_upto before
+    # it skips a split
+    script = """
+from treealpha import patterns
+from treealpha.errors import InvariantViolationError
+from treealpha.graphs import line_graph
+
+assert False, "asserts must be stripped in this run"
+wall = patterns._wall(2)[0]
+u = next(x for x in wall.vertices if wall.degree(x) == 2)
+v = next(x for x in wall.vertices if wall.degree(x) == 3)
+swap = tuple({u: v, v: u}.get(x, x) for x in wall.vertices)
+patterns._orbit_bounds = lambda adj, plain, head: ([-1] * len(adj), [swap])
+host, _ = line_graph(wall)
+try:
+    patterns.lt_free_upto(host, 2, host.n)
+except InvariantViolationError:
+    print("refused")
+else:
+    raise SystemExit("a wrong automorphism was accepted")
 """
     src = str(Path(treealpha.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
