@@ -1,7 +1,9 @@
 """Induced-subgraph pattern detection.
 
 One exact backtracking matcher, ``_backtrack_induced``, finds every
-pattern: an explicit graph through ``contains_induced``, its one route,
+pattern. It forward checks the pattern vertices already reached, those with
+an assigned neighbour, and checks Hall's condition on the rest at every
+node. It serves an explicit graph through ``contains_induced``, its one route,
 which caps the pattern's size; the named forbidden structures S_{t,t,t},
 K_{t,t} and K_gamma^2, whose size t or gamma fixes, through
 ``find_pattern``; and the members of a bounded semi-decision for freeness
@@ -11,8 +13,11 @@ paths and matches one per orbit of splits under the wall's automorphisms.
 
 Every pattern takes one path: it is relabelled into its breadth-first,
 most-constrained-first ``_matching_order``, its automorphisms are broken
-by orbit bounds (``_orbit_bounds``, found by the same matcher), and the
-embedding found is mapped back to the pattern's own ids and certified.
+by orbit bounds (``_orbit_bounds``, found by the same matcher), each step's
+plan (the vertices it wakes and narrows, and the Hall need of those still
+unreached) is built once with the orbit bounds into the pattern's cached
+profile, and the embedding found is mapped back to the pattern's own ids
+and certified.
 """
 
 from __future__ import annotations
@@ -139,22 +144,49 @@ def _need(counts: dict[int, tuple[int, int]]) -> tuple:
 
 
 def _pattern_steps(adj: tuple[int, ...]) -> tuple:
-    """Per pattern vertex u, the matcher's step ``(later neighbours, later
-    non-neighbours, above, runs)``: the ids above u adjacent and not
-    adjacent to u, read off u's mask, u's orbit bound from ``_orbit_bounds``
-    (or -1), and ``(head, size)`` for each twin class of two or more whose
-    first vertex, its head, lies above u."""
+    """Per pattern vertex u, the matcher's step ``(reached neighbours,
+    reached non-neighbours, above, runs, woken, need, root)``: the plan of
+    ``_plain_steps`` with u's orbit bound from ``_orbit_bounds`` (or -1),
+    ``(head, size)`` for each twin class of two or more whose first vertex,
+    its head, lies above u and is reached by step u, and the ``_need`` of
+    the vertices still unreached after step u."""
     plain, head, runs = _plain_steps(adj)
     above, _ = _orbit_bounds(adj, plain, head)
-    return tuple((nbrs, non, above[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                 for u, (nbrs, non, _, _) in enumerate(plain))
+    degrees = [m.bit_count() for m in adj]
+    tri = _triangle_mask(adj)
+    left: dict[int, list[int]] = {}  # per degree, the unreached vertices and those in a triangle
+    for u, d in enumerate(degrees):
+        c = left.setdefault(d, [0, 0])
+        c[0] += 1
+        c[1] += tri >> u & 1
+    steps, need, reached = [], (), 0
+    for u, (nbrs, non, _, _, woken, _, root) in enumerate(plain):
+        gone = (u,) + woken if root else woken
+        for p in gone:
+            c = left[degrees[p]]
+            c[0] -= 1
+            c[1] -= tri >> p & 1
+        if gone:  # else the need is the last step's
+            need = _need(left)
+        reached |= adj[u]
+        twins = tuple(r for r in runs if r[0] > u and reached >> r[0] & 1) if runs else ()
+        steps.append((nbrs, non, above[u], twins, woken, need, root))
+    return tuple(steps)
 
 
 def _plain_steps(adj: tuple[int, ...]) -> tuple[list, list[int], list[tuple[int, int]]]:
     """The matcher's steps for the pattern with masks adj with the symmetry
-    fields off, each vertex's twin-class head, and ``(head, size)`` for each
-    twin class of two or more. Pattern vertices p < u are twins when N(p)
-    minus u equals N(u) minus p; twinship is an equivalence."""
+    and Hall fields off, each vertex's twin-class head, and ``(head, size)``
+    for each twin class of two or more. Pattern vertices p < u are twins
+    when N(p) minus u equals N(u) minus p; twinship is an equivalence.
+
+    A later vertex is reached once one of its neighbours is assigned. Step
+    u's plan, read off masks in one pass, lists the later vertices reached
+    before u, adjacent to u and not, then the later neighbours that u
+    reaches first, the vertices it wakes, and says whether u is a root,
+    reached by no earlier vertex. Its need counts the vertices still
+    unreached after u as if each had degree 0: they need distinct images
+    outside ``blocked``, whatever their degrees."""
     k = len(adj)
     head, size, last = list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -167,9 +199,15 @@ def _plain_steps(adj: tuple[int, ...]) -> tuple[list, list[int], list[tuple[int,
         size[head[u]] += 1
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
-    full = (1 << k) - 1
-    plain = [(tuple(_bits(m & -(2 << u))), tuple(_bits(full & ~m & -(2 << u))), -1, ())
-             for u, m in enumerate(adj)]
+    plain, reached, full = [], 0, (1 << k) - 1
+    for u, m in enumerate(adj):
+        later = full & -(2 << u)
+        seen = reached & later
+        woken, root = tuple(_bits(m & later & ~reached)), not reached >> u & 1
+        reached |= m
+        left = (later & ~reached).bit_count()
+        plain.append((tuple(_bits(m & seen)), tuple(_bits(seen & ~m)), -1, (), woken,
+                      ((0, left, 0),) if left else (), root))
     return plain, head, runs
 
 
@@ -199,7 +237,8 @@ def _orbit_bounds(adj: tuple[int, ...], plain: list,
     classes = [0] * k
     for u, h in enumerate(head):
         classes[h] |= 1 << u
-    host, full = (adj, (), 0), (1 << k) - 1
+    full = (1 << k) - 1
+    host = (adj, (full,), 0)  # every vertex has degree >= 0
     for v in range(k):
         if v:  # refine by the distance to the vertex pinned last
             ids: dict = {}
@@ -252,7 +291,9 @@ def _hall_refuses(host: tuple, need: tuple) -> bool:
     ``(d, count, in triangles)`` it has fewer vertices of degree >= d, or
     fewer of them in a triangle. Then no injective map into the matcher's
     degree and triangle domains exists (Hall's condition), and so no
-    embedding. This also refuses a pattern larger than the host."""
+    embedding. This also refuses a pattern larger than the host. It is the
+    matcher's Hall rule (``_backtrack_induced``) at the root, before any
+    vertex is assigned: every vertex is unreached and nothing is blocked."""
     _, deg_ge, tri = host
     for d, c, c_tri in need:
         dom = deg_ge[d] if d < len(deg_ge) else 0
@@ -267,30 +308,53 @@ def _backtrack_induced(host: tuple, pattern: tuple,
     pattern's vertex order, or None, from the host's ``_host_profile``, with
     triangles if the pattern has one, and the pattern's ``(degrees, triangle
     mask, steps)`` from ``_pattern_need`` and ``_pattern_steps``. The
-    callers run ``_hall_refuses`` before building either; the matcher only
-    searches. doms, when given, are the starting domains in place of the
-    degree and triangle ones, which only ``_orbit_bounds`` passes.
+    callers run ``_hall_refuses`` before building either, which is the Hall
+    rule below before any vertex is assigned, and which leaves a host mask
+    in ``deg_ge`` for every degree of the pattern. doms, when given, are the
+    starting domains in place of the degree and triangle ones, which only
+    ``_orbit_bounds`` passes, with ``_plain_steps``' needs, which count the
+    unreached vertices as if of degree 0, and a host whose one degree mask
+    holds every vertex.
 
     Pattern vertices are assigned in id order and host candidates tried in
     ascending order, so a self-match yields the identity. The callers
     relabel the pattern into its ``_matching_order`` (``_pattern_profile``,
-    ``_member_profile``). Assigning u to v
-    intersects the domain of each later neighbour of u with v's
-    neighbourhood, then that of each later non-neighbour with v's other
-    non-neighbours, and drops v as soon as a domain empties.
+    ``_member_profile``). A later vertex is reached once one of its
+    neighbours is assigned, and only reached vertices are forward checked.
+    Assigning u to v gives each vertex u wakes, reached first, the domain
+    of v's neighbours outside ``blocked``, the closed neighbourhoods of the
+    images so far; it intersects the domain of each reached later neighbour
+    of u with v's neighbourhood, and that of each reached later
+    non-neighbour with v's other non-neighbours; it drops v as soon as a
+    domain empties. A root, a vertex no earlier one reaches, takes its
+    starting domain outside ``blocked``. So at its own step each vertex's
+    domain holds exactly the vertices of its starting domain that keep the
+    map so far injective and induced, as forward checking every later
+    vertex at every step would leave it, and the search visits the same
+    assignments in the same order, less the branches the rules below cut.
 
     The plain search returns the least embedding f, comparing maps by their
     images of 0, 1, ... in turn. Every other rule prunes only branches that
     hold no embedding or only later ones, so the answer is f:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
       and one in a triangle only host vertices in a triangle.
+    - Hall's condition on the unreached vertices, after each assignment.
+      An unreached vertex has no assigned neighbour, so its image lies
+      outside ``blocked``, in its degree and triangle domain, and the
+      images are distinct. So for each ``(d, count, in triangles)`` of the
+      step's need, the unreached vertices' ``_need``, the host must have
+      that many vertices of degree >= d outside ``blocked``, and that many
+      of them in a triangle. With the degree and triangle domains, the
+      counts also cover each unreached vertex's own domain not being
+      empty, all that forward checking it would test.
     - A vertex u with an orbit bound v = above >= 0 maps only above v's
       image. Some automorphism s fixes 0..v-1 and maps v to u, so f after s
       is an embedding that agrees with f below v and maps v to f(u); as f
       is least, f(v) < f(u). Twins are the case of s swapping two vertices.
-    - After forward checking, each later twin-class head's domain must
-      hold a host vertex per class member: none is assigned yet, so all
-      share that domain and need distinct images in it.
+    - After forward checking, each later reached twin-class head's domain
+      must hold a host vertex per class member: none is assigned yet, so
+      all share that domain and need distinct images in it. The Hall rule
+      covers an unreached class.
     """
     adj, deg_ge, tri = host
     degrees, in_tri, steps = pattern
@@ -298,14 +362,14 @@ def _backtrack_induced(host: tuple, pattern: tuple,
         doms = [deg_ge[d] & tri if in_tri >> u & 1 else deg_ge[d]
                 for u, d in enumerate(degrees)]
     k = len(steps)
-    full = (1 << len(adj)) - 1
     assign = [0] * k
 
-    def rec(u: int, doms: list[int]) -> bool:
+    def rec(u: int, doms: list[int], free: int) -> bool:
+        # free is ~blocked: the host vertices an unreached vertex may take
         if u == k:
             return True
-        m = doms[u]
-        nbrs, non_nbrs, above, runs = steps[u]
+        nbrs, non_nbrs, above, runs, woken, need, root = steps[u]
+        m = doms[u] & free if root else doms[u]
         if above >= 0:
             m &= -2 << assign[above]
         while m:
@@ -319,20 +383,37 @@ def _backtrack_induced(host: tuple, pattern: tuple,
                 if not new_doms[p]:
                     break
             else:
-                non = full & ~nbr & ~b
+                non = ~(nbr | b)
                 for p in non_nbrs:
                     new_doms[p] &= non
                     if not new_doms[p]:
                         break
                 else:
+                    # once no later vertex is unreached, free is read no more
+                    if woken or need:
+                        fresh, non = nbr & free, non & free
+                        ok = True
+                        for p in woken:
+                            new_doms[p] &= fresh
+                            if not new_doms[p]:
+                                ok = False
+                                break
+                        if ok:
+                            for d, c, c_tri in need:
+                                dom = deg_ge[d] & non
+                                if dom.bit_count() < c or c_tri and (dom & tri).bit_count() < c_tri:
+                                    ok = False
+                                    break
+                        if not ok:
+                            continue
                     if runs and any(new_doms[p].bit_count() < c for p, c in runs):
                         continue
                     assign[u] = v
-                    if rec(u + 1, new_doms):
+                    if rec(u + 1, new_doms, non):
                         return True
         return False
 
-    if rec(0, doms):
+    if rec(0, doms, -1):
         return Embedding(dict(enumerate(assign)))
     return None
 
@@ -345,13 +426,32 @@ def contains_induced(g: Graph, h: Graph, cap_override: int | None = None) -> Emb
     return _first_embedding(g, h)
 
 
+# Explicit and named pattern profiles kept, keyed by the pattern's masks,
+# and as many named patterns, keyed by (kind, t, gamma), and pattern needs,
+# keyed by the masks. Each call of contains_induced or find_pattern reads a
+# need, and each that passes the Hall check a profile.
+_PATTERN_CACHE = 64
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _pattern_hall(adj: tuple[int, ...]) -> tuple:
+    """``_pattern_need(adj)``, built once per pattern."""
+    return _pattern_need(adj)
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _named_pattern(kind: str, t: int, gamma: int) -> Graph:
+    """The pattern ``PatternSpec(kind, t, gamma)`` names, built once."""
+    return PatternSpec(kind, t, gamma).realize()
+
+
 def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
     """``_backtrack_induced`` of h into g, in h's matching order, certified:
     the host's profile is built here, its triangles only when h has one.
-    ``_hall_refuses`` runs on h's need before h's order and steps are built,
-    which take time quadratic in h's size, and is the search's only Hall
-    check."""
-    _, tri, need = _pattern_need(h._masks)
+    ``_hall_refuses`` runs on h's need before h's order, orbits and steps
+    are built, which cost far more than the need: it is the matcher's Hall
+    check at the root, before any vertex is assigned."""
+    _, tri, need = _pattern_hall(h._masks)
     host = _host_profile(g, tri != 0)
     if _hall_refuses(host, need):
         return None
@@ -382,15 +482,17 @@ def find_pattern(g: Graph, spec: PatternSpec) -> Embedding | None:
     orbit bounds keep the legs of S_{t,t,t}, the sides of K_{t,t} and the
     branch vertices of K_gamma^2 from being tried in every order. A
     pattern with more vertices than g is refused before it is built:
-    S_{t,t,t} has 3t + 1, K_{t,t} 2t and K_gamma^2 gamma^2."""
+    S_{t,t,t} has 3t + 1, K_{t,t} 2t and K_gamma^2 gamma^2. Each named
+    pattern, its need and its profile are built once and cached."""
     _check_graph(g)
     # fields, not the class, as _check_graph reads them: a spec built before
-    # this module was imported again still passes
-    if not all(hasattr(spec, f) for f in ("kind", "t", "gamma", "realize")):
+    # this module was imported again still passes, and _named_pattern
+    # checks the fields again as it builds the pattern
+    if not all(hasattr(spec, f) for f in ("kind", "t", "gamma")):
         raise PreconditionError(f"spec is {spec!r}, not a PatternSpec")
     if {"s_ttt": 3 * spec.t + 1, "k_tt": 2 * spec.t}.get(spec.kind, spec.gamma ** 2) > g.n:
         return None
-    return _first_embedding(g, spec.realize())
+    return _first_embedding(g, _named_pattern(spec.kind, spec.t, spec.gamma))
 
 
 # -- wall line-graph freeness (bounded) -----------------------------------------
@@ -531,14 +633,11 @@ def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
 # Member profiles and split records kept, keyed by (t, split): room for every
 # split of at most three subdivisions over the 2-wall's branch paths (220)
 # and of at most two over the 3-wall's (325). A profile, the relabelled
-# member's matcher profile with its matching order, takes about 5.8 kB at
-# t = 2 and 13.2 kB at t = 3 (tracemalloc, over those splits, with each
-# cache entry's own overhead; the orbit bounds added 0.1-0.2 kB).
+# member's matcher profile with its matching order, and its split record
+# take about 8.3 kB at t = 2 and 16.6 kB at t = 3 (tracemalloc, over those
+# splits, members built outside the measure, each cache entry's own
+# overhead included); the per-step Hall needs add about 2 kB at t = 2.
 _MEMBER_CACHE = 2048
-# Explicit and named pattern profiles kept, keyed by the pattern's masks.
-# Each call of contains_induced or find_pattern that passes the Hall check
-# needs one; the profile of S_{t,t,t} takes space quadratic in t.
-_PATTERN_CACHE = 64
 
 
 @lru_cache(maxsize=_MEMBER_CACHE)

@@ -611,10 +611,10 @@ def naive_branch_paths(wall: Graph) -> list[int]:
 
 def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
     """The matcher's pattern profile, ``patterns._pattern_need``'s degrees
-    and triangle mask with ``patterns._pattern_steps``, as it was before it
-    read each step's later neighbours and non-neighbours off the masks:
-    every later id is tested against u's mask. Each step's bound is
-    ``naive_orbit_bounds``'."""
+    and triangle mask with ``patterns._pattern_steps``, recomputed: each
+    step's plan is ``naive_step_plan``'s, its bound ``naive_orbit_bounds``'
+    and its twin classes are found by comparing neighbourhoods, every later
+    id tested against u's mask."""
     k = len(adj)
     head, size, last = list(range(k)), [0] * k, {}
     for u, m in enumerate(adj):
@@ -626,11 +626,45 @@ def reference_pattern_profile(adj: tuple[int, ...]) -> tuple:
         last[m] = last[closed] = u
     runs = [(h, c) for h, c in enumerate(size) if c > 1]
     above = naive_orbit_bounds(adj)
-    steps = tuple((tuple(p for p in range(u + 1, k) if adj[u] >> p & 1),
-                   tuple(p for p in range(u + 1, k) if not adj[u] >> p & 1),
-                   above[u], tuple(r for r in runs if r[0] > u) if runs else ())
-                  for u in range(k))
+    steps = tuple((nbrs, non, above[u],
+                   tuple(r for r in runs
+                         if r[0] > u and any(adj[r[0]] >> q & 1 for q in range(u + 1))),
+                   woken, need, root)
+                  for u, (nbrs, non, woken, need, root) in enumerate(naive_step_plan(adj)))
     return tuple(m.bit_count() for m in adj), _triangle_mask(adj), steps
+
+
+def naive_step_plan(adj: tuple[int, ...]) -> list[tuple]:
+    """Per step u of the pattern with adjacency masks adj, matched in id
+    order, ``(reached neighbours, reached non-neighbours, woken, need,
+    root)`` recomputed from sets: the later vertices with a neighbour among
+    0..u-1, adjacent to u and not; those whose first such neighbour is u;
+    the need, highest degree first, of the later vertices with no
+    neighbour among 0..u, each counted with its degree and triangle
+    membership; and whether u has no earlier neighbour. Each pair of
+    vertices is tested on its own."""
+    k = len(adj)
+
+    def adjacent(a: int, b: int) -> bool:
+        return bool(adj[a] >> b & 1)
+
+    degree = [sum(adjacent(x, y) for y in range(k)) for x in range(k)]
+    in_tri = [any(adjacent(a, b)
+                  for a, b in combinations([y for y in range(k) if adjacent(x, y)], 2))
+              for x in range(k)]
+    plan = []
+    for u in range(k):
+        before = {p for p in range(u + 1, k) if any(adjacent(p, q) for q in range(u))}
+        after = {p for p in range(u + 1, k) if any(adjacent(p, q) for q in range(u + 1))}
+        unreached = set(range(u + 1, k)) - after
+        need = tuple((d, sum(degree[p] >= d for p in unreached),
+                      sum(degree[p] >= d and in_tri[p] for p in unreached))
+                     for d in sorted({degree[p] for p in unreached}, reverse=True))
+        plan.append((tuple(sorted(p for p in before if adjacent(p, u))),
+                     tuple(sorted(p for p in before if not adjacent(p, u))),
+                     tuple(sorted(after - before)), need,
+                     not any(adjacent(u, q) for q in range(u))))
+    return plan
 
 
 def naive_orbit_bounds(adj: tuple[int, ...]) -> list[int]:

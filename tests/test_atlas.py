@@ -20,8 +20,8 @@ import networkx as nx
 import pytest
 
 from treealpha import patterns
-from treealpha.graphs import (Graph, alpha_exact, emit_graph, line_graph, max_stable_set,
-                              parse_graph)
+from treealpha.graphs import (Graph, _bits, _frame, alpha_exact, emit_graph, line_graph,
+                              max_stable_set, parse_graph)
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
@@ -37,6 +37,7 @@ from .oracles import (
     naive_is_chordal,
     naive_line_graph,
     naive_mwis,
+    naive_step_plan,
     naive_validate_td,
     nx_graph,
     reference_backtrack_induced,
@@ -91,6 +92,36 @@ def test_found_pairs_match_id_order_reference():
              if patterns._first_embedding(g, h) is not None}
     assert found == {(i, j) for i, g in enumerate(ATLAS) for j, h in enumerate(PATTERNS)
                      if reference_backtrack_induced(g, h) is not None}
+
+
+def test_step_plan_matches_naive():
+    # each step's plan in the cached profile, the pattern relabelled into
+    # its matching order, against the plan recomputed from sets
+    for h in ATLAS:
+        (_, _, steps), order = patterns._profile(h._masks)
+        want = naive_step_plan(_frame(h._masks, (1 << h.n) - 1, order))
+        assert [(s[0], s[1], s[4], s[5], s[6]) for s in steps] == want, h.edges()
+
+
+def test_self_match_is_identity():
+    # every graph, relabelled into its matching order, matched into itself:
+    # the least embedding is the identity, and Hall's condition is tight at
+    # every step of it, as the vertices outside the closed neighbourhood of
+    # 0..u are exactly the unreached ones, so a need one too high or a
+    # reached vertex counted as unreached loses the identity
+    for h in ATLAS:
+        profile, order = patterns._profile(h._masks)
+        framed = _frame(h._masks, (1 << h.n) - 1, order)
+        g = Graph(h.n, [(a, b) for a in range(h.n) for b in _bits(framed[a]) if a < b])
+        emb = patterns._backtrack_induced(patterns._host_profile(g, profile[1] != 0), profile)
+        assert emb is not None and emb.mapping == {x: x for x in range(h.n)}, h.edges()
+        blocked, tri = 0, profile[1]
+        for u, step in enumerate(profile[2]):
+            blocked |= framed[u] | 1 << u
+            free = [x for x in range(h.n) if not blocked >> x & 1]
+            assert step[5] == tuple((d, sum(profile[0][x] >= d for x in free),
+                                     sum(profile[0][x] >= d and tri >> x & 1 for x in free))
+                                    for d, _, _ in step[5])
 
 
 def test_hall_refuses_matches_naive():

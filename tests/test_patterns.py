@@ -37,6 +37,7 @@ from .oracles import (
     naive_line_graph,
     naive_orbit_bounds,
     naive_pattern_need,
+    naive_step_plan,
     naive_subdivide,
     naive_triangle_vertices,
     nx_contains_induced,
@@ -348,7 +349,7 @@ class TestFindPattern:
     def test_hall_check_runs_before_the_steps(self, monkeypatch):
         # S_{1000,1000,1000} has 3001 vertices, fewer than the path's 4000,
         # but a vertex of degree 3: its degrees refuse it, so its matching
-        # order, its quadratic step lists and its orbits are never built
+        # order, its step plan and its orbits are never built
         for name in ("_matching_order", "_pattern_steps", "_orbit_bounds"):
             def built(*args, name=name):
                 raise LookupError(f"{name} built")
@@ -376,6 +377,7 @@ class TestFindPattern:
             raise LookupError("pattern built")
 
         monkeypatch.setattr(patterns, "generate", built)
+        patterns._named_pattern.cache_clear()  # earlier tests built some of these
         host = generate("path", k=4)
         for spec in (PatternSpec("k_tt", t=3000), PatternSpec("s_ttt", t=30_000),
                      PatternSpec("k_gamma_2", gamma=3), PatternSpec("s_ttt", t=2),
@@ -397,7 +399,8 @@ class TestTwinBreaking:
 
     def test_twin_classes(self):
         # runs against the definition: p < u are twins when
-        # N(p) - {u} == N(u) - {p}
+        # N(p) - {u} == N(u) - {p}; a step lists the classes whose head is
+        # above it and reached, adjacent to one of 0..u
         rng = random.Random(8)
         hs = list(self.PATTERNS) + [generate("gnp", n=rng.randint(1, 7),
                                              p=rng.choice([0.2, 0.5, 0.8]),
@@ -408,8 +411,11 @@ class TestTwinBreaking:
                        for u in range(h.n)]
             sizes = Counter(min(ps + [u]) for u, ps in enumerate(earlier))
             steps = patterns._pattern_steps(adj)
-            for u, (_, _, _, runs) in enumerate(steps):
-                assert runs == tuple((x, c) for x, c in sorted(sizes.items()) if x > u and c > 1)
+            reached = 0
+            for u, step in enumerate(steps):
+                reached |= adj[u]
+                assert step[3] == tuple((x, c) for x, c in sorted(sizes.items())
+                                        if x > u and c > 1 and reached >> x & 1)
         assert patterns._pattern_steps(self.PATTERNS[1]._masks)[0][3] == ((3, 3),)
 
     def test_orbit_bounds(self):
@@ -463,7 +469,7 @@ class TestTwinBreaking:
         assert rotated == [0, 0, 0, 0, 1]
 
     def test_profile_matches_reference(self):
-        # steps read off the masks against every later id tested in turn,
+        # steps read off the masks against steps recomputed pair by pair,
         # on random patterns, edgeless and complete ones among them
         rng = random.Random(23)
         hs = list(self.PATTERNS) + [Graph(0), Graph(1), Graph(6), generate("complete", k=7)]
@@ -524,6 +530,41 @@ def _relabel(g: Graph, rng: random.Random, extra: int = 0) -> Graph:
     perm = list(range(g.n + extra))
     rng.shuffle(perm)
     return Graph(g.n + extra, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestStepPlan:
+    # the plan each step carries: the reached vertices it narrows, the
+    # vertices it wakes, and the Hall need of those still unreached
+
+    def test_plan_matches_naive(self):
+        # each step's plan in the cached profile against the plan recomputed
+        # from sets, on wall members with at most one subdivision and on the
+        # named patterns; every atlas graph is in test_atlas
+        hs = [m for t in (2, 3) for s in (0, 1) for m in _class_members(t, s)]
+        assert len(hs) == 1 + 9 + 1 + 24
+        hs += [PatternSpec(kind, t=x, gamma=x).realize()
+               for kind in ("s_ttt", "k_tt", "k_gamma_2") for x in (1, 2, 3, 4)]
+        for h in hs:
+            (_, _, steps), order = patterns._profile(h._masks)
+            want = naive_step_plan(graphs._frame(h._masks, (1 << h.n) - 1, order))
+            assert [(s[0], s[1], s[4], s[5], s[6]) for s in steps] == want, h.edges()
+            # the first vertex is the only root of a connected pattern
+            assert [s[6] for s in steps] == [True] + [False] * (h.n - 1)
+
+    def test_matches_reference_on_dense_hosts(self):
+        # S_{3,3,3} is absent from every G(22, 0.5) host here, so each call
+        # is a refutation, where the Hall rule prunes most; K_{3,3} is in
+        # every one, so its first embedding is compared
+        found = Counter()
+        for seed in range(40):
+            g = generate("gnp", n=22, p=0.5, seed=seed)
+            for spec in (PatternSpec("s_ttt", t=3), PatternSpec("k_tt", t=3)):
+                got = find_pattern(g, spec)
+                want = _reference_first(g, spec.realize())
+                assert (None if got is None else got.mapping) == (
+                    None if want is None else want.mapping), (seed, spec)
+                found[spec.kind] += got is not None
+        assert found == {"s_ttt": 0, "k_tt": 40}
 
 
 class TestHallBound:
@@ -671,6 +712,16 @@ class TestLtFree:
         # subdividing C6 once gives C7; its line graph is C7 again
         verdict = lt_free_upto(generate("cycle", k=7), 1, 7)
         assert verdict.status == "witness"
+
+    def test_triangle_rich_hosts_stop_at_the_budget(self):
+        # on hosts with many triangles the matcher's search, not member
+        # construction, bounds the run: the budget of 300 splits ends
+        # inside s = 4, with every level below tested in full
+        for p in (0.2, 0.3):
+            verdict = lt_free_upto(generate("gnp", n=30, p=p, seed=3), 2, 30, member_budget=300)
+            assert (verdict.status, verdict.certified_cap, verdict.members_tested,
+                    verdict.witness, verdict.notes) == (
+                "inconclusive", 22, 300, None, ["member budget 300 exhausted at s=4"])
 
     def test_inconclusive_when_cap_too_small(self):
         # host big enough to hold subdivided members the cap cannot reach
