@@ -88,19 +88,20 @@ class PatternSpec:
         return generate("k_gamma_2", gamma=self.gamma)
 
 
-def _host_profile(g: Graph, triangles: bool = True) -> tuple[tuple[int, ...], list[int], int]:
-    """What the matcher needs of a host, built once per host: its adjacency
+def _host_profile(g: Graph) -> list:
+    """What the matcher needs of a host, built once per call: its adjacency
     masks, the mask of vertices of degree >= d for each d (the list ends
     with an empty mask past the maximum degree), and the mask of vertices
-    that lie in a triangle, or 0 unless triangles is set."""
+    that lie in a triangle, None until ``_hall_refuses`` first needs it: a
+    host refused on degree counts never builds it."""
     adj = g._masks
-    degrees = [m.bit_count() for m in adj]
+    degrees = list(map(int.bit_count, adj))
     deg_ge = [0] * (max(degrees, default=0) + 2)
     for v, d in enumerate(degrees):
         deg_ge[d] |= 1 << v
     for d in range(len(deg_ge) - 2, -1, -1):
         deg_ge[d] |= deg_ge[d + 1]
-    return adj, deg_ge, _triangle_mask(adj) if triangles else 0
+    return [adj, deg_ge, None]
 
 
 def _triangle_mask(adj: tuple[int, ...]) -> int:
@@ -238,7 +239,7 @@ def _orbit_bounds(adj: tuple[int, ...], plain: list,
     for u, h in enumerate(head):
         classes[h] |= 1 << u
     full = (1 << k) - 1
-    host = (adj, (full,), 0)  # every vertex has degree >= 0
+    host = [adj, (full,), 0]  # every vertex has degree >= 0
     for v in range(k):
         if v:  # refine by the distance to the vertex pinned last
             ids: dict = {}
@@ -286,31 +287,42 @@ def _distances(adj: tuple[int, ...], p: int) -> list[int]:
     return dist
 
 
-def _hall_refuses(host: tuple, need: tuple) -> bool:
+def _hall_refuses(host: list, need: tuple) -> bool:
     """Whether a host's ``_host_profile`` falls short of a need: for some
     ``(d, count, in triangles)`` it has fewer vertices of degree >= d, or
     fewer of them in a triangle. Then no injective map into the matcher's
     degree and triangle domains exists (Hall's condition), and so no
     embedding. This also refuses a pattern larger than the host. It is the
     matcher's Hall rule (``_backtrack_induced``) at the root, before any
-    vertex is assigned: every vertex is unreached and nothing is blocked."""
-    _, deg_ge, tri = host
-    for d, c, c_tri in need:
-        dom = deg_ge[d] if d < len(deg_ge) else 0
-        if dom.bit_count() < c or (dom & tri).bit_count() < c_tri:
+    vertex is assigned: every vertex is unreached and nothing is blocked.
+
+    Every degree count is tested first. The host's triangle mask is built
+    in place, once per profile, only when they all pass and the need asks
+    for triangles, as a pattern's does if it has a triangle."""
+    adj, deg_ge, tri = host
+    top = len(deg_ge)
+    for d, c, _ in need:  # c >= 1: _need makes no empty entry
+        if d >= top or deg_ge[d].bit_count() < c:
             return True
+    for d, _, c_tri in need:
+        if c_tri:
+            if tri is None:
+                tri = host[2] = _triangle_mask(adj)
+            if (deg_ge[d] & tri).bit_count() < c_tri:
+                return True
     return False
 
 
-def _backtrack_induced(host: tuple, pattern: tuple,
+def _backtrack_induced(host: list, pattern: tuple,
                        doms: list[int] | None = None) -> Embedding | None:
     """The induced embedding of a pattern into a host that is first in the
-    pattern's vertex order, or None, from the host's ``_host_profile``, with
-    triangles if the pattern has one, and the pattern's ``(degrees, triangle
-    mask, steps)`` from ``_pattern_need`` and ``_pattern_steps``. The
-    callers run ``_hall_refuses`` before building either, which is the Hall
-    rule below before any vertex is assigned, and which leaves a host mask
-    in ``deg_ge`` for every degree of the pattern. doms, when given, are the
+    pattern's vertex order, or None, from the host's ``_host_profile`` and
+    the pattern's ``(degrees, triangle mask, steps)`` from ``_pattern_need``
+    and ``_pattern_steps``. The callers run ``_hall_refuses`` before
+    building either, which is the Hall rule below before any vertex is
+    assigned, which leaves a host mask in ``deg_ge`` for every degree of the
+    pattern, and which builds the host's triangle mask if the pattern has a
+    triangle; the matcher reads it only then. doms, when given, are the
     starting domains in place of the degree and triangle ones, which only
     ``_orbit_bounds`` passes, with ``_plain_steps``' needs, which count the
     unreached vertices as if of degree 0, and a host whose one degree mask
@@ -435,8 +447,8 @@ _PATTERN_CACHE = 64
 
 @lru_cache(maxsize=_PATTERN_CACHE)
 def _pattern_hall(adj: tuple[int, ...]) -> tuple:
-    """``_pattern_need(adj)``, built once per pattern."""
-    return _pattern_need(adj)
+    """The need of ``_pattern_need(adj)``, built once per pattern."""
+    return _pattern_need(adj)[2]
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)
@@ -447,13 +459,13 @@ def _named_pattern(kind: str, t: int, gamma: int) -> Graph:
 
 def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
     """``_backtrack_induced`` of h into g, in h's matching order, certified:
-    the host's profile is built here, its triangles only when h has one.
+    the host's profile is built here, and ``_hall_refuses`` builds its
+    triangles only when h has one and g meets h's degree counts.
     ``_hall_refuses`` runs on h's need before h's order, orbits and steps
     are built, which cost far more than the need: it is the matcher's Hall
     check at the root, before any vertex is assigned."""
-    _, tri, need = _pattern_hall(h._masks)
-    host = _host_profile(g, tri != 0)
-    if _hall_refuses(host, need):
+    host = _host_profile(g)
+    if _hall_refuses(host, _pattern_hall(h._masks)):
         return None
     profile, order = _pattern_profile(h._masks)
     return _certified(_backtrack_induced(host, profile), order, h, g)
@@ -630,13 +642,14 @@ def _wall_need(t: int, s: int, few: int, many: int) -> tuple:
                   2: (sum(lengths) + s - ends, 0)})
 
 
-# Member profiles and split records kept, keyed by (t, split): room for every
-# split of at most three subdivisions over the 2-wall's branch paths (220)
-# and of at most two over the 3-wall's (325). A profile, the relabelled
-# member's matcher profile with its matching order, and its split record
-# take about 8.3 kB at t = 2 and 16.6 kB at t = 3 (tracemalloc, over those
-# splits, members built outside the measure, each cache entry's own
-# overhead included); the per-step Hall needs add about 2 kB at t = 2.
+# Members, member profiles and split records kept, keyed by (t, split), and
+# level needs, keyed by (t, s): room for every split of at most three
+# subdivisions over the 2-wall's branch paths (220) and of at most two over
+# the 3-wall's (325). A member, its profile (the relabelled member's matcher
+# profile with its matching order) and its split record take about 9.2 kB
+# at t = 2 and 18.3 kB at t = 3, of which the member 1.0 and 1.7 kB and
+# the per-step Hall needs about 2 kB at t = 2 (tracemalloc, over those
+# splits, each cache entry's own overhead included).
 _MEMBER_CACHE = 2048
 
 
@@ -652,6 +665,7 @@ def _split_record(t: int, split: tuple[int, ...]) -> tuple[tuple, bool]:
     return _wall_need(t, sum(split), single, single), first
 
 
+@lru_cache(maxsize=_MEMBER_CACHE)
 def _level_need(t: int, s: int) -> tuple:
     """A need at most that of every split of s subdivisions, entry by
     entry. A branch path of one edge stays so only if no subdivision lands
@@ -661,9 +675,11 @@ def _level_need(t: int, s: int) -> tuple:
     return _wall_need(t, s, max(single - s, 0), single)
 
 
+@lru_cache(maxsize=_MEMBER_CACHE)
 def _member(t: int, split: tuple[int, ...]) -> Graph:
     """L(the t-wall with split[i] subdivisions on the lowest edge of its
-    i-th branch path), the one member that stands for split."""
+    i-th branch path), the one member that stands for split, built once
+    per split for its profile and kept to check a witness against."""
     wall, lowest, _ = _wall(t)
     member, _ = line_graph(subdivide(wall, dict(zip(lowest, split))))
     return member
@@ -765,6 +781,11 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     ends inside such a level stops at the split count, note and
     certified_cap of a split-by-split walk, which would find no witness
     there. So every field of the verdict is the walk's.
+
+    Each check tests g's degree counts first, and g's triangle mask is
+    built at most once per call, by the first check whose degree counts g
+    meets: a host they refuse at every level, as sparse hosts', never
+    builds it.
     """
     _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):

@@ -730,17 +730,26 @@ def naive_pattern_need(h: Graph) -> tuple:
                  for d in sorted({h.degree(u) for u in h.vertices}, reverse=True))
 
 
+def naive_need_shortfall(g: Graph, need: tuple) -> tuple[bool, bool]:
+    """Whether g falls short of a need's ``(d, count, in triangles)``
+    entries on some degree count, and on some triangle count: fewer
+    vertices of degree >= d than count, or fewer of them in a triangle than
+    in triangles, each counted vertex by vertex."""
+    g_tri = naive_triangle_vertices(g)
+    short_deg = short_tri = False
+    for d, need_deg, need_tri in need:
+        supply = [v for v in g.vertices if g.degree(v) >= d]
+        short_deg |= len(supply) < need_deg
+        short_tri |= len(g_tri.intersection(supply)) < need_tri
+    return short_deg, short_tri
+
+
 def naive_hall_refuses(g: Graph, h: Graph) -> bool:
     """Whether some degree d of h has more vertices of degree >= d than g
     has, or more of them in a triangle than g has such vertices in a
     triangle: then no injective map, and so no embedding, respects the
     matcher's degree and triangle domains."""
-    g_tri = naive_triangle_vertices(g)
-    for d, need, need_tri in naive_pattern_need(h):
-        supply = [v for v in g.vertices if g.degree(v) >= d]
-        if len(supply) < need or len(g_tri.intersection(supply)) < need_tri:
-            return True
-    return False
+    return any(naive_need_shortfall(g, naive_pattern_need(h)))
 
 
 def reference_distributions(total: int, bins: int):

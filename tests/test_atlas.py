@@ -21,7 +21,7 @@ import pytest
 
 from treealpha import patterns
 from treealpha.graphs import (Graph, _bits, _frame, alpha_exact, emit_graph, line_graph,
-                              max_stable_set, parse_graph)
+                              max_stable_set, parse_graph, set_to_mask)
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
@@ -33,11 +33,13 @@ from treealpha.treedecomp import (
 
 from .oracles import (
     naive_alpha,
-    naive_hall_refuses,
     naive_is_chordal,
     naive_line_graph,
     naive_mwis,
+    naive_need_shortfall,
+    naive_pattern_need,
     naive_step_plan,
+    naive_triangle_vertices,
     naive_validate_td,
     nx_graph,
     reference_backtrack_induced,
@@ -113,7 +115,9 @@ def test_self_match_is_identity():
         profile, order = patterns._profile(h._masks)
         framed = _frame(h._masks, (1 << h.n) - 1, order)
         g = Graph(h.n, [(a, b) for a in range(h.n) for b in _bits(framed[a]) if a < b])
-        emb = patterns._backtrack_induced(patterns._host_profile(g, profile[1] != 0), profile)
+        host = patterns._host_profile(g)
+        assert not patterns._hall_refuses(host, patterns._pattern_need(framed)[2])
+        emb = patterns._backtrack_induced(host, profile)
         assert emb is not None and emb.mapping == {x: x for x in range(h.n)}, h.edges()
         blocked, tri = 0, profile[1]
         for u, step in enumerate(profile[2]):
@@ -124,15 +128,63 @@ def test_self_match_is_identity():
                                     for d, _, _ in step[5])
 
 
-def test_hall_refuses_matches_naive():
-    refused = 0
-    for g in ATLAS:
-        host = patterns._host_profile(g)
-        for h in PATTERNS:
-            got = patterns._hall_refuses(host, patterns._pattern_need(h._masks)[2])
-            assert got == naive_hall_refuses(g, h), (g.edges(), h.edges())
+def _hall_cases(hosts: list[Graph], needs: list[tuple]) -> tuple[int, set]:
+    """``_hall_refuses`` on every host and need against the vertex-by-vertex
+    count: with a fresh host profile per need, whose triangle mask must be
+    built exactly when no degree count falls short and the need asks for
+    triangles, and with one profile per host serving every need in turn, as
+    in a call of ``lt_free_upto``. Returns the refusals and the kinds of
+    shortfall seen, as (degree count short, triangle count short)."""
+    refused, kinds = 0, set()
+    for g in hosts:
+        shared = patterns._host_profile(g)
+        tri = set_to_mask(naive_triangle_vertices(g))
+        for need in needs:
+            short_deg, short_tri = naive_need_shortfall(g, need)
+            host = patterns._host_profile(g)
+            got = patterns._hall_refuses(host, need)
+            assert got == patterns._hall_refuses(shared, need) == (short_deg or short_tri), (
+                g.edges(), need)
+            built = not short_deg and any(c_tri for _, _, c_tri in need)
+            assert host[2] == (tri if built else None), (g.edges(), need)
             refused += got
+            kinds.add((short_deg, short_tri))
+    return refused, kinds
+
+
+def test_hall_refuses_matches_naive():
+    # the needs of both entry points: a pattern's, which _first_embedding
+    # reads, on every atlas host; and a wall level's least need and each
+    # split's, which lt_free_upto reads, with the patterns' on seeded
+    # G(n, m) hosts, triangle-free hosts and wall members with pendants
+    needs = []
+    for h in PATTERNS:
+        needs.append(patterns._pattern_hall(h._masks))
+        assert needs[-1] == naive_pattern_need(h)
+    refused, _ = _hall_cases(ATLAS, needs)
     assert 0 < refused < 22_554
+    needs += [patterns._level_need(t, s) for t in (1, 2, 3) for s in range(5)]
+    needs += [patterns._split_record(t, split)[0] for t in (1, 2) for s in range(3)
+              for split in patterns._distributions(s, len(patterns._wall(t)[1]))]
+    rng = random.Random(733)
+    hosts = []
+    for _ in range(12):
+        n = rng.randint(16, 26)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hosts.append(Graph(n, rng.sample(pairs, rng.randint(n, 3 * n))))
+        side = [rng.random() < 0.5 for _ in range(n)]
+        hosts.append(Graph(n, [(u, v) for u, v in pairs
+                               if side[u] != side[v] and rng.random() < 0.5]))
+        t = rng.choice((1, 2))
+        split = tuple(rng.choice((0, 0, 1)) for _ in patterns._wall(t)[1])
+        member = patterns._member(t, split)
+        hosts.append(Graph(member.n + 3, member.edges()
+                           + [(rng.randrange(member.n), member.n + j) for j in range(3)]))
+    refused, kinds = _hall_cases(hosts, needs)
+    assert 0 < refused < len(hosts) * len(needs)
+    # some needs fall short only on a degree count, some only on a
+    # triangle count, and some on neither
+    assert {(True, False), (False, True), (False, False)} <= kinds
 
 
 def test_tree_alpha_matches_references():

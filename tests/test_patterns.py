@@ -989,6 +989,46 @@ class TestLevelRefusal:
                 verdict.notes) == ("inconclusive", 3000, 24,
                                    ["member budget 3000 exhausted at s=6"])
 
+    def test_degree_refused_host_builds_no_triangles(self, monkeypatch):
+        # a G(21, 25) host, the shape of the bench's free hosts, with
+        # triangles, whose degree counts refuse every level: its verdict
+        # comes without its triangle mask
+        g = _gnm(random.Random(0), 21, 25)
+        assert patterns._triangle_mask(g._masks)
+
+        def built(adj):
+            pytest.fail("a triangle mask was built")
+
+        monkeypatch.setattr(patterns, "_triangle_mask", built)
+        verdict = lt_free_upto(g, 2, g.n)
+        assert (verdict.status, verdict.certified_cap, verdict.members_tested,
+                verdict.witness, verdict.notes) == ("free", 24, 55, None, [])
+
+    def test_host_triangles_built_once_per_call(self, monkeypatch):
+        # hosts that meet the degree counts: E2E-1, whose twelve levels all
+        # fall short on triangles; planted hosts, walked split by split to
+        # the witness, cold and then warm; and the paw, with a triangle, and
+        # K_{3,3}, without, sought in a dense host. Each call builds the
+        # host's triangle mask once if the pattern has a triangle, else never
+        builds = Counter()
+        triangle_mask = patterns._triangle_mask
+        monkeypatch.setattr(patterns, "_triangle_mask",
+                            lambda adj: builds.update([adj]) or triangle_mask(adj))
+        rng = random.Random(53)
+        lt = lambda g: lt_free_upto(g, 2, g.n).status  # noqa: E731
+        calls = [(generate("gnp", n=30, p=0.1, seed=3), lt, 1, "free")]
+        for s in (0, 2):
+            calls += [(_planted(2, s, 2, rng), lt, 1, "witness")] * 2
+        g = generate("gnp", n=22, p=0.5, seed=5)
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        calls += [(g, lambda g: contains_induced(g, paw) is not None, 1, True),
+                  (g, lambda g: find_pattern(g, PatternSpec("k_tt", t=3)).mapping, 0,
+                   {0: 0, 1: 2, 2: 9, 3: 7, 4: 8, 5: 17})]
+        for g, call, want, answer in calls:
+            builds.clear()
+            assert call(g) == answer
+            assert builds[g._masks] == want
+
 
 def _wall_automorphisms(t: int) -> set[tuple[int, ...]]:
     """The automorphisms the orbit search finds on the t-wall, closed under
