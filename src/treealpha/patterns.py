@@ -88,13 +88,13 @@ class PatternSpec:
         return generate("k_gamma_2", gamma=self.gamma)
 
 
-def _host_profile(g: Graph) -> list:
-    """What the matcher needs of a host, built once per call: its adjacency
-    masks, the mask of vertices of degree >= d for each d (the list ends
-    with an empty mask past the maximum degree), and the mask of vertices
-    that lie in a triangle, None until ``_hall_refuses`` first needs it: a
-    host refused on degree counts never builds it."""
-    adj = g._masks
+def _host_profile(adj: tuple[int, ...]) -> list:
+    """What the matcher needs of a host with adjacency masks adj, built once
+    per call: those masks, the mask of vertices of degree >= d for each d
+    (the list ends with an empty mask past the maximum degree), and the mask
+    of vertices that lie in a triangle, None until ``_hall_refuses`` first
+    needs it: a host refused on degree counts never builds it.
+    ``_core_profile`` builds a 2-core's from the core's rows."""
     degrees = list(map(int.bit_count, adj))
     deg_ge = [0] * (max(degrees, default=0) + 2)
     for v, d in enumerate(degrees):
@@ -102,6 +102,45 @@ def _host_profile(g: Graph) -> list:
     for d in range(len(deg_ge) - 2, -1, -1):
         deg_ge[d] |= deg_ge[d + 1]
     return [adj, deg_ge, None]
+
+
+def _core_profile(host: list) -> list:
+    """The profile of the 2-core of the host that host profiles, what is left
+    once every vertex of degree < 2 is removed, again and again (Seidman
+    1983): ``_host_profile`` of the core's rows in the host's ids, so each
+    degree is counted in the core and a removed vertex, whose row is empty,
+    lies in no degree mask. host itself when every vertex has degree >= 2.
+
+    A graph of minimum degree 2 induced in the host lies in its 2-core, with
+    every vertex's degree and every triangle: each vertex keeps two
+    neighbours in the graph, so none is ever removed. So every triangle lies
+    in the core, and host's triangle mask, if built, is the core's.
+
+    The peel is a worklist of vertex bits, run once: it cuts each removed
+    vertex from its remaining neighbours' rows and queues a neighbour whose
+    row drops to one vertex, so it touches only the rows of the removed
+    vertices and of their neighbours."""
+    adj, deg_ge, tri = host
+    rest = (1 << len(adj)) - 1
+    low = rest & ~deg_ge[2] if len(deg_ge) > 2 else rest
+    if not low:
+        return host
+    rows = list(adj)
+    while low:
+        b = low & -low
+        low ^= b
+        v = b.bit_length() - 1
+        rest ^= b
+        for w in _bits(rows[v]):
+            rows[w] ^= b
+            if rows[w].bit_count() == 1:  # rows only shrink: w is queued once
+                low |= 1 << w
+        rows[v] = 0
+    core = _host_profile(tuple(rows))
+    # a removed vertex's row is empty, so its degree 0, and only the mask
+    # of degree >= 0 held it
+    core[1][0], core[2] = rest, tri
+    return core
 
 
 def _triangle_mask(adj: tuple[int, ...]) -> int:
@@ -349,7 +388,12 @@ def _backtrack_induced(host: list, pattern: tuple,
     images of 0, 1, ... in turn. Every other rule prunes only branches that
     hold no embedding or only later ones, so the answer is f:
     - A pattern vertex of degree d keeps only host vertices of degree >= d,
-      and one in a triangle only host vertices in a triangle.
+      and one in a triangle only host vertices in a triangle. On the
+      profile of a 2-core (``_core_profile``), which ``lt_free_upto``
+      passes for its members of minimum degree 2, a degree is one in the
+      core and no vertex outside it is in a domain: each embedding of such
+      a pattern lies in the core, and there the image of a vertex of
+      degree d has the images of its d neighbours for neighbours.
     - Hall's condition on the unreached vertices, after each assignment.
       An unreached vertex has no assigned neighbour, so its image lies
       outside ``blocked``, in its degree and triangle domain, and the
@@ -464,7 +508,7 @@ def _first_embedding(g: Graph, h: Graph) -> Embedding | None:
     ``_hall_refuses`` runs on h's need before h's order, orbits and steps
     are built, which cost far more than the need: it is the matcher's Hall
     check at the root, before any vertex is assigned."""
-    host = _host_profile(g)
+    host = _host_profile(g._masks)
     if _hall_refuses(host, _pattern_hall(h._masks)):
         return None
     profile, order = _pattern_profile(h._masks)
@@ -786,6 +830,16 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     built at most once per call, by the first check whose degree counts g
     meets: a host they refuse at every level, as sparse hosts', never
     builds it.
+
+    Every member has minimum degree 2, so each of its induced copies lies
+    in g's 2-core with every vertex's degree and every triangle
+    (``_core_profile``). At the first level whose need g meets, g is peeled
+    to its 2-core, once per call, and that level's check and every later
+    check and match read the core, whose lower degree counts refuse more
+    levels and splits and whose domains hold no vertex of g outside it.
+    They cut only branches that hold no embedding, and the core keeps g's
+    ids, so the first embedding, and so every field of the verdict, is the
+    one g itself gives. A host refused at every level is never peeled.
     """
     _check_graph(g)
     for name, x in (("t", t), ("size_cap", size_cap), ("member_budget", member_budget)):
@@ -802,7 +856,7 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
     if s_fit < 0:
         return LtVerdict(status="free", certified_cap=max(e_wall + s_enum, g.n))
     m = len(_wall(t)[1])
-    host = _host_profile(g)
+    host, peeled = _host_profile(g._masks), False
 
     def exhausted(s: int) -> LtVerdict:
         return LtVerdict(status="inconclusive", certified_cap=e_wall + s - 1,
@@ -811,7 +865,12 @@ def lt_free_upto(g: Graph, t: int, size_cap: int,
 
     tested = 0
     for s in range(0, min(s_fit, s_enum) + 1):
-        if _hall_refuses(host, _level_need(t, s)):
+        need = _level_need(t, s)
+        refused = _hall_refuses(host, need)
+        if not refused and not peeled:
+            peeled, host = True, _core_profile(host)
+            refused = _hall_refuses(host, need)
+        if refused:
             tested += comb(s + m - 1, m - 1)
             if tested > member_budget:
                 return exhausted(s)

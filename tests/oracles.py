@@ -720,6 +720,17 @@ def naive_triangle_vertices(g: Graph) -> set[int]:
             if any(g.has_edge(a, b) for a, b in combinations(sorted(g.neighbors(u)), 2))}
 
 
+def naive_two_core(g: Graph) -> frozenset[int]:
+    """The vertices of g's 2-core: while some vertex left has fewer than two
+    neighbours left, the least such vertex is removed, one at a time."""
+    left = set(g.vertices)
+    while True:
+        low = [v for v in sorted(left) if len(g.neighbors(v) & left) < 2]
+        if not low:
+            return frozenset(left)
+        left.remove(low[0])
+
+
 def naive_pattern_need(h: Graph) -> tuple:
     """``patterns._pattern_need``'s need, counted vertex by vertex: per
     degree d of h, highest first, the vertices of degree >= d and those of

@@ -20,8 +20,8 @@ import networkx as nx
 import pytest
 
 from treealpha import patterns
-from treealpha.graphs import (Graph, _bits, _frame, alpha_exact, emit_graph, line_graph,
-                              max_stable_set, parse_graph, set_to_mask)
+from treealpha.graphs import (Graph, _bits, _frame, alpha_exact, emit_graph, generate,
+                              line_graph, max_stable_set, parse_graph, set_to_mask)
 from treealpha.treedecomp import (
     MWISInstance,
     TreeDecomposition,
@@ -40,6 +40,7 @@ from .oracles import (
     naive_pattern_need,
     naive_step_plan,
     naive_triangle_vertices,
+    naive_two_core,
     naive_validate_td,
     nx_graph,
     reference_backtrack_induced,
@@ -115,7 +116,7 @@ def test_self_match_is_identity():
         profile, order = patterns._profile(h._masks)
         framed = _frame(h._masks, (1 << h.n) - 1, order)
         g = Graph(h.n, [(a, b) for a in range(h.n) for b in _bits(framed[a]) if a < b])
-        host = patterns._host_profile(g)
+        host = patterns._host_profile(g._masks)
         assert not patterns._hall_refuses(host, patterns._pattern_need(framed)[2])
         emb = patterns._backtrack_induced(host, profile)
         assert emb is not None and emb.mapping == {x: x for x in range(h.n)}, h.edges()
@@ -137,11 +138,11 @@ def _hall_cases(hosts: list[Graph], needs: list[tuple]) -> tuple[int, set]:
     shortfall seen, as (degree count short, triangle count short)."""
     refused, kinds = 0, set()
     for g in hosts:
-        shared = patterns._host_profile(g)
+        shared = patterns._host_profile(g._masks)
         tri = set_to_mask(naive_triangle_vertices(g))
         for need in needs:
             short_deg, short_tri = naive_need_shortfall(g, need)
-            host = patterns._host_profile(g)
+            host = patterns._host_profile(g._masks)
             got = patterns._hall_refuses(host, need)
             assert got == patterns._hall_refuses(shared, need) == (short_deg or short_tri), (
                 g.edges(), need)
@@ -185,6 +186,65 @@ def test_hall_refuses_matches_naive():
     # some needs fall short only on a degree count, some only on a
     # triangle count, and some on neither
     assert {(True, False), (False, True), (False, False)} <= kinds
+
+
+def _core_case(g: Graph) -> int:
+    """``_core_profile`` of g's profile, with its triangle mask built, against
+    the profile of g's 2-core by ``naive_two_core``, as an induced subgraph,
+    mapped back to g's ids: equal rows (a removed vertex's empty), degree
+    masks and triangle mask; and g's own profile when nothing is removed.
+    A profile whose triangle mask is not built gives a core without one.
+    Returns the number of vertices removed."""
+    core = sorted(naive_two_core(g))
+    sub = g.induced(core)[0]
+    want = patterns._host_profile(sub._masks)
+    tri = set_to_mask(naive_triangle_vertices(sub))
+    host = patterns._host_profile(g._masks)
+    host[2] = set_to_mask(naive_triangle_vertices(g))
+    got = patterns._core_profile(host)
+    if len(core) == g.n:
+        assert got is host, g.edges()
+    back = [set_to_mask(core[i] for i in _bits(m)) for m in want[0] + tuple(want[1]) + (tri,)]
+    rows = [0] * g.n
+    for i, v in enumerate(core):
+        rows[v] = back[i]
+    assert got == [tuple(rows), back[len(core):-1], back[-1]], g.edges()
+    assert patterns._core_profile(patterns._host_profile(g._masks))[2] is None
+    return g.n - len(core)
+
+
+def test_core_profile_matches_naive(graphs):
+    # every graph: some lose no vertex, some every vertex, as a tree does
+    removed = [_core_case(g) for g in graphs]
+    assert 0 in removed and any(0 < r < g.n for r, g in zip(removed, graphs))
+    assert any(r == g.n > 0 for r, g in zip(removed, graphs))
+
+
+def test_core_profile_on_seeded_hosts():
+    # wall members, of minimum degree 2, and G(n, m) hosts, each bare and
+    # with pendant trees and pendant paths hung from random vertices: every
+    # vertex added has one edge to an earlier one, so the peel removes it,
+    # and with it lowers its anchor's degree; and a path, whose core is empty
+    rng = random.Random(4001)
+    members = [patterns._member(t, split) for t, split in (
+        (1, (0,)), (1, (2,)), (2, (0,) * 10), (2, (1, 0, 0, 2, 0, 0, 0, 0, 0, 1)))]
+    hosts = [Graph(n, rng.sample([(u, v) for u in range(n) for v in range(u)], m))
+             for n, m in ((12, 14), (20, 25), (24, 40))]
+    for base in members + hosts:
+        for hung in (0, 1, 2, 4):
+            n, edges = base.n, base.edges()
+            for _ in range(hung):
+                # a path grows from its last vertex, a tree from any earlier one
+                k, path = rng.randint(1, 4), rng.random() < 0.5
+                for j in range(k):
+                    edges.append((n + j, n + j - 1 if path and j else rng.randrange(n + j)))
+                n += k
+            perm = rng.sample(range(n), n)
+            removed = _core_case(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+            bare = _core_case(base) if base in hosts else 0
+            assert removed == n - base.n + bare, (base.edges(), edges)
+    assert [_core_case(g) for g in hosts] == [5, 4, 2]
+    assert _core_case(generate("path", k=9)) == 9
 
 
 def test_tree_alpha_matches_references():

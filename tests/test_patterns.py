@@ -594,7 +594,7 @@ class TestHallBound:
     @staticmethod
     def _refused(g: Graph, h: Graph) -> bool:
         need = patterns._pattern_need(h._masks)[2]
-        return patterns._hall_refuses(patterns._host_profile(g), need)
+        return patterns._hall_refuses(patterns._host_profile(g._masks), need)
 
     def test_refuses_where_supply_falls_short(self):
         # a member with one edge removed, padded with isolated vertices: its
@@ -929,7 +929,7 @@ class TestLevelRefusal:
         for t, gs in hosts.items():
             e_wall = patterns._wall(t)[0].edge_count()
             for g in gs:
-                host = patterns._host_profile(g)
+                host = patterns._host_profile(g._masks)
                 refused = {s for s in range(g.n - e_wall + 1)
                            if patterns._hall_refuses(host, patterns._level_need(t, s))}
                 runs = [(g.n, budget) for budget in (0, 1, 10, 20, 55, 56, 200_000)]
@@ -952,7 +952,7 @@ class TestLevelRefusal:
         _, lowest, lengths = patterns._wall(2)
         assert lengths[0] == 4
         g = _planted(2, 0, 0, random.Random(52), counts={lowest[0]: 2})
-        host = patterns._host_profile(g)
+        host = patterns._host_profile(g._masks)
         assert not any(patterns._hall_refuses(host, patterns._level_need(2, s)) for s in (0, 1))
         met, refused, skipped = [], 0, 0
         for s in (0, 1):
@@ -974,12 +974,14 @@ class TestLevelRefusal:
 
     def test_e2e1_builds_no_member(self, monkeypatch):
         # E2E-1: the host has 3 vertices in a triangle, and every level of
-        # the 2-wall needs 13, so each level is refused whole
+        # the 2-wall needs 13, so each level is refused whole, on the host
+        # itself: its 2-core is never peeled
         def built(*args):
-            pytest.fail("a member was built")
+            pytest.fail("a member or a 2-core was built")
 
         monkeypatch.setattr(patterns, "_member", built)
         monkeypatch.setattr(patterns, "_member_profile", built)
+        monkeypatch.setattr(patterns, "_core_profile", built)
         host = generate("gnp", n=30, p=0.1, seed=3)
         verdict = lt_free_upto(host, 2, 30)
         assert (verdict.status, verdict.members_tested, verdict.certified_cap,
@@ -992,14 +994,15 @@ class TestLevelRefusal:
     def test_degree_refused_host_builds_no_triangles(self, monkeypatch):
         # a G(21, 25) host, the shape of the bench's free hosts, with
         # triangles, whose degree counts refuse every level: its verdict
-        # comes without its triangle mask
+        # comes without its triangle mask, and without peeling its 2-core
         g = _gnm(random.Random(0), 21, 25)
         assert patterns._triangle_mask(g._masks)
 
-        def built(adj):
-            pytest.fail("a triangle mask was built")
+        def built(*args):
+            pytest.fail("a triangle mask or a 2-core was built")
 
         monkeypatch.setattr(patterns, "_triangle_mask", built)
+        monkeypatch.setattr(patterns, "_core_profile", built)
         verdict = lt_free_upto(g, 2, g.n)
         assert (verdict.status, verdict.certified_cap, verdict.members_tested,
                 verdict.witness, verdict.notes) == ("free", 24, 55, None, [])
@@ -1008,12 +1011,16 @@ class TestLevelRefusal:
         # hosts that meet the degree counts: E2E-1, whose twelve levels all
         # fall short on triangles; planted hosts, walked split by split to
         # the witness, cold and then warm; and the paw, with a triangle, and
-        # K_{3,3}, without, sought in a dense host. Each call builds the
-        # host's triangle mask once if the pattern has a triangle, else never
-        builds = Counter()
-        triangle_mask = patterns._triangle_mask
+        # K_{3,3}, without, sought in a dense host. Each call builds a
+        # triangle mask once if the pattern has a triangle, else never,
+        # counted on the host's rows and on those of each 2-core that
+        # lt_free_upto peels from it, not on a member's
+        builds, cores = Counter(), set()
+        triangle_mask, core_profile = patterns._triangle_mask, patterns._core_profile
         monkeypatch.setattr(patterns, "_triangle_mask",
                             lambda adj: builds.update([adj]) or triangle_mask(adj))
+        monkeypatch.setattr(patterns, "_core_profile",
+                            lambda host: cores.add((core := core_profile(host))[0]) or core)
         rng = random.Random(53)
         lt = lambda g: lt_free_upto(g, 2, g.n).status  # noqa: E731
         calls = [(generate("gnp", n=30, p=0.1, seed=3), lt, 1, "free")]
@@ -1026,8 +1033,72 @@ class TestLevelRefusal:
                    {0: 0, 1: 2, 2: 9, 3: 7, 4: 8, 5: 17})]
         for g, call, want, answer in calls:
             builds.clear()
+            cores.clear()
             assert call(g) == answer
-            assert builds[g._masks] == want
+            assert sum(builds[adj] for adj in cores | {g._masks}) == want
+
+
+def _hung(g: Graph, rng: random.Random, trees: int = 0, paths: int = 0,
+          chords: int = 0) -> Graph:
+    """g with pendant trees and pendant paths of 1-4 vertices each, hung
+    from random vertices of g, and chords random pairs of g's vertices
+    joined (an existing edge stays one), relabelled."""
+    n, edges = g.n, set(g.edges())
+    for k, path in [(rng.randint(1, 4), False) for _ in range(trees)] + [
+            (rng.randint(1, 4), True) for _ in range(paths)]:
+        for j in range(k):
+            edges.add((rng.randrange(g.n) if not j else n + j - 1 if path
+                       else rng.randrange(n, n + j), n + j))
+        n += k
+    edges |= {tuple(sorted(rng.sample(range(g.n), 2))) for _ in range(chords)}
+    return _relabel(Graph(n, sorted(edges)), rng)
+
+
+class TestTwoCore:
+    """Every member has minimum degree 2, so lt_free_upto matches it in the
+    host's 2-core, peeled at the first level whose need the host meets:
+    every verdict field is the one the host itself gives."""
+
+    def test_verdicts_match_per_class_loop(self):
+        # planted walls with pendant trees, pendant paths and chords, which
+        # may break the planted member, at member budgets 20, 200 and the
+        # default; the per-class loop matches in the whole host
+        rng = random.Random(4002)
+        statuses, peeled = Counter(), 0
+        for t, s, trees, paths, chords in ((1, 0, 2, 0, 0), (1, 2, 0, 2, 0), (1, 3, 1, 1, 2),
+                                           (2, 0, 2, 0, 0), (2, 1, 0, 2, 0), (2, 2, 1, 1, 0),
+                                           (2, 1, 1, 1, 2), (2, 2, 0, 1, 3)):
+            g = _hung(_planted(t, s, 0, rng), rng, trees, paths, chords)
+            peeled += patterns._core_profile(patterns._host_profile(g._masks))[0] != g._masks
+            for budget in (20, 200, 200_000):
+                got = lt_free_upto(g, t, g.n, budget)
+                assert got == reference_class_lt_free_upto(g, t, g.n, budget), (t, s, budget)
+                statuses[got.status] += 1
+        assert peeled == 8 and set(statuses) == {"free", "witness", "inconclusive"}
+
+    def test_planted_host_matches_fewer_members(self, monkeypatch):
+        # L(2-wall, s = 2) with 6 pendants: the host has 6 vertices of
+        # degree >= 4, its 2-core 3, and levels 0 and 1 need 5 and 4. So the
+        # host meets both levels' needs and its core neither: level 0, whose
+        # check triggers the peel, and level 1 are refused whole on the
+        # core, their splits are never read, and 4 members are matched to
+        # the witness where the host itself took 20
+        g = _planted(2, 2, 6, random.Random(5))
+        want = lt_free_upto(g, 2, g.n)  # and every member profile is built
+        assert (want.status, want.members_tested) == ("witness", 28)
+        host = patterns._host_profile(g._masks)
+        core = patterns._core_profile(host)
+        for s in (0, 1):
+            need = patterns._level_need(2, s)
+            assert not patterns._hall_refuses(host, need) and patterns._hall_refuses(core, need)
+        matched, levels = [], Counter()
+        match, record = patterns._backtrack_induced, patterns._split_record
+        monkeypatch.setattr(patterns, "_backtrack_induced",
+                            lambda host, profile: matched.append(1) or match(host, profile))
+        monkeypatch.setattr(patterns, "_split_record",
+                            lambda t, split: levels.update([sum(split)]) or record(t, split))
+        assert lt_free_upto(g, 2, g.n) == want
+        assert len(matched) == 4 and levels[0] == levels[1] == 0 < levels[2]
 
 
 def _wall_automorphisms(t: int) -> set[tuple[int, ...]]:
